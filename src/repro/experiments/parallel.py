@@ -3,18 +3,20 @@
 Every figure in the paper (Tables 1-4, Figs. 4-6) is a grid of
 independent ``run_workload`` calls over (scenario x tick-mode x seed).
 This module turns that grid into data — a list of :class:`RunSpec` — and
-executes it:
+executes it in four stages (:func:`run_grid`): **probe** the cache,
+**verify resume** against a previous journal, **schedule** what is
+left, and **settle** every attempt. One loop executes, always through
+an executor: N worker processes for ``jobs=N`` (the simulator is
+deterministic per seed, so no result depends on the process), an
+in-process one otherwise. One recorder feeds every consumer of a
+cell's lifecycle:
 
-* **fan-out** across a :class:`~concurrent.futures.ProcessPoolExecutor`
-  (``jobs=N``); the simulator is deterministic per seed, so a run's
-  result does not depend on which process executes it;
 * **result cache** — each spec hashes to a stable content address
   (:func:`spec_key`); finished runs are stored as JSON under that key
   and re-running a benchmark only executes changed cells;
 * **fault tolerance** — a per-run timeout (enforced *inside* the worker
-  via ``SIGALRM``, so a stuck run cannot wedge the pool) and automatic
-  retries (with the :class:`~repro.resilience.policy.RetryPolicy`
-  backoff ladder) for raising/timing-out/crashing workers; what still
+  via ``SIGALRM``, so a stuck run cannot wedge the pool) and
+  ``retries`` for raising/timing-out/crashing workers; what still
   fails lands in :attr:`GridResult.failed_specs` — classified as
   ``timeout`` / ``crash`` / ``error`` — instead of sinking the rest of
   the grid. Pool rebuilds after worker crashes are capped, and a
@@ -39,9 +41,9 @@ executes it:
 A :class:`RunSpec` is declarative: the workload is named by a
 :class:`WorkloadSpec` (factory kind + keyword parameters) rather than a
 live object, so specs are hashable, picklable and JSON-serializable.
-Results round-trip through :meth:`RunMetrics.to_json_dict`; both the
-serial and the pooled path return cache-decoded objects, so a cached
-grid is bit-identical to a fresh one.
+Results round-trip through :meth:`RunMetrics.to_json_dict`; every
+executor returns cache-decoded objects, so a cached grid is
+bit-identical to a fresh one.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ import signal
 import threading
 import time
 import warnings
-from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from collections import Counter, deque
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -70,7 +72,7 @@ from repro.metrics.report import Comparison, compare_runs
 from repro.resilience.chaos import ChaosAbort
 from repro.resilience.integrity import CacheFS, attach_footer, quarantine_file, split_verified
 from repro.resilience.journal import JournalState, RunJournal, replay_journal, result_hash
-from repro.resilience.policy import CircuitBreaker, RetryPolicy, RunReport, classify_failure
+from repro.resilience.policy import CircuitBreaker, RunReport, classify_failure
 
 #: Bump when the spec encoding or result encoding changes shape —
 #: invalidates every previously cached result.
@@ -328,17 +330,6 @@ def execute_spec(spec: RunSpec):
     return execute_spec_full(spec)[0]
 
 
-def execute_spec_obs(spec: RunSpec) -> tuple[Any, Optional[dict]]:
-    """Like :func:`execute_spec`, plus the profile artifact.
-
-    The second element is the :meth:`repro.obs.Observability.to_json_dict`
-    payload when ``spec.profile`` is set (and the kind supports it),
-    else None.
-    """
-    result, obs, _series = execute_spec_full(spec)
-    return result, obs
-
-
 def _obs_for(spec: RunSpec):
     """The :class:`~repro.obs.Observability` bundle a spec asks for.
 
@@ -566,7 +557,10 @@ class ResultCache:
 
     def load(self, spec: RunSpec) -> Any | None:
         """Decoded result for ``spec``, or None on miss/corruption."""
-        path = self.path_for(spec_key(spec))
+        return self._load_key(spec_key(spec))
+
+    def _load_key(self, key: str) -> Any | None:
+        path = self.path_for(key)
         payload = self._read_json(path)
         if payload is None:
             return None
@@ -575,32 +569,8 @@ class ResultCache:
                 raise ValueError("cache version mismatch")
             return decode_result(payload["result"])
         except (KeyError, TypeError, ValueError, ReproError):
-            self._discard(path)
+            self.fs.unlink(path)
             return None
-
-    def _result_body(self, spec: RunSpec, encoded: dict, key: str) -> str:
-        return json.dumps(
-            {"version": CACHE_VERSION, "key": key, "spec": spec_to_dict(spec),
-             "result": encoded},
-            sort_keys=True,
-        )
-
-    def _write_atomic(self, path: Path, body: str) -> Path:
-        """Publish ``attach_footer(body)`` at ``path`` via tmp + rename."""
-        self.fs.mkdir(path.parent)
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        try:
-            self.fs.write_text(tmp, attach_footer(body))
-            self.fs.replace(tmp, path)
-        except OSError:
-            self.fs.unlink(tmp)
-            raise
-        return path
-
-    def store(self, spec: RunSpec, encoded: dict) -> Path:
-        key = spec_key(spec)
-        return self._write_atomic(self.path_for(key),
-                                  self._result_body(spec, encoded, key))
 
     def store_entry(self, spec: RunSpec, encoded: dict, *,
                     obs: Optional[dict] = None,
@@ -620,9 +590,9 @@ class ResultCache:
             plan.append((self.artifact_path_for(key), json.dumps(obs, sort_keys=True)))
         if series is not None:
             plan.append((self.series_path_for(key), json.dumps(series, sort_keys=True)))
-        plan.append((result_path, self._result_body(spec, encoded, key)))
-        if len(plan) == 1:
-            return self._write_atomic(result_path, plan[0][1])
+        plan.append((result_path, json.dumps(
+            {"version": CACHE_VERSION, "key": key, "spec": spec_to_dict(spec),
+             "result": encoded}, sort_keys=True)))
         stage = result_path.parent / f".stage-{os.getpid()}-{key[:8]}"
         self.fs.mkdir(stage)
         staged: list[tuple[Path, Path]] = []
@@ -640,35 +610,13 @@ class ResultCache:
                 stage.rmdir()
         return result_path
 
-    def load_artifact(self, spec: RunSpec) -> Optional[dict]:
-        """Cached profile artifact for ``spec``, or None."""
-        path = self.artifact_path_for(spec_key(spec))
+    def _load_sidecar(self, path: Path) -> Optional[dict]:
+        """A cached profile/series artifact, or None."""
         payload = self._read_json(path)
-        if payload is None:
-            return None
-        if not isinstance(payload, dict):
-            self._discard(path)
+        if payload is not None and not isinstance(payload, dict):
+            self.fs.unlink(path)
             return None
         return payload
-
-    def store_artifact(self, spec: RunSpec, obs: dict) -> Path:
-        return self._write_atomic(self.artifact_path_for(spec_key(spec)),
-                                  json.dumps(obs, sort_keys=True))
-
-    def load_series(self, spec: RunSpec) -> Optional[dict]:
-        """Cached time-series artifact for ``spec``, or None."""
-        path = self.series_path_for(spec_key(spec))
-        payload = self._read_json(path)
-        if payload is None:
-            return None
-        if not isinstance(payload, dict):
-            self._discard(path)
-            return None
-        return payload
-
-    def store_series(self, spec: RunSpec, series: dict) -> Path:
-        return self._write_atomic(self.series_path_for(spec_key(spec)),
-                                  json.dumps(series, sort_keys=True))
 
     def quarantine_entry(self, key: str) -> int:
         """Quarantine every file of entry ``key`` (result + artifacts).
@@ -690,9 +638,6 @@ class ResultCache:
         if self.on_quarantine is not None:
             with contextlib.suppress(Exception):
                 self.on_quarantine(path, target)
-
-    def _discard(self, path: Path) -> None:
-        self.fs.unlink(path)
 
 
 # --------------------------------------------------------------------------
@@ -784,11 +729,339 @@ class GridResult:
         return self
 
 
-def _pool_context():
-    """Prefer fork: cheap on Linux, and workers inherit workload kinds
-    registered by the calling process (tests rely on this)."""
+class _InlineExecutor(Executor):
+    """Runs each call inside :meth:`submit` and returns a settled future:
+    serial grids and the breaker's serial fallback, driven like a pool."""
+
+    def submit(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Future:
+        fut: Future = Future()
+        try:
+            fut.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
+
+
+def _executor(workers: Optional[int], rec: "_Recorder") -> Executor:
+    """A pool of ``workers`` processes, or the in-process executor (None).
+    Pools fork where they can: cheap, and workers inherit the workload
+    kinds the calling process registered (tests rely on this)."""
+    if workers is None:
+        return _InlineExecutor()
+    rec.pool_built(workers)
     methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else methods[0])
+    context = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
+
+
+def _shutdown(executor: Executor) -> None:
+    with contextlib.suppress(Exception):
+        executor.shutdown(wait=False, cancel_futures=True)
+
+
+class _Detached:
+    """Stands in for disabled telemetry: every recording call is a no-op."""
+
+    def span(self, name: str, **attrs: Any):
+        return contextlib.nullcontext({})
+
+    def now_ns(self) -> int:
+        return 0
+
+    def _ignore(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    instant = counter = gauge = observe = add_span = _ignore
+
+
+class _Recorder:
+    """The one consumer of a grid's cell lifecycle.
+
+    Each state transition of a cell calls one method here, which
+    updates every consumer in turn: the :class:`GridResult` and its
+    :class:`RunReport`, the result cache (for a cell that ran), the
+    journal, harness telemetry, the ``progress`` callback and the chaos
+    ``abort_after`` hook. Disabled telemetry is swapped for
+    :class:`_Detached` once per grid and never touched again.
+    """
+
+    def __init__(self, grid: GridResult, keys: dict[RunSpec, str],
+                 journal: Optional[RunJournal], telemetry, progress, chaos) -> None:
+        self.grid, self.report, self.keys = grid, grid.report, keys
+        self.journal, self.progress = journal, progress
+        self.tel = telemetry if telemetry is not None and telemetry.enabled else _Detached()
+        self.abort_after = getattr(chaos, "abort_after", None)
+        self.done = 0
+
+    def quarantined(self, path: Path, moved: Optional[Path]) -> None:
+        """The cache moved a corrupt file aside."""
+        self.report.quarantined += 1
+        self.tel.instant("cache.quarantine", lane="cache", path=str(path))
+        self.tel.counter("cache_quarantined", help="corrupt cache files quarantined")
+
+    def served(self, spec: RunSpec, result: Any, obs: Optional[dict],
+               series: Optional[dict], verified_hash: Optional[str]) -> None:
+        """Settled from the cache: ``resumed`` when the journal's result
+        hash re-verified it (``verified_hash``), else ``cached``."""
+        label = spec.display_label()
+        status = "cached" if verified_hash is None else "resumed"
+        self.tel.instant("cache.probe", lane="cache", spec=label)
+        if verified_hash is not None:
+            self.report.resumed += 1
+            self.report.reverified += 1
+            self.tel.instant("resume.hit", lane="cache", spec=label)
+            self.tel.counter("cells_resumed", help="cells skipped via journal resume")
+            self.tel.counter("cells_reverified", help="resumed cells re-verified against "
+                             "the journaled result hash")
+            self._journal("resumed", spec, result_hash=verified_hash)
+        elif self.journal is not None:
+            self._journal("cached", spec, result_hash=result_hash(encode_result(result)))
+        self._settle(spec, result, obs, series)
+        self.grid.cache_hits += 1
+        self.tel.instant("cache.hit", lane="cache", spec=label)
+        self.tel.counter("cache_hits", help="grid cells served from cache")
+        self._emit(spec, status, cache_hit=True)
+
+    def scheduled(self, spec: RunSpec, *, probed: bool, journaled_done: bool,
+                  mismatch: bool) -> None:
+        """Not served from the cache, so the cell will run — even when the
+        journal says done (``journaled_done``): evicted, corrupt, or its
+        entry failed re-verification (``mismatch``) and was quarantined."""
+        label = spec.display_label()
+        if mismatch:
+            self.report.resume_mismatches += 1
+            self.tel.instant("resume.mismatch", lane="cache", spec=label)
+            self.tel.counter("resume_mismatches", help="resume re-verification failures")
+        if journaled_done:
+            self.tel.instant("resume.miss", lane="cache", spec=label)
+        if probed:
+            self.tel.instant("cache.probe", lane="cache", spec=label)
+            self.tel.instant("cache.miss", lane="cache", spec=label)
+            self.tel.counter("cache_misses", help="grid cells not in cache")
+        self._journal("scheduled", spec)
+
+    def started(self, spec: RunSpec, attempt: int) -> None:
+        self._journal("started", spec, attempt=attempt)
+
+    def ran(self, spec: RunSpec, encoded: dict,
+            cache: Optional[ResultCache]) -> Optional[ResultCache]:
+        """An attempt succeeded: publish the cache entry, *then* journal
+        the cell as done, so a ``done`` record always has its entry.
+        Returns the cache to publish to from now on (None once a write
+        failed)."""
+        obs, series = encoded.pop("obs", None), encoded.pop("series", None)
+        wall_s, pid = encoded.pop("wall_s"), encoded.pop("pid")
+        self._settle(spec, decode_result(encoded), obs, series)
+        self.grid.executed += 1
+        # Reconstruct the worker's execution as a slice on its lane: it
+        # ended (approximately) now and lasted wall_s.
+        wall_ns = int(wall_s * 1e9)
+        self.tel.add_span("shard.execute", self.tel.now_ns() - wall_ns, wall_ns,
+                          lane=f"worker-{pid}", spec=spec.display_label())
+        if cache is not None:
+            try:
+                cache.store_entry(spec, encoded, obs=obs, series=series)
+            except OSError as exc:
+                # An unwritable store (bad cache_dir, full disk) must not
+                # sink a grid whose results are already in memory.
+                warnings.warn(f"result cache disabled: cannot write {cache.root}: {exc}",
+                              RuntimeWarning, stacklevel=2)
+                cache = None
+            else:
+                self.tel.instant("cache.write", lane="cache", spec=spec.display_label())
+                self.tel.counter("cache_writes", help="results written to cache")
+        if self.journal is not None:
+            self._journal("done", spec, result_hash=result_hash(encoded))
+        self._emit(spec, "ran", duration_s=wall_s)
+        return cache
+
+    def failed(self, spec: RunSpec, error: str, attempt: int, duration_s: float,
+               kind: str, *, final: bool) -> None:
+        """Attempt ``attempt`` failed: the cell is retried, or (``final``)
+        given up and reported in :attr:`GridResult.failed_specs`."""
+        label = spec.display_label()
+        if final:
+            self.grid.failed_specs.append(FailedSpec(spec, error, attempt, kind))
+            self.report.failures[kind] += 1
+            self.done += 1
+            self.tel.instant("shard.failed", spec=label, error=error,
+                             attempts=attempt, kind=kind)
+            self._journal("failed", spec, error=error, kind=kind, attempts=attempt)
+        else:
+            self.report.retries[kind] += 1
+            self.tel.instant("shard.retry", spec=label, error=error,
+                             attempt=attempt, kind=kind)
+        self._emit(spec, "failed" if final else "retry", attempt, error, duration_s,
+                   failure_kind=kind)
+
+    def pool_built(self, workers: int) -> None:
+        self.tel.gauge("pool_workers", workers, help="process pool size")
+
+    def pool_crashed(self, exc: BaseException, casualties: int, rebuilt: bool) -> None:
+        self.report.pool_rebuilds += 1
+        if rebuilt:
+            self.tel.instant("pool.rebuild", error=repr(exc), casualties=casualties)
+            self.tel.counter("pool_rebuilds", help="process pool crash recoveries")
+
+    def degraded(self, step: int, workers: Optional[int]) -> None:
+        """A breaker trip: the pool shrank to ``workers``, or went serial (None)."""
+        if workers is None:
+            self.report.degradation.append("fell back to serial")
+            self.tel.instant("pool.degrade", step=step, jobs=1, mode="serial")
+        else:
+            self.report.degradation.append(f"pool shrunk to {workers}")
+            self.tel.instant("pool.degrade", step=step, jobs=workers)
+        self.tel.counter("pool_degrades", help="degradation ladder steps")
+
+    def check_abort(self) -> None:
+        """Chaos: simulate a harness crash once ``abort_after`` cells ran or failed."""
+        settled = self.grid.executed + len(self.grid.failed_specs)
+        if self.abort_after is not None and settled >= self.abort_after:
+            self.tel.instant("chaos.abort", after=settled)
+            raise ChaosAbort(f"chaos: simulated harness crash after {settled} settled cell(s)")
+
+    def finish(self, span_attrs: dict) -> GridResult:
+        grid = self.grid
+        self.report.cache_hits, self.report.executed = grid.cache_hits, grid.executed
+        span_attrs.update(cache_hits=grid.cache_hits, executed=grid.executed,
+                          failed=len(grid.failed_specs))
+        return grid
+
+    def _settle(self, spec: RunSpec, result: Any, obs: Optional[dict],
+                series: Optional[dict]) -> None:
+        self.grid.results[spec] = result
+        if obs is not None:
+            self.grid.artifacts[spec] = obs
+        if series is not None:
+            self.grid.series[spec] = series
+        self.done += 1
+
+    def _journal(self, event: str, spec: RunSpec, **extra: Any) -> None:
+        if self.journal is not None:
+            self.journal.record(event, self.keys[spec], **extra)
+
+    def _emit(self, spec: RunSpec, status: str, attempt: int = 1,
+              error: Optional[str] = None, duration_s: Optional[float] = None,
+              cache_hit: bool = False, failure_kind: Optional[str] = None) -> None:
+        """Count a settled attempt in telemetry and report it to ``progress``."""
+        self.tel.counter("cells", help="grid cells settled by status", status=status)
+        if duration_s is not None:
+            self.tel.observe("shard_wall_ns", int(duration_s * 1e9),
+                             help="per-attempt shard wall-clock", status=status)
+        if self.progress is None:
+            return
+        try:
+            self.progress(ProgressEvent(spec, status, self.done, len(self.keys), attempt,
+                                        error, duration_s, cache_hit, failure_kind))
+        except Exception as exc:
+            warnings.warn(f"progress callback disabled after raising {exc!r}",
+                          RuntimeWarning, stacklevel=2)
+            self.progress = None
+
+
+def _probe(cache: Optional[ResultCache], spec: RunSpec, key: str,
+           ) -> tuple[Any, Optional[dict], Optional[dict]]:
+    """``(result, profile, series)`` cached for ``spec``; result None on a
+    miss — including a profiled or series entry missing its artifact."""
+    if cache is None:
+        return None, None, None
+    result = cache._load_key(key)
+    obs = cache._load_sidecar(cache.artifact_path_for(key)) if spec.profile else None
+    series = cache._load_sidecar(cache.series_path_for(key)) if spec.series else None
+    if (spec.profile and obs is None) or (spec.series and series is None):
+        result = None
+    return result, obs, series
+
+
+def _execute(pending: list[RunSpec], rec: _Recorder, cache: Optional[ResultCache], *,
+             jobs: Optional[int], timeout_s: Optional[float], retries: int, chaos,
+             max_pool_rebuilds: int, breaker: Optional[CircuitBreaker]) -> None:
+    """Schedule the ``pending`` cells and settle every attempt.
+
+    One loop drives every execution mode. ``workers`` is the pool size,
+    or None for the in-process executor, which takes one cell at a time
+    so a serial grid settles in spec order; a pool takes every queued
+    cell at once. A broken pool and a breaker trip only swap the
+    executor.
+    """
+    workers = jobs if jobs and jobs > 1 else None
+    brk = breaker if breaker is not None else CircuitBreaker()
+    attempts = dict.fromkeys(pending, 1)
+    queue = deque(pending)
+    in_flight: dict[Future, tuple[RunSpec, float]] = {}
+    rebuilds = 0
+    executor = _executor(workers, rec)
+    try:
+        while queue or in_flight:
+            while queue and (workers is not None or not in_flight):
+                spec = queue.popleft()
+                rec.started(spec, attempts[spec])
+                submitted = time.monotonic()
+                try:
+                    fut = executor.submit(_worker_run, spec, timeout_s, chaos)
+                except BrokenProcessPool as exc:
+                    # The pool died while we were still submitting: a dead
+                    # future sends it down the crash path below.
+                    fut = Future()
+                    fut.set_exception(exc)
+                in_flight[fut] = (spec, submitted)
+
+            finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for fut in finished:
+                spec, submitted = in_flight.pop(fut)
+                elapsed = time.monotonic() - submitted
+                exc = fut.exception()
+                if workers is not None:
+                    brk.record(exc is None)
+                if exc is None:
+                    cache = rec.ran(spec, fut.result(), cache)
+                    rec.check_abort()
+                    continue
+                lost, error, kind = [spec], repr(exc), classify_failure(exc)
+                crashed = workers is not None and isinstance(exc, BrokenProcessPool)
+                final = False
+                if crashed:
+                    # A worker died hard and took the pool with it, and
+                    # every unsettled cell in it: rebuild the pool and
+                    # retry them all, charging each one attempt. A pool
+                    # that cannot stay alive is an outage, not a
+                    # transient — past the rebuild cap, what is left
+                    # fails with a clear error.
+                    lost += [s for s, _ in in_flight.values()] + list(queue)
+                    in_flight.clear()
+                    queue.clear()
+                    _shutdown(executor)
+                    rebuilds += 1
+                    final = rebuilds > max_pool_rebuilds
+                    rec.pool_crashed(exc, len(lost), rebuilt=not final)
+                    if final:
+                        error = (f"pool rebuild cap reached ({max_pool_rebuilds}); "
+                                 f"last crash: {error}")
+                    else:
+                        executor = _executor(workers, rec)
+                for s in lost:
+                    gave_up = final or attempts[s] > retries
+                    rec.failed(s, error, attempts[s], elapsed, kind, final=gave_up)
+                    if not gave_up:
+                        attempts[s] += 1
+                        queue.appendleft(s)  # retried next, before new cells
+                rec.check_abort()
+                if crashed:
+                    break  # the rest of `finished` was lost with the pool
+
+            if workers is not None and (queue or in_flight) and brk.tripped:
+                # Degradation ladder: the windowed failure rate crossed
+                # the threshold. The first trip halves the pool, the next
+                # falls back to in-process execution.
+                queue.extendleft(reversed([s for s, _ in in_flight.values()]))
+                in_flight.clear()
+                _shutdown(executor)
+                step = brk.trip_and_reset()
+                workers = max(1, workers // 2) if step == 1 and workers > 1 else None
+                rec.degraded(step, workers)
+                executor = _executor(workers, rec)
+    finally:
+        _shutdown(executor)
 
 
 def run_grid(
@@ -801,7 +1074,6 @@ def run_grid(
     retries: int = 1,
     progress: Optional[Callable[[ProgressEvent], None]] = None,
     telemetry=None,
-    retry_policy: Optional[RetryPolicy] = None,
     journal: "RunJournal | os.PathLike | str | None" = None,
     resume: "JournalState | os.PathLike | str | None" = None,
     chaos=None,
@@ -811,451 +1083,80 @@ def run_grid(
 ) -> GridResult:
     """Execute a grid of specs, using the cache and ``jobs`` workers.
 
-    ``jobs=None``/``0``/``1`` executes serially in-process (still using
-    the cache); ``jobs=N`` fans out across N worker processes. Each
-    failing cell (exception, timeout, worker crash) is retried
-    ``retries`` times — with the backoff schedule of ``retry_policy``,
-    which overrides ``retries`` when given — and then reported in
-    :attr:`GridResult.failed_specs`, classified as timeout / crash /
-    error; the rest of the grid completes regardless. Pool rebuilds
-    after worker crashes are capped at ``max_pool_rebuilds``, and the
-    ``breaker`` (a :class:`~repro.resilience.policy.CircuitBreaker`,
-    default-constructed when None) degrades the pool — half the
-    workers, then serial in-process — when the failure rate trips it.
+    The deduplicated specs pass four stages: **probe** the cache (a hit,
+    a miss, or a result without its artifacts — a miss); **verify
+    resume**; **schedule** the rest; **settle** each attempt (ran,
+    retry, failed).
+
+    ``jobs=None``/``0``/``1`` executes in-process; ``jobs=N`` fans out
+    across N worker processes. A failing cell (exception, timeout,
+    worker crash) is retried ``retries`` times, then reported in
+    :attr:`GridResult.failed_specs` as timeout / crash / error while
+    the rest of the grid completes. Pool rebuilds after worker crashes
+    are capped at ``max_pool_rebuilds``; the ``breaker`` (a default
+    :class:`~repro.resilience.policy.CircuitBreaker` when None) halves
+    the pool, then falls back to in-process, when failures trip it.
 
     ``journal`` (a path or an open
     :class:`~repro.resilience.journal.RunJournal`) records every cell's
     lifecycle durably. ``resume`` (a path or a replayed
-    :class:`~repro.resilience.journal.JournalState`) replays a previous
-    journal: cells it witnessed as done are served from the cache after
-    **re-verifying** their bytes against the journaled result hash —
-    a mismatch quarantines the entry and re-runs the cell; resuming
-    against a changed matrix raises
+    :class:`~repro.resilience.journal.JournalState`) serves the cells a
+    previous journal witnessed as done after re-verifying their cached
+    bytes against the journaled result hash — a mismatch quarantines
+    the entry and re-runs the cell; a changed matrix raises
     :class:`~repro.resilience.journal.ResumeError`. Passing both (the
-    usual ``--resume`` shape) appends the new lifecycle to the same
-    journal file.
+    usual ``--resume`` shape) appends to the same journal file.
 
     ``chaos`` (a :class:`~repro.resilience.chaos.ChaosPolicy`) and
     ``cache_fs`` (a :class:`~repro.resilience.integrity.CacheFS`)
-    inject deterministic faults for the chaos battery; both default to
-    "no faults".
-
+    inject deterministic faults; both default to "no faults".
     ``telemetry`` (a :class:`repro.telemetry.HarnessTelemetry`) records
-    wall-clock spans, cache instants and counters for every state
-    transition. Every touch point is guarded by
-    ``telemetry is not None and telemetry.enabled``, so a detached grid
-    pays a single boolean check (the exploding-telemetry test pins
-    this), and telemetry observes only harness wall-clock — results and
-    cache contents are byte-identical with it on or off.
-
-    A ``progress`` callback that raises is disabled after its first
-    exception (with a :class:`RuntimeWarning`) instead of sinking the
-    grid: observation must never abort the experiment.
+    spans, instants and counters for every transition; its ``enabled``
+    flag is read once per grid, and results and cache bytes are
+    identical with it on or off. A ``progress`` callback that raises is
+    disabled with a :class:`RuntimeWarning` instead of sinking the grid.
     """
-    tel = telemetry if (telemetry is not None and telemetry.enabled) else None
     spec_list = list(specs)
-    unique: dict[RunSpec, None] = dict.fromkeys(spec_list)
-    total = len(unique)
-    report = RunReport(cells=total)
-
-    def note_quarantine(path: Path, moved: Optional[Path]) -> None:
-        report.quarantined += 1
-        if tel is not None:
-            tel.instant("cache.quarantine", lane="cache", path=str(path))
-            tel.counter("cache_quarantined", help="corrupt cache files quarantined")
-
-    cache = (ResultCache(cache_dir, fs=cache_fs, on_quarantine=note_quarantine)
-             if use_cache else None)
-    result = GridResult(specs=spec_list, results={}, report=report)
-    done = 0
-
-    policy = retry_policy if retry_policy is not None else RetryPolicy(retries=retries)
-    retries = policy.retries
-    keys: dict[RunSpec, str] = {spec: spec_key(spec) for spec in unique}
-
-    resume_state: Optional[JournalState] = None
+    keys = {spec: spec_key(spec) for spec in dict.fromkeys(spec_list)}
+    state: Optional[JournalState] = None
     if resume is not None:
-        resume_state = (resume if isinstance(resume, JournalState)
-                        else replay_journal(resume))
-        resume_state.check_digest(keys.values())
-
-    own_journal = False
-    if journal is not None and not isinstance(journal, RunJournal):
-        journal = (RunJournal.resume(journal) if resume_state is not None
+        state = resume if isinstance(resume, JournalState) else replay_journal(resume)
+        state.check_digest(keys.values())
+    own_journal = journal is not None and not isinstance(journal, RunJournal)
+    if own_journal:
+        journal = (RunJournal.resume(journal) if state is not None
                    else RunJournal.create(journal, keys.values()))
-        own_journal = True
 
-    def jrecord(event: str, spec: RunSpec, **extra: Any) -> None:
-        if journal is not None:
-            journal.record(event, keys[spec], **extra)
-
-    grid_span = (
-        tel.span("grid.run", cells=total, jobs=jobs or 1)
-        if tel is not None else contextlib.nullcontext({})
-    )
-
-    def emit(spec: RunSpec, status: str, attempt: int = 1,
-             error: str | None = None, duration_s: Optional[float] = None,
-             cache_hit: bool = False, failure_kind: Optional[str] = None) -> None:
-        nonlocal progress
-        if progress is None:
-            return
-        try:
-            progress(ProgressEvent(spec, status, done, total, attempt, error,
-                                   duration_s, cache_hit, failure_kind))
-        except Exception as exc:
-            warnings.warn(
-                f"progress callback disabled after raising {exc!r}",
-                RuntimeWarning, stacklevel=2,
-            )
-            progress = None
-
-    def tel_settle(spec: RunSpec, status: str, duration_ns: Optional[int]) -> None:
-        """One settled-cell record: counter + wall histogram."""
-        assert tel is not None
-        tel.counter("cells", help="grid cells settled by status", status=status)
-        if duration_ns is not None:
-            tel.observe("shard_wall_ns", duration_ns,
-                        help="per-attempt shard wall-clock", status=status)
-
-    with contextlib.ExitStack() as _stack:
-        grid_attrs = _stack.enter_context(grid_span)
+    grid = GridResult(specs=spec_list, results={}, report=RunReport(cells=len(keys)))
+    rec = _Recorder(grid, keys, journal, telemetry, progress, chaos)
+    cache = (ResultCache(cache_dir, fs=cache_fs, on_quarantine=rec.quarantined)
+             if use_cache else None)
+    with contextlib.ExitStack() as stack:
+        span_attrs = stack.enter_context(
+            rec.tel.span("grid.run", cells=len(keys), jobs=jobs or 1))
         if own_journal:
-            _stack.callback(journal.close)
-
-        def settle_hit(spec: RunSpec, hit: Any, art: Optional[dict],
-                       ser: Optional[dict], status: str) -> None:
-            nonlocal done
-            result.results[spec] = hit
-            if art is not None:
-                result.artifacts[spec] = art
-            if ser is not None:
-                result.series[spec] = ser
-            result.cache_hits += 1
-            done += 1
-            if tel is not None:
-                tel.instant("cache.hit", lane="cache", spec=spec.display_label())
-                tel.counter("cache_hits", help="grid cells served from cache")
-                tel_settle(spec, status, None)
-            emit(spec, status, cache_hit=True)
-
+            stack.callback(journal.close)
         pending: list[RunSpec] = []
-        for spec in unique:
-            key = keys[spec]
-            hit = cache.load(spec) if cache is not None else None
-            art = cache.load_artifact(spec) if cache is not None and spec.profile else None
-            ser = cache.load_series(spec) if cache is not None and spec.series else None
-            if tel is not None and cache is not None:
-                tel.instant("cache.probe", lane="cache", spec=spec.display_label())
-            # A profiled (or series) spec only counts as a hit when
-            # its artifacts are present too — a result without them
-            # is a miss.
-            full_hit = (hit is not None
-                        and (not spec.profile or art is not None)
-                        and (not spec.series or ser is not None))
-            want_hash = (resume_state.done.get(key)
-                         if resume_state is not None else None)
-            if full_hit and want_hash is not None:
-                actual = result_hash(encode_result(hit))
-                if actual == want_hash:
-                    report.resumed += 1
-                    report.reverified += 1
-                    if tel is not None:
-                        tel.instant("resume.hit", lane="cache",
-                                    spec=spec.display_label())
-                        tel.counter("cells_resumed",
-                                    help="cells skipped via journal resume")
-                        tel.counter("cells_reverified",
-                                    help="resumed cells re-verified against "
-                                         "the journaled result hash")
-                    jrecord("resumed", spec, result_hash=actual)
-                    settle_hit(spec, hit, art, ser, "resumed")
-                    continue
+        for spec, key in keys.items():
+            hit, obs, series = _probe(cache, spec, key)
+            want = state.done.get(key) if state is not None else None
+            verified = (result_hash(encode_result(hit))
+                        if hit is not None and want is not None else None)
+            if verified is not None and verified != want:
                 # The cached bytes no longer match what the journal
-                # witnessed: the entry is suspect as a unit — quarantine
-                # it and re-run the cell.
-                report.resume_mismatches += 1
+                # witnessed: the entry is suspect as a unit.
                 cache.quarantine_entry(key)
-                if tel is not None:
-                    tel.instant("resume.mismatch", lane="cache",
-                                spec=spec.display_label())
-                    tel.counter("resume_mismatches",
-                                help="resume re-verification failures")
-                full_hit = False
                 hit = None
-            if full_hit:
-                if journal is not None:
-                    jrecord("cached", spec, result_hash=result_hash(encode_result(hit)))
-                settle_hit(spec, hit, art, ser, "cached")
+            if hit is not None:
+                rec.served(spec, hit, obs, series, verified)
             else:
-                if want_hash is not None and tel is not None:
-                    # The journal says done but the cache cannot serve it
-                    # (evicted, corrupt, or just quarantined): re-run.
-                    tel.instant("resume.miss", lane="cache",
-                                spec=spec.display_label())
-                if tel is not None and cache is not None:
-                    tel.instant("cache.miss", lane="cache", spec=spec.display_label())
-                    tel.counter("cache_misses", help="grid cells not in cache")
-                jrecord("scheduled", spec)
+                rec.scheduled(spec, probed=cache is not None,
+                              journaled_done=want is not None, mismatch=verified is not None)
                 pending.append(spec)
-
-        def settle_ok(spec: RunSpec, encoded: dict) -> None:
-            nonlocal done, cache
-            obs = encoded.pop("obs", None)
-            series = encoded.pop("series", None)
-            wall_s = encoded.pop("wall_s", None)
-            pid = encoded.pop("pid", None)
-            if obs is not None:
-                result.artifacts[spec] = obs
-            if series is not None:
-                result.series[spec] = series
-            result.results[spec] = decode_result(encoded)
-            result.executed += 1
-            if tel is not None and wall_s is not None:
-                # Reconstruct the worker's execution as a slice on its
-                # lane: it ended (approximately) now and lasted wall_s.
-                wall_ns = int(wall_s * 1e9)
-                end_ns = tel.now_ns()
-                tel.add_span("shard.execute", end_ns - wall_ns, wall_ns,
-                             lane=f"worker-{pid}", spec=spec.display_label())
-                tel_settle(spec, "ran", wall_ns)
-            if cache is not None:
-                try:
-                    cache.store_entry(spec, encoded, obs=obs, series=series)
-                    if tel is not None:
-                        tel.instant("cache.write", lane="cache",
-                                    spec=spec.display_label())
-                        tel.counter("cache_writes", help="results written to cache")
-                except OSError as exc:
-                    # An unwritable store (bad cache_dir, full disk) must not
-                    # sink a grid whose results are already in memory.
-                    warnings.warn(
-                        f"result cache disabled: cannot write {cache.root}: {exc}",
-                        RuntimeWarning, stacklevel=2,
-                    )
-                    cache = None
-            if journal is not None:
-                jrecord("done", spec, result_hash=result_hash(encoded))
-            done += 1
-            emit(spec, "ran", duration_s=wall_s)
-
-        def settle_failed(spec: RunSpec, error: str, attempts: int,
-                          duration_s: Optional[float] = None,
-                          kind: str = "error") -> None:
-            nonlocal done
-            result.failed_specs.append(FailedSpec(spec, error, attempts, kind))
-            report.failures[kind] += 1
-            done += 1
-            if tel is not None:
-                tel.instant("shard.failed", spec=spec.display_label(),
-                            error=error, attempts=attempts, kind=kind)
-                tel_settle(spec, "failed",
-                           int(duration_s * 1e9) if duration_s is not None else None)
-            jrecord("failed", spec, error=error, kind=kind, attempts=attempts)
-            emit(spec, "failed", attempts, error, duration_s, failure_kind=kind)
-
-        def note_retry(spec: RunSpec, attempt: int, error: str,
-                       duration_s: Optional[float], kind: str = "error") -> None:
-            report.retries[kind] += 1
-            if tel is not None:
-                tel.instant("shard.retry", spec=spec.display_label(),
-                            error=error, attempt=attempt, kind=kind)
-                tel_settle(spec, "retry",
-                           int(duration_s * 1e9) if duration_s is not None else None)
-            emit(spec, "retry", attempt, error, duration_s, failure_kind=kind)
-
-        def maybe_abort() -> None:
-            if chaos is None or getattr(chaos, "abort_after", None) is None:
-                return
-            settled_live = result.executed + len(result.failed_specs)
-            if settled_live >= chaos.abort_after:
-                if tel is not None:
-                    tel.instant("chaos.abort", after=settled_live)
-                raise ChaosAbort(
-                    f"chaos: simulated harness crash after {settled_live} "
-                    f"settled cell(s)")
-
-        def finish() -> GridResult:
-            report.cache_hits = result.cache_hits
-            report.executed = result.executed
-            if tel is not None:
-                grid_attrs.update(cache_hits=result.cache_hits,
-                                  executed=result.executed,
-                                  failed=len(result.failed_specs))
-            return result
-
-        def run_serial(pend: list[RunSpec]) -> None:
-            for spec in pend:
-                attempt = 0
-                while True:
-                    attempt += 1
-                    t0 = time.monotonic()
-                    try:
-                        jrecord("started", spec, attempt=attempt)
-                        settle_ok(spec, _worker_run(spec, timeout_s, chaos))
-                        break
-                    except ChaosAbort:
-                        raise
-                    except Exception as exc:
-                        elapsed = time.monotonic() - t0
-                        kind = classify_failure(exc)
-                        if attempt > retries:
-                            settle_failed(spec, repr(exc), attempt, elapsed, kind)
-                            break
-                        note_retry(spec, attempt, repr(exc), elapsed, kind)
-                        delay = policy.delay_s(keys[spec], attempt)
-                        if delay > 0:
-                            time.sleep(delay)
-                maybe_abort()
-
-        if not pending:
-            return finish()
-
-        if not jobs or jobs <= 1:
-            run_serial(pending)
-            return finish()
-
-        ctx = _pool_context()
-        attempts: dict[RunSpec, int] = {s: 1 for s in pending}
-        cur_jobs = jobs
-        rebuilds = 0
-        brk = breaker if breaker is not None else CircuitBreaker()
-        pool = ProcessPoolExecutor(max_workers=cur_jobs, mp_context=ctx)
-        if tel is not None:
-            tel.gauge("pool_workers", cur_jobs, help="process pool size")
-        submitted_at: dict[Any, float] = {}
-
-        def submit(p, spec: RunSpec):
-            jrecord("started", spec, attempt=attempts[spec])
-            try:
-                fut = p.submit(_worker_run, spec, timeout_s, chaos)
-            except BrokenProcessPool as exc:
-                # The pool died while we were still submitting (a very
-                # fast worker crash). Hand back a dead future carrying
-                # the breakage so the wait loop's rebuild logic handles
-                # it exactly like a crash observed in flight.
-                fut = Future()
-                fut.set_exception(exc)
-            submitted_at[fut] = time.monotonic()
-            return fut
-
-        serial_fallback: list[RunSpec] = []
-        in_flight: dict[Any, RunSpec] = {submit(pool, spec): spec for spec in pending}
-        try:
-            while in_flight:
-                finished, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
-                pool_broken = False
-                for fut in finished:
-                    spec = in_flight.pop(fut)
-                    elapsed = time.monotonic() - submitted_at.pop(fut, time.monotonic())
-                    try:
-                        encoded = fut.result()
-                    except BrokenProcessPool as exc:
-                        # The pool died (a worker crashed hard). Every
-                        # in-flight future is lost: rebuild the pool and
-                        # retry them all, charging each one attempt.
-                        casualties = [spec] + list(in_flight.values())
-                        in_flight.clear()
-                        submitted_at.clear()
-                        with contextlib.suppress(Exception):
-                            pool.shutdown(wait=False, cancel_futures=True)
-                        rebuilds += 1
-                        report.pool_rebuilds += 1
-                        brk.record(False)
-                        if rebuilds > max_pool_rebuilds:
-                            # A pool that cannot stay alive is an outage,
-                            # not a transient: fail what is left with a
-                            # clear error instead of rebuilding forever.
-                            pool = None
-                            for s in casualties:
-                                settle_failed(
-                                    s,
-                                    f"pool rebuild cap reached "
-                                    f"({max_pool_rebuilds}); last crash: {exc!r}",
-                                    attempts[s], elapsed, "crash")
-                            maybe_abort()
-                            break
-                        pool = ProcessPoolExecutor(max_workers=cur_jobs,
-                                                   mp_context=ctx)
-                        if tel is not None:
-                            tel.instant("pool.rebuild", error=repr(exc),
-                                        casualties=len(casualties))
-                            tel.counter("pool_rebuilds",
-                                        help="process pool crash recoveries")
-                        for s in casualties:
-                            if attempts[s] > retries:
-                                settle_failed(s, repr(exc), attempts[s],
-                                              elapsed, "crash")
-                            else:
-                                note_retry(s, attempts[s], repr(exc), elapsed,
-                                           "crash")
-                                attempts[s] += 1
-                                in_flight[submit(pool, s)] = s
-                        maybe_abort()
-                        pool_broken = True
-                    except Exception as exc:  # worker raised (incl. RunTimeout)
-                        kind = classify_failure(exc)
-                        brk.record(False)
-                        if attempts[spec] > retries:
-                            settle_failed(spec, repr(exc), attempts[spec],
-                                          elapsed, kind)
-                        else:
-                            note_retry(spec, attempts[spec], repr(exc), elapsed,
-                                       kind)
-                            attempts[spec] += 1
-                            delay = policy.delay_s(keys[spec], attempts[spec] - 1)
-                            if delay > 0:
-                                time.sleep(delay)
-                            in_flight[submit(pool, spec)] = spec
-                        maybe_abort()
-                    else:
-                        brk.record(True)
-                        settle_ok(spec, encoded)
-                        maybe_abort()
-                    if pool_broken:
-                        break  # `in_flight` was rebuilt wholesale; re-wait
-
-                if in_flight and pool is not None and brk.tripped:
-                    # Degradation ladder: the windowed failure rate
-                    # crossed the breaker threshold. First trip halves
-                    # the pool; the next falls back to serial in-process
-                    # execution — degrade before giving up.
-                    unsettled = list(in_flight.values())
-                    in_flight.clear()
-                    submitted_at.clear()
-                    with contextlib.suppress(Exception):
-                        pool.shutdown(wait=False, cancel_futures=True)
-                    step = brk.trip_and_reset()
-                    if step == 1 and cur_jobs > 1:
-                        cur_jobs = max(1, cur_jobs // 2)
-                        report.degradation.append(f"pool shrunk to {cur_jobs}")
-                        if tel is not None:
-                            tel.instant("pool.degrade", step=step, jobs=cur_jobs)
-                            tel.counter("pool_degrades",
-                                        help="degradation ladder steps")
-                            tel.gauge("pool_workers", cur_jobs,
-                                      help="process pool size")
-                        pool = ProcessPoolExecutor(max_workers=cur_jobs,
-                                                   mp_context=ctx)
-                        for s in unsettled:
-                            in_flight[submit(pool, s)] = s
-                    else:
-                        report.degradation.append("fell back to serial")
-                        if tel is not None:
-                            tel.instant("pool.degrade", step=step, jobs=1,
-                                        mode="serial")
-                            tel.counter("pool_degrades",
-                                        help="degradation ladder steps")
-                        pool = None
-                        serial_fallback = unsettled
-                        break
-        finally:
-            if pool is not None:
-                with contextlib.suppress(Exception):
-                    pool.shutdown(wait=False, cancel_futures=True)
-        if serial_fallback:
-            run_serial(serial_fallback)
-        return finish()
+        if pending:
+            _execute(pending, rec, cache, jobs=jobs, timeout_s=timeout_s, retries=retries,
+                     chaos=chaos, max_pool_rebuilds=max_pool_rebuilds, breaker=breaker)
+        return rec.finish(span_attrs)
 
 
 def progress_reporter(stream=None):

@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from repro.experiments.parallel import FLEET_HOST, GridResult, RunSpec, run_grid
 from repro.fleet.aggregate import FleetAggregate, aggregate_hosts, fleet_bytes
 from repro.fleet.spec import FleetSpec
-from repro.scenarios.runcheck import canonical_result_bytes
+from repro.scenarios.runcheck import _identity_runs
 
 
 def run_fleet(
@@ -108,29 +108,10 @@ def identity_problems_for_groups(
     unchanged (the aggregator's order-invariance promise, checked on
     real data, not just in the property tests).
     """
-    specs = [s for group in groups.values() for s in group]
-    serial = run_grid(specs, jobs=None, use_cache=False, progress=progress).raise_if_failed()
-    pooled = run_grid(specs, jobs=jobs, use_cache=False, progress=progress).raise_if_failed()
-    warm = run_grid(specs, jobs=jobs, cache_dir=cache_dir,
-                    use_cache=True, progress=progress).raise_if_failed()
-    cached = run_grid(specs, jobs=None, cache_dir=cache_dir,
-                      use_cache=True, progress=progress).raise_if_failed()
-
-    problems: list[str] = []
-    if cached.cache_hits != len(set(specs)):
-        problems.append(
-            f"cache replay served {cached.cache_hits}/{len(set(specs))} hosts "
-            f"from the store"
-        )
-    grids = {"serial": serial, "pooled": pooled, "warm": warm, "cached": cached}
-    for spec in specs:
-        reference = canonical_result_bytes(serial[spec])
-        for name in ("pooled", "warm", "cached"):
-            if canonical_result_bytes(grids[name][spec]) != reference:
-                problems.append(
-                    f"{spec.display_label()}: {name} result differs from serial run"
-                )
-
+    grids, problems = _identity_runs(
+        [(s.display_label(), s) for group in groups.values() for s in group],
+        jobs=jobs, cache_dir=cache_dir, progress=progress, noun="hosts")
+    serial = grids["serial"]
     for key, group in groups.items():
         aggregates = {
             name: fleet_bytes(aggregate_hosts([grid[s] for s in group]))

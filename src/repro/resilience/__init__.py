@@ -15,10 +15,9 @@ pooled, or cached. This package extends that promise across *failures*:
   injection (worker SIGKILL, injected fsync/write failures, telemetry
   sink loss, timeout delays, simulated harness crash) so every
   recovery path above is exercised in tests;
-* :mod:`repro.resilience.policy` — exponential backoff with key-seeded
-  jitter, a failure-rate circuit breaker that shrinks the pool and
-  falls back to serial before giving up, and the structured
-  :class:`~repro.resilience.policy.RunReport`
+* :mod:`repro.resilience.policy` — a failure-rate circuit breaker that
+  shrinks the pool and falls back to serial before giving up, and the
+  structured :class:`~repro.resilience.policy.RunReport`
   (completed / degraded / failed).
 
 House rule, inherited from the rest of the platform: every recovery
@@ -47,12 +46,7 @@ from repro.resilience.journal import (
     replay_journal,
     result_hash,
 )
-from repro.resilience.policy import (
-    CircuitBreaker,
-    RetryPolicy,
-    RunReport,
-    classify_failure,
-)
+from repro.resilience.policy import CircuitBreaker, RunReport, classify_failure
 
 __all__ = [
     "CacheAudit",
@@ -67,7 +61,6 @@ __all__ = [
     "JournalError",
     "JournalState",
     "ResumeError",
-    "RetryPolicy",
     "RunJournal",
     "RunReport",
     "classify_failure",

@@ -1,4 +1,4 @@
-"""Degradation policy: backoff, circuit breaker, structured run report.
+"""Degradation policy: circuit breaker, structured run report.
 
 The engine's original failure handling was binary — retry once, then
 report. Under correlated failure (a cgroup OOM-killing every worker, a
@@ -6,9 +6,6 @@ flaky filesystem) that either hammers the failing resource at full
 parallelism or gives up a thousand-cell grid over a transient. This
 module gives the grid a *ladder* instead:
 
-* :class:`RetryPolicy` — exponential backoff with deterministic,
-  key-seeded jitter between attempts of one cell (no synchronized
-  retry stampede, no ``random`` state shared with the simulation);
 * :class:`CircuitBreaker` — a windowed failure-rate monitor; when it
   trips, the pool is shrunk (half the workers), then execution falls
   back to serial in-process, *then* the remaining cells are failed —
@@ -21,47 +18,12 @@ module gives the grid a *ladder* instead:
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Optional
 
 #: Failure kinds the engine distinguishes (satellite: a timeout, a
 #: worker crash, and an in-worker exception are different diseases).
 FAILURE_KINDS = ("timeout", "crash", "error")
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Per-cell retry budget and backoff schedule.
-
-    ``delay_s(key, attempt)`` is a pure function of (policy, spec key,
-    attempt) — deterministic across resumes, de-synchronized across
-    cells by the key-derived jitter.
-    """
-
-    retries: int = 1
-    #: Base delay before the first retry; 0 disables sleeping entirely
-    #: (the in-tree tests' default via ``run_grid(retries=N)``).
-    base_delay_s: float = 0.0
-    factor: float = 2.0
-    max_delay_s: float = 30.0
-    #: Jitter band as a fraction of the nominal delay: the result lies
-    #: in ``[nominal * (1 - jitter/2), nominal * (1 + jitter/2)]``.
-    jitter: float = 0.5
-    seed: int = 0
-
-    def delay_s(self, key: str, attempt: int) -> float:
-        """Backoff before retrying ``key`` after failed attempt N (1-based)."""
-        if self.base_delay_s <= 0:
-            return 0.0
-        nominal = min(self.max_delay_s,
-                      self.base_delay_s * (self.factor ** max(0, attempt - 1)))
-        if self.jitter <= 0:
-            return nominal
-        h = hashlib.sha256(f"{self.seed}:{key}:{attempt}".encode()).digest()
-        unit = int.from_bytes(h[:8], "big") / float(1 << 64)  # [0, 1)
-        return nominal * (1.0 - self.jitter / 2.0 + self.jitter * unit)
 
 
 @dataclass

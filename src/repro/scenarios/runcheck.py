@@ -12,7 +12,8 @@ representation (hand-written matrices and fuzz expansions alike):
   grid to :func:`repro.experiments.parallel.run_grid` (cache + workers).
 * :func:`identity_problems` — the determinism gate: the same cells run
   serially, pooled, and from a warm cache must produce **byte-identical**
-  canonical metrics.
+  canonical metrics. :func:`_identity_runs` is the four-way run behind
+  it, shared with the fleet gate.
 """
 
 from __future__ import annotations
@@ -196,6 +197,42 @@ def canonical_result_bytes(result: Any) -> bytes:
                       separators=(",", ":")).encode()
 
 
+def _identity_runs(
+    labelled: list[tuple[str, RunSpec]],
+    *,
+    jobs: int,
+    cache_dir: str,
+    progress: Optional[Callable[[Any], None]],
+    noun: str,
+) -> tuple[dict[str, GridResult], list[str]]:
+    """Run a grid four ways and compare each cell's bytes to the serial run.
+
+    The runs: "serial" and "pooled" without a cache, "warm" (pooled
+    into ``cache_dir``) and "cached" (serial, and it must be served
+    entirely from that cache). Problems name a cell by the label it is
+    paired with in ``labelled``, and count cells as ``noun``. Returns
+    the four grids by name, and the problems.
+    """
+    specs = [spec for _, spec in labelled]
+    grids = {
+        name: run_grid(specs, jobs=workers, cache_dir=cache_dir, use_cache=cached,
+                       progress=progress).raise_if_failed()
+        for name, workers, cached in (("serial", None, False), ("pooled", jobs, False),
+                                      ("warm", jobs, True), ("cached", None, True))
+    }
+    problems: list[str] = []
+    unique = len(set(specs))
+    if grids["cached"].cache_hits != unique:
+        problems.append(f"cache replay served {grids['cached'].cache_hits}/{unique} "
+                        f"{noun} from the store")
+    for label, spec in labelled:
+        reference = canonical_result_bytes(grids["serial"][spec])
+        for name in ("pooled", "warm", "cached"):
+            if canonical_result_bytes(grids[name][spec]) != reference:
+                problems.append(f"{label}: {name} result differs from serial run")
+    return grids, problems
+
+
 def identity_problems(
     cells: list[Cell],
     *,
@@ -205,34 +242,8 @@ def identity_problems(
 ) -> list[str]:
     """Check serial / pooled / cached execution agree byte-for-byte.
 
-    Runs the grid three ways — serially without a cache, pooled without
-    a cache, and pooled into ``cache_dir`` followed by a serial pass
-    that must be served entirely from that cache — and compares each
-    cell's canonical result bytes across all four readings.
+    See :func:`_identity_runs`; problems are reported per cell ID.
     """
-    specs = [c.spec for c in cells]
-    serial = run_grid(specs, jobs=None, use_cache=False, progress=progress).raise_if_failed()
-    pooled = run_grid(specs, jobs=jobs, use_cache=False, progress=progress).raise_if_failed()
-    warm = run_grid(specs, jobs=jobs, cache_dir=cache_dir,
-                    use_cache=True, progress=progress).raise_if_failed()
-    cached = run_grid(specs, jobs=None, cache_dir=cache_dir,
-                      use_cache=True, progress=progress).raise_if_failed()
-
-    problems: list[str] = []
-    if cached.cache_hits != len(set(specs)):
-        problems.append(
-            f"cache replay served {cached.cache_hits}/{len(set(specs))} "
-            f"cells from the store"
-        )
-    for cell in cells:
-        readings = {
-            "serial": canonical_result_bytes(serial[cell.spec]),
-            "pooled": canonical_result_bytes(pooled[cell.spec]),
-            "warm": canonical_result_bytes(warm[cell.spec]),
-            "cached": canonical_result_bytes(cached[cell.spec]),
-        }
-        reference = readings.pop("serial")
-        for name, blob in readings.items():
-            if blob != reference:
-                problems.append(f"{cell.id}: {name} result differs from serial run")
+    _, problems = _identity_runs([(c.id, c.spec) for c in cells], jobs=jobs,
+                                cache_dir=cache_dir, progress=progress, noun="cells")
     return problems

@@ -18,9 +18,10 @@ the content-addressed cache, fleet sharding and aggregation. One
 
 House guarantees, mirrored from ``repro.obs``:
 
-* **zero overhead when detached** — every producer call site is
-  guarded by ``telemetry is not None and telemetry.enabled``; the
-  exploding-telemetry test proves a disabled object is never touched;
+* **zero overhead when detached** — every producer checks
+  ``telemetry is not None and telemetry.enabled`` (the grid engine once
+  per grid); the exploding-telemetry test proves a disabled object is
+  never touched;
 * **bit-identical results** — telemetry observes only harness
   wall-clock, never simulated state, so RunMetrics and cache keys are
   unchanged whether it is attached or not (golden batteries enforce

@@ -14,10 +14,12 @@ The engine's contract, in test form:
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
 import time
+import weakref
 
 import pytest
 
@@ -222,7 +224,7 @@ def test_corrupted_cache_file_discarded_not_fatal(tmp_path):
 def test_stale_cache_version_discarded(tmp_path):
     spec = cheap_spec()
     cache = ResultCache(tmp_path)
-    cache.store(spec, encode_result(execute_spec(spec)))
+    cache.store_entry(spec, encode_result(execute_spec(spec)))
     path = cache.path_for(spec_key(spec))
     body, status = split_verified(path.read_text())
     assert status == "ok"
@@ -231,6 +233,21 @@ def test_stale_cache_version_discarded(tmp_path):
     path.write_text(attach_footer(json.dumps(payload)))
     assert cache.load(spec) is None
     assert not path.exists(), "stale-format file should be discarded"
+
+
+@pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pool"])
+def test_finished_grid_is_freed_without_a_garbage_collection(tmp_path, jobs):
+    # A reference cycle through the cache's quarantine hook would keep
+    # every finished grid, with all its results, alive until a full
+    # collection: memory then grows with each grid a process runs.
+    spec = cheap_spec()
+    gc.disable()
+    try:
+        for _ in ("cold", "warm"):
+            grid = weakref.ref(run_grid([spec], jobs=jobs, cache_dir=tmp_path))
+            assert grid() is None
+    finally:
+        gc.enable()
 
 
 def test_unwritable_cache_store_degrades_to_no_cache(tmp_path):

@@ -1,52 +1,16 @@
-"""Degradation-policy unit tests: backoff, breaker, report, kinds."""
+"""Degradation-policy unit tests: breaker, report, kinds."""
 
 from __future__ import annotations
 
 from concurrent.futures.process import BrokenProcessPool
 
-import pytest
-
 from repro.experiments.parallel import RunTimeout
 from repro.resilience.policy import (
     FAILURE_KINDS,
     CircuitBreaker,
-    RetryPolicy,
     RunReport,
     classify_failure,
 )
-
-
-class TestRetryPolicy:
-    def test_zero_base_delay_never_sleeps(self):
-        policy = RetryPolicy(retries=3)
-        assert policy.delay_s("k", 1) == 0.0
-        assert policy.delay_s("k", 7) == 0.0
-
-    def test_deterministic_per_key_and_attempt(self):
-        policy = RetryPolicy(base_delay_s=0.5, seed=3)
-        assert policy.delay_s("k", 2) == policy.delay_s("k", 2)
-        assert (RetryPolicy(base_delay_s=0.5, seed=3).delay_s("k", 2)
-                == policy.delay_s("k", 2))
-
-    def test_jitter_desynchronizes_keys(self):
-        policy = RetryPolicy(base_delay_s=1.0)
-        assert policy.delay_s("cell-a", 1) != policy.delay_s("cell-b", 1)
-
-    def test_exponential_growth_within_jitter_band(self):
-        policy = RetryPolicy(base_delay_s=1.0, factor=2.0, jitter=0.5,
-                             max_delay_s=1000.0)
-        for attempt, nominal in ((1, 1.0), (2, 2.0), (3, 4.0), (4, 8.0)):
-            delay = policy.delay_s("k", attempt)
-            assert nominal * 0.75 <= delay <= nominal * 1.25
-
-    def test_no_jitter_is_exact(self):
-        policy = RetryPolicy(base_delay_s=1.0, factor=2.0, jitter=0.0)
-        assert [policy.delay_s("k", a) for a in (1, 2, 3)] == [1.0, 2.0, 4.0]
-
-    def test_max_delay_caps_the_nominal(self):
-        policy = RetryPolicy(base_delay_s=1.0, factor=10.0, max_delay_s=5.0,
-                             jitter=0.0)
-        assert policy.delay_s("k", 9) == 5.0
 
 
 class TestCircuitBreaker:
