@@ -6,7 +6,10 @@ same :class:`~repro.sim.rng.RngStreams` machinery the simulator uses),
 which then runs under **all three tick modes** — periodic, tickless,
 paratick — in both a solo (1:1 pinned) and an overcommitted placement,
 every run wrapped in the :class:`~repro.analysis.checkers.TickSanitizer`
-and reconciled afterwards (:mod:`repro.analysis.reconcile`).
+and reconciled afterwards (:mod:`repro.analysis.reconcile`). The runs are
+the seed's :func:`~repro.scenarios.fuzzbridge.fuzz_cells`, executed by
+:func:`~repro.scenarios.runcheck.sanitized_run` — the same checked run
+``matrix check`` uses.
 
 Two properties must hold for every seed:
 
@@ -25,24 +28,12 @@ Replay a failure with ``python -m repro fuzz --seed N``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.analysis.checkers import TickSanitizer
-from repro.analysis.reconcile import reconcile_run
 from repro.config import MachineSpec, TickMode
-from repro.errors import ReproError
-from repro.experiments.runner import run_workload
 from repro.host.perturb import Perturbation
 from repro.metrics.perf import RunMetrics
 from repro.sim.rng import RngStreams
 from repro.sim.timebase import MSEC, USEC
-from repro.workloads.base import Workload
-from repro.workloads.micro import (
-    IdlePeriodWorkload,
-    IdleWorkload,
-    PingPongWorkload,
-    SyncStormWorkload,
-)
 
 #: Relative tolerance on useful cycles across tick modes; the absolute
 #: slack covers tiny runs where one noise burst dominates the ratio.
@@ -67,27 +58,6 @@ class FuzzScenario:
 
     def param(self, name: str) -> int:
         return dict(self.params)[name]
-
-    def make_workload(self) -> Workload:
-        """A fresh workload instance (task generators are single-use)."""
-        p = dict(self.params)
-        if self.kind == "pingpong":
-            return PingPongWorkload(
-                rounds=p["rounds"], work_cycles=p["work_cycles"],
-                same_vcpu=bool(p["same_vcpu"]),
-            )
-        if self.kind == "syncstorm":
-            return SyncStormWorkload(
-                threads=p["threads"], events_per_second=float(p["events_hz"]),
-                duration_cycles=p["duration_cycles"],
-            )
-        if self.kind == "idleperiod":
-            return IdlePeriodWorkload(
-                p["idle_ns"], iterations=p["iterations"], work_cycles=p["work_cycles"],
-            )
-        if self.kind == "idle":
-            return IdleWorkload(vcpus=p["vcpus"])
-        raise ValueError(f"unknown scenario kind {self.kind!r}")
 
     def describe(self) -> str:
         knobs = ", ".join(f"{k}={v}" for k, v in self.params)
@@ -188,69 +158,6 @@ def placement_for(nvcpus: int, placement: str) -> tuple[MachineSpec, tuple[int, 
     return spec, tuple(i % pcpus for i in range(nvcpus))
 
 
-def run_scenario(
-    scenario: FuzzScenario,
-    mode: TickMode,
-    *,
-    placement: str = SOLO,
-    perturbations: tuple[Perturbation, ...] = (),
-    arch: str = "x86",
-) -> tuple[Optional[RunMetrics], TickSanitizer, list[str]]:
-    """One sanitized run; returns (metrics, sanitizer, problems).
-
-    Alongside the sanitizer, a :class:`~repro.obs.steal.StealTracker`
-    rides the same event stream (via a tee) so the reconcile battery
-    can cross-check trace-derived steal against the runtime counters
-    and the pCPU busy timeline — the overcommit placements are exactly
-    where steal accounting is exercised.
-    """
-    from repro.obs.steal import StealTracker
-    from repro.sim.trace import TeeTracer
-
-    workload = scenario.make_workload()
-    nvcpus = workload.default_vcpus()
-    mspec, pinned = placement_for(nvcpus, placement)
-    sanitizer = TickSanitizer(mode=mode)
-    steal = StealTracker()
-    internals: dict = {}
-
-    def inspect(sim, machine, hv, vm) -> None:
-        internals["machine"] = machine
-        internals["now"] = sim.now
-        internals["hv"] = hv
-
-    try:
-        metrics = run_workload(
-            workload,
-            tick_mode=mode,
-            machine_spec=mspec,
-            pinned_cpus=pinned,
-            tick_hz=scenario.tick_hz,
-            seed=scenario.seed,
-            noise=scenario.noise,
-            cpuidle=scenario.cpuidle,
-            horizon_ns=scenario.horizon_ns,
-            perturbations=perturbations,
-            arch=arch,
-            tracer=TeeTracer(sanitizer, steal),
-            inspect=inspect,
-            label=f"fuzz{scenario.seed}/{scenario.kind}/{mode.value}/{placement}",
-        )
-    except ReproError as exc:
-        sanitizer.finish()
-        return None, sanitizer, [f"run failed: {type(exc).__name__}: {exc}"]
-    problems = [str(v) for v in sanitizer.finish()]
-    problems += reconcile_run(
-        sanitizer, metrics,
-        freq_hz=mspec.freq_hz,
-        machine=internals.get("machine"),
-        now_ns=internals.get("now"),
-        steal_tracker=steal,
-        hv=internals.get("hv"),
-    )
-    return metrics, sanitizer, problems
-
-
 def differential_problems(per_mode: dict[TickMode, RunMetrics]) -> list[str]:
     """Cross-mode comparison: tick management must not change the work."""
     if len(per_mode) < len(TickMode):
@@ -326,29 +233,27 @@ def fuzz_seed_arch(
     its job is comparing timer backends, not re-testing overcommit —
     the plain :func:`fuzz_seed` already covers that per arch.
     """
-    scenario = scenario_for_seed(seed)
+    from repro.scenarios.fuzzbridge import fuzz_cells
+    from repro.scenarios.runcheck import sanitized_run
+
     problems: list[str] = []
     runs = 0
     events = 0
-    for placement in placements:
-        for mode in TickMode:
-            per_arch: dict[str, RunMetrics] = {}
-            for arch in ARCH_SWEEP:
-                metrics, sanitizer, probs = run_scenario(
-                    scenario, mode, placement=placement, arch=arch
-                )
-                runs += 1
-                events += sanitizer.events
-                problems += [
-                    f"[{arch}/{mode.value}/{placement}] {p}" for p in probs
-                ]
-                if metrics is not None:
-                    per_arch[arch] = metrics
-            problems += [
-                f"[archdiff/{mode.value}/{placement}] {p}"
-                for p in arch_differential_problems(per_arch, mode)
-            ]
-    return FuzzReport(seed=seed, scenario=scenario, problems=problems,
+    for cell in fuzz_cells(seed, placements=placements):
+        mode, placement = cell.spec.tick_mode, cell.coord("placement")
+        per_arch: dict[str, RunMetrics] = {}
+        for arch in ARCH_SWEEP:
+            metrics, sanitizer, probs = sanitized_run(cell.spec.with_(arch=arch))
+            runs += 1
+            events += sanitizer.events
+            problems += [f"[{arch}/{mode.value}/{placement}] {p}" for p in probs]
+            if metrics is not None:
+                per_arch[arch] = metrics
+        problems += [
+            f"[archdiff/{mode.value}/{placement}] {p}"
+            for p in arch_differential_problems(per_arch, mode)
+        ]
+    return FuzzReport(seed=seed, scenario=scenario_for_seed(seed), problems=problems,
                       runs=runs, events=events)
 
 
@@ -381,26 +286,24 @@ def fuzz_seed(
     checkers then run against real disturbances, and the differential
     property must hold *through* them.
     """
-    scenario = scenario_for_seed(seed)
-    perturbations = (
-        perturbations_for_seed(seed, scenario.horizon_ns) if perturb else ()
-    )
+    from repro.scenarios.fuzzbridge import fuzz_cells
+    from repro.scenarios.runcheck import sanitized_run
+
     problems: list[str] = []
     runs = 0
     events = 0
     for placement in placements:
         per_mode: dict[TickMode, RunMetrics] = {}
-        for mode in TickMode:
-            metrics, sanitizer, probs = run_scenario(
-                scenario, mode, placement=placement, perturbations=perturbations
-            )
+        for cell in fuzz_cells(seed, placements=(placement,), perturb=perturb):
+            mode = cell.spec.tick_mode
+            metrics, sanitizer, probs = sanitized_run(cell.spec)
             runs += 1
             events += sanitizer.events
             problems += [f"[{mode.value}/{placement}] {p}" for p in probs]
             if metrics is not None:
                 per_mode[mode] = metrics
         problems += [f"[diff/{placement}] {p}" for p in differential_problems(per_mode)]
-    return FuzzReport(seed=seed, scenario=scenario, problems=problems,
+    return FuzzReport(seed=seed, scenario=scenario_for_seed(seed), problems=problems,
                       runs=runs, events=events)
 
 

@@ -1,25 +1,41 @@
-"""Golden fixtures for the bit-identical engine guarantee.
+"""Golden fixtures for the bit-identical engine guarantee, as one manifest.
 
 The simulation core is rewritten for throughput from time to time (free
 lists, re-arm fast paths, inlined dispatch loops). Every such rewrite
 must be *behaviour preserving down to the bit*: same seed, same
 workload, same tick mode ⇒ the same ``RunMetrics`` JSON and the same
-structured event stream. This module pins that contract:
+structured event stream. This module pins that contract with one
+table, :data:`BATTERIES`. Each battery names a fixture file, the timer
+architecture it runs on, and its cases: ``(section, key, spec, kind)``
+tuples where ``spec`` is a :class:`~repro.experiments.parallel.RunSpec`
+(a :class:`~repro.fleet.spec.FleetSpec` for the fleet battery) and
+``kind`` says what the fixture pins for it:
 
-* :func:`capture` runs a fixed battery — a hand-picked workload set per
-  tick mode (with a hashing tracer riding along) plus the first 20
-  differential-fuzz scenarios per tick mode and placement (untraced,
-  the production fast path) — and writes every metrics dict and stream
-  hash to a fixture file;
-* :func:`compare` re-runs the battery against the committed fixture and
-  reports every divergence.
+* :data:`TRACED` — the full metrics JSON plus a SHA-256 of the event
+  stream, run with a :class:`HashTracer` riding along;
+* :data:`DIGEST` — a SHA-256 of the metrics JSON from an untraced run
+  (the production fast path);
+* :data:`FLEET` — the fleet aggregate plus one metrics digest per host.
 
-The committed fixture (``tests/fixtures/golden_simcore.json``) was
-captured on the seed-era engine *before* the first fast-path rewrite;
-``tests/integration/test_determinism_golden.py`` replays it on every
-run. Update it only when behaviour is *intended* to change::
+Every case runs through :func:`repro.experiments.parallel.execute_spec_full`,
+the engine's own ``RunSpec`` translation. The batteries:
 
-    PYTHONPATH=src python -m repro.analysis.golden --write
+* ``simcore`` — 4 hand-picked workloads x 3 tick modes (traced) plus the
+  first 20 fuzz seeds' :func:`~repro.scenarios.fuzzbridge.fuzz_cells`
+  (3 modes x 2 placements, digests). Captured on the seed-era engine
+  *before* the first fast-path rewrite;
+* ``arm`` — the same cases on the ARM generic-timer backend;
+* ``perturb`` — every perturbation kind x 3 tick modes (traced);
+* ``fleet`` — 2 consolidation ratios x 3 tick modes of a small rack.
+
+:func:`run_battery` executes one battery, :func:`capture` writes it,
+:func:`load` reads a fixture, and the pure :func:`diff` reports every
+divergence between two payloads; :func:`compare` is ``diff(load, run)``.
+The tier-1 suite replays all four. Update a fixture only when behaviour
+is *intended* to change::
+
+    PYTHONPATH=src python -m repro.analysis.golden simcore perturb fleet arm
+    PYTHONPATH=src python -m repro.analysis.golden perturb --write
 
 and call out the behaviour change in the PR description.
 """
@@ -28,30 +44,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
-from repro.analysis.fuzz import SOLO, OVERCOMMIT, placement_for, scenario_for_seed
 from repro.config import MachineSpec, TickMode
-from repro.experiments.runner import run_workload
+from repro.experiments.parallel import RunSpec, WorkloadSpec, execute_spec, execute_spec_full
 from repro.host.perturb import Perturbation
 from repro.metrics.perf import RunMetrics
 from repro.sim.timebase import MSEC, USEC
 from repro.sim.trace import Tracer
-
-#: Fixture location relative to the repo root.
-DEFAULT_FIXTURE = Path("tests/fixtures/golden_simcore.json")
-
-#: Perturbation-conformance fixture (every kind x every tick mode).
-PERTURB_FIXTURE = Path("tests/fixtures/golden_perturb.json")
-
-#: Fleet battery fixture (3 tick modes x 2 consolidation ratios).
-FLEET_FIXTURE = Path("tests/fixtures/golden_fleet.json")
-
-#: ARM generic-timer battery fixture — the same workload/fuzz battery
-#: executed under ``arch="arm"`` (repro.hw.arm), pinning the second
-#: timer architecture to the bit exactly like the x86 seed fixture.
-ARM_FIXTURE = Path("tests/fixtures/golden_arm.json")
 
 #: Seeds covered by the fuzz-equivalence section.
 FUZZ_SEEDS = tuple(range(20))
@@ -88,53 +90,19 @@ def metrics_digest(metrics: RunMetrics) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-# --------------------------------------------------------------- batteries
+# ------------------------------------------------------------ entry kinds
 
 
-def _workload_cases() -> Iterator[tuple[str, Callable, dict]]:
-    """(case name, workload factory, run_workload kwargs) triples.
-
-    Factories, not instances: task bodies are single-use generators and
-    each (case, mode) cell needs a fresh one.
-    """
-    from repro.workloads.micro import IdlePeriodWorkload, PingPongWorkload, SyncStormWorkload
-    from repro.workloads.netserve import NetServiceWorkload
-
-    yield (
-        "syncstorm",
-        lambda: SyncStormWorkload(threads=2, events_per_second=800.0, duration_cycles=20_000_000),
-        {"seed": 3},
-    )
-    yield (
-        "idleperiod",
-        lambda: IdlePeriodWorkload(500 * USEC, iterations=30, work_cycles=100_000),
-        {"seed": 5, "cpuidle": True},
-    )
-    yield (
-        "netserve",
-        lambda: NetServiceWorkload(workers=2, requests=120, think_cycles=30_000),
-        {"seed": 7},
-    )
-    yield (
-        "pingpong-overcommit",
-        lambda: PingPongWorkload(rounds=120, work_cycles=50_000, same_vcpu=False),
-        {
-            "seed": 11,
-            "machine_spec": MachineSpec(sockets=1, cpus_per_socket=1),
-            "pinned_cpus": (0, 0),
-        },
+def _fields_diff(want: dict, got: dict) -> str:
+    return "; ".join(
+        f"{field}: {want[field]!r} -> {got.get(field)!r}"
+        for field in want if got.get(field) != want[field]
     )
 
 
-def _run_workload_case(
-    name: str, factory: Callable, kwargs: dict, mode: TickMode, arch: str = "x86"
-) -> dict:
+def _run_traced(spec: RunSpec) -> dict:
     tracer = HashTracer()
-    prefix = "golden" if arch == "x86" else f"golden-{arch}"
-    metrics = run_workload(
-        factory(), tick_mode=mode, tracer=tracer, arch=arch,
-        label=f"{prefix}/{name}/{mode.value}", **kwargs,
-    )
+    metrics = execute_spec_full(spec, tracer=tracer)[0]
     return {
         "metrics": metrics.to_json_dict(),
         "trace_sha256": tracer.hexdigest(),
@@ -142,191 +110,31 @@ def _run_workload_case(
     }
 
 
-def _run_fuzz_case(seed: int, mode: TickMode, placement: str, arch: str = "x86") -> str:
-    """One untraced (production fast path) fuzz-scenario run → metrics hash."""
-    scenario = scenario_for_seed(seed)
-    workload = scenario.make_workload()
-    mspec, pinned = placement_for(workload.default_vcpus(), placement)
-    label = f"fuzz{seed}/{scenario.kind}/{mode.value}/{placement}"
-    if arch != "x86":
-        label += f"/{arch}"
-    metrics = run_workload(
-        workload,
-        tick_mode=mode,
-        machine_spec=mspec,
-        pinned_cpus=pinned,
-        tick_hz=scenario.tick_hz,
-        seed=scenario.seed,
-        noise=scenario.noise,
-        cpuidle=scenario.cpuidle,
-        horizon_ns=scenario.horizon_ns,
-        arch=arch,
-        label=label,
-    )
-    return metrics_digest(metrics)
+def _diff_traced(want: dict, got: dict) -> list[str]:
+    out = []
+    if got["metrics"] != want["metrics"]:
+        out.append(f"RunMetrics diverged ({_fields_diff(want['metrics'], got['metrics'])})")
+    if got["trace_sha256"] != want["trace_sha256"]:
+        out.append(f"event stream diverged "
+                   f"({want['trace_records']} -> {got['trace_records']} records)")
+    return out
 
 
-def run_battery(
-    progress: Optional[Callable[[str], None]] = None, arch: str = "x86"
-) -> dict:
-    """Execute the full battery and return the fixture payload."""
-
-    def note(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
-
-    workloads: dict[str, dict] = {}
-    for name, factory, kwargs in _workload_cases():
-        for mode in TickMode:
-            key = f"{name}/{mode.value}"
-            workloads[key] = _run_workload_case(name, factory, kwargs, mode, arch)
-            note(key)
-    fuzz: dict[str, str] = {}
-    for seed in FUZZ_SEEDS:
-        for placement in (SOLO, OVERCOMMIT):
-            for mode in TickMode:
-                key = f"seed{seed}/{mode.value}/{placement}"
-                fuzz[key] = _run_fuzz_case(seed, mode, placement, arch)
-        note(f"fuzz seed {seed}")
-    return {"schema": SCHEMA, "arch": arch, "workloads": workloads, "fuzz": fuzz}
+def _run_digest(spec: RunSpec) -> str:
+    return metrics_digest(execute_spec(spec))
 
 
-# ------------------------------------------------- perturbation battery
+def _diff_digest(want: str, got: str) -> list[str]:
+    return [] if got == want else ["metrics hash diverged"]
 
 
-def perturb_cases() -> Iterator[tuple[str, tuple[Perturbation, ...]]]:
-    """(case name, schedule) pairs — one per perturbation kind.
-
-    Each schedule is applied to the same idle-period workload (long
-    enough, at ~16 ms, to straddle every event) under all three tick
-    modes, pinning 12 golden traces total. The schedules hit the
-    interesting edges: a suspend span across halt/run boundaries, a
-    save/restore with a guest-visible clock jump, a hotplug + LIFO
-    unplug window, and a multi-step clock-offset drift.
-    """
-    yield "suspend", (Perturbation("suspend", at_ns=4 * MSEC, duration_ns=3 * MSEC),)
-    yield "restore", (Perturbation("restore", at_ns=4 * MSEC, duration_ns=3 * MSEC),)
-    yield "hotplug", (Perturbation("hotplug", at_ns=2 * MSEC, duration_ns=6 * MSEC),)
-    yield "drift", (
-        Perturbation("drift", at_ns=2 * MSEC, count=3, period_ns=4 * MSEC,
-                     step_ns=250 * USEC),
-    )
-
-
-def _perturb_workload():
-    from repro.workloads.micro import IdlePeriodWorkload
-
-    return IdlePeriodWorkload(500 * USEC, iterations=30, work_cycles=100_000)
-
-
-def run_perturb_case(name: str, schedule: tuple, mode: TickMode) -> dict:
-    """One traced perturbed run → fixture entry (metrics + stream hash)."""
-    tracer = HashTracer()
-    metrics = run_workload(
-        _perturb_workload(), tick_mode=mode, seed=5, cpuidle=True,
-        perturbations=schedule, tracer=tracer,
-        label=f"golden-perturb/{name}/{mode.value}",
-    )
-    return {
-        "metrics": metrics.to_json_dict(),
-        "trace_sha256": tracer.hexdigest(),
-        "trace_records": tracer.records,
-    }
-
-
-def run_perturb_battery(progress: Optional[Callable[[str], None]] = None) -> dict:
-    """Every perturbation kind under every tick mode (12 cases)."""
-    cases: dict[str, dict] = {}
-    for name, schedule in perturb_cases():
-        for mode in TickMode:
-            key = f"{name}/{mode.value}"
-            cases[key] = run_perturb_case(name, schedule, mode)
-            if progress is not None:
-                progress(key)
-    return {"schema": SCHEMA, "cases": cases}
-
-
-def capture_perturb(path: Path = PERTURB_FIXTURE, progress=None) -> dict:
-    payload = run_perturb_battery(progress)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    return payload
-
-
-def compare_perturb(path: Path = PERTURB_FIXTURE, progress=None) -> list[str]:
-    """Replay the perturbation battery against its fixture."""
-    golden = load(path)
-    fresh = run_perturb_battery(progress)
-    problems: list[str] = []
-    for key, want in golden["cases"].items():
-        got = fresh["cases"].get(key)
-        if got is None:
-            problems.append(f"perturb case {key} missing from battery")
-            continue
-        if got["metrics"] != want["metrics"]:
-            diffs = [
-                f"{field}: {want['metrics'][field]!r} -> {got['metrics'][field]!r}"
-                for field in want["metrics"]
-                if got["metrics"].get(field) != want["metrics"][field]
-            ]
-            problems.append(f"perturb {key}: RunMetrics diverged ({'; '.join(diffs)})")
-        if got["trace_sha256"] != want["trace_sha256"]:
-            problems.append(
-                f"perturb {key}: event stream diverged "
-                f"({want['trace_records']} -> {got['trace_records']} records)"
-            )
-    for key in fresh["cases"]:
-        if key not in golden["cases"]:
-            problems.append(f"perturb case {key} not pinned in fixture")
-    return problems
-
-
-# ------------------------------------------------------- fleet battery
-
-
-def fleet_cases():
-    """(case name, FleetSpec) pairs: 2 consolidation ratios x 3 modes.
-
-    Small racks (2 hosts x 4 guests) with a poisson arrival burst — the
-    profile that exercises the dedicated ``fleet.burst`` RNG stream, so
-    the fixture pins the arrival sampling as well as the multi-VM
-    scheduling. ``oc2`` is mild contention, ``oc8`` is the saturated
-    regime (all guests time-slicing one pCPU).
-    """
-    from repro.experiments.parallel import WorkloadSpec
-    from repro.fleet.spec import FleetSpec
-
-    guest = WorkloadSpec.make(
-        "micro.pingpong", rounds=15, work_cycles=30_000, same_vcpu=False
-    )
-    for oc in (2, 8):
-        for mode in TickMode:
-            yield f"oc{oc}/{mode.value}", FleetSpec(
-                name=f"golden-fleet-oc{oc}",
-                workload=guest,
-                tick_mode=mode,
-                hosts=2,
-                guests_per_host=4,
-                consolidation=oc,
-                burst="poisson",
-                burst_window_ns=2 * MSEC,
-                seed=9,
-                horizon_ns=400 * MSEC,
-                label_parts=(mode.value,),
-            )
-
-
-def run_fleet_case(fleet) -> dict:
-    """One fleet case, serially: per-host digests + the fleet aggregate.
-
-    Hosts run through :func:`repro.fleet.hostsim.execute_fleet_spec`
-    directly (no pool, no cache) — the identity gate separately proves
-    the engine paths match this serial reference byte-for-byte.
-    """
+def _run_fleet(fleet) -> dict:
+    """Per-host digests + the fleet aggregate, hosts run serially (no
+    pool, no cache); the identity gate separately proves the engine
+    paths match this serial reference byte-for-byte."""
     from repro.fleet.aggregate import aggregate_hosts, fleet_bytes
-    from repro.fleet.hostsim import execute_fleet_spec
 
-    metrics = [execute_fleet_spec(spec)[0] for spec in fleet.host_specs()]
+    metrics = [execute_spec(spec) for spec in fleet.host_specs()]
     agg = aggregate_hosts(metrics)
     return {
         "aggregate": agg.to_json_dict(),
@@ -335,66 +143,159 @@ def run_fleet_case(fleet) -> dict:
     }
 
 
-def run_fleet_battery(progress: Optional[Callable[[str], None]] = None) -> dict:
-    cases: dict[str, dict] = {}
-    for name, fleet in fleet_cases():
-        cases[name] = run_fleet_case(fleet)
+def _diff_fleet(want: dict, got: dict) -> list[str]:
+    out = []
+    if got["aggregate"] != want["aggregate"]:
+        out.append(f"aggregate diverged ({_fields_diff(want['aggregate'], got['aggregate'])})")
+    out += [f"host {host} metrics diverged"
+            for host, digest in want["hosts"].items() if got["hosts"].get(host) != digest]
+    return out
+
+
+@dataclass(frozen=True)
+class EntryKind:
+    """What a fixture pins for one case: how to run it, how to diff it."""
+
+    run: Callable[[Any], Any]
+    diff: Callable[[Any, Any], list[str]]
+
+
+TRACED = EntryKind(_run_traced, _diff_traced)
+DIGEST = EntryKind(_run_digest, _diff_digest)
+FLEET = EntryKind(_run_fleet, _diff_fleet)
+
+
+class Case(NamedTuple):
+    section: str
+    key: str
+    spec: Any
+    kind: EntryKind
+
+
+# -------------------------------------------------------------- manifest
+
+
+#: The hand-picked traced workloads of the simcore/arm batteries.
+WORKLOADS = {
+    "syncstorm": RunSpec(WorkloadSpec.make(
+        "micro.syncstorm", threads=2, events_per_second=800.0, duration_cycles=20_000_000,
+    ), seed=3),
+    "idleperiod": RunSpec(WorkloadSpec.make(
+        "micro.idleperiod", idle_ns=500 * USEC, iterations=30, work_cycles=100_000,
+    ), seed=5, cpuidle=True),
+    "netserve": RunSpec(WorkloadSpec.make(
+        "netserve", workers=2, requests=120, think_cycles=30_000,
+    ), seed=7),
+    "pingpong-overcommit": RunSpec(WorkloadSpec.make(
+        "micro.pingpong", rounds=120, work_cycles=50_000, same_vcpu=False,
+    ), seed=11, machine=MachineSpec(sockets=1, cpus_per_socket=1), pinned_cpus=(0, 0)),
+}
+
+#: One schedule per perturbation kind, each applied to the idleperiod
+#: workload (long enough, at ~16 ms, to straddle every event): a suspend
+#: span across halt/run boundaries, a save/restore with a guest-visible
+#: clock jump, a hotplug + LIFO unplug window, and a multi-step drift.
+PERTURB_SCHEDULES = {
+    "suspend": (Perturbation("suspend", at_ns=4 * MSEC, duration_ns=3 * MSEC),),
+    "restore": (Perturbation("restore", at_ns=4 * MSEC, duration_ns=3 * MSEC),),
+    "hotplug": (Perturbation("hotplug", at_ns=2 * MSEC, duration_ns=6 * MSEC),),
+    "drift": (Perturbation("drift", at_ns=2 * MSEC, count=3, period_ns=4 * MSEC,
+                           step_ns=250 * USEC),),
+}
+
+
+def _engine_cases(arch: str) -> Iterator[Case]:
+    """The simcore cases on ``arch``: traced workloads + fuzz-cell digests."""
+    from repro.scenarios.fuzzbridge import fuzz_cells
+
+    prefix = "golden" if arch == "x86" else f"golden-{arch}"
+    suffix = "" if arch == "x86" else f"/{arch}"
+    for name, spec in WORKLOADS.items():
+        for mode in TickMode:
+            key = f"{name}/{mode.value}"
+            yield Case("workloads", key, spec.with_(
+                tick_mode=mode, arch=arch, label=f"{prefix}/{key}"), TRACED)
+    for seed in FUZZ_SEEDS:
+        for cell in fuzz_cells(seed):
+            key = f"seed{seed}/{cell.coord('mode')}/{cell.coord('placement')}"
+            yield Case("fuzz", key, cell.spec.with_(
+                arch=arch, label=cell.spec.label + suffix), DIGEST)
+
+
+def _perturb_cases() -> Iterator[Case]:
+    base = WORKLOADS["idleperiod"]
+    for name, schedule in PERTURB_SCHEDULES.items():
+        for mode in TickMode:
+            key = f"{name}/{mode.value}"
+            yield Case("cases", key, base.with_(
+                tick_mode=mode, perturbations=schedule,
+                label=f"golden-perturb/{key}"), TRACED)
+
+
+def _fleet_cases() -> Iterator[Case]:
+    """Small racks (2 hosts x 4 guests) with a poisson arrival burst — the
+    profile that exercises the dedicated ``fleet.burst`` RNG stream, so
+    the fixture pins the arrival sampling as well as the multi-VM
+    scheduling. ``oc2`` is mild contention, ``oc8`` is the saturated
+    regime (all guests time-slicing one pCPU)."""
+    from repro.fleet.spec import FleetSpec
+
+    guest = WorkloadSpec.make("micro.pingpong", rounds=15, work_cycles=30_000,
+                              same_vcpu=False)
+    for oc in (2, 8):
+        for mode in TickMode:
+            yield Case("cases", f"oc{oc}/{mode.value}", FleetSpec(
+                name=f"golden-fleet-oc{oc}", workload=guest, tick_mode=mode,
+                hosts=2, guests_per_host=4, consolidation=oc, burst="poisson",
+                burst_window_ns=2 * MSEC, seed=9, horizon_ns=400 * MSEC,
+                label_parts=(mode.value,),
+            ), FLEET)
+
+
+@dataclass(frozen=True)
+class Battery:
+    fixture: Path
+    arch: str
+    cases: Callable[[], Iterator[Case]]
+
+
+#: Every golden battery; fixture paths are relative to the repo root.
+BATTERIES = {
+    "simcore": Battery(Path("tests/fixtures/golden_simcore.json"), "x86",
+                       lambda: _engine_cases("x86")),
+    "perturb": Battery(Path("tests/fixtures/golden_perturb.json"), "x86", _perturb_cases),
+    "fleet": Battery(Path("tests/fixtures/golden_fleet.json"), "x86", _fleet_cases),
+    "arm": Battery(Path("tests/fixtures/golden_arm.json"), "arm",
+                   lambda: _engine_cases("arm")),
+}
+
+
+# ------------------------------------------------------- run/capture/diff
+
+
+def run_battery(name: str, progress: Optional[Callable[[str], None]] = None) -> dict:
+    """Execute one battery and return its fixture payload."""
+    battery = BATTERIES[name]
+    payload: dict = {"schema": SCHEMA}
+    if battery.arch != "x86":
+        payload["arch"] = battery.arch
+    for case in battery.cases():
+        payload.setdefault(case.section, {})[case.key] = case.kind.run(case.spec)
         if progress is not None:
-            progress(name)
-    return {"schema": SCHEMA, "cases": cases}
+            progress(f"{name} {case.key}")
+    return payload
 
 
-def capture_fleet(path: Path = FLEET_FIXTURE, progress=None) -> dict:
-    payload = run_fleet_battery(progress)
+def capture(name: str, path: Optional[Path] = None, progress=None) -> dict:
+    """Run one battery and write its fixture file."""
+    path = Path(path or BATTERIES[name].fixture)
+    payload = run_battery(name, progress)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return payload
 
 
-def compare_fleet(path: Path = FLEET_FIXTURE, progress=None) -> list[str]:
-    """Replay the fleet battery against its fixture."""
-    golden = load(path)
-    fresh = run_fleet_battery(progress)
-    problems: list[str] = []
-    for key, want in golden["cases"].items():
-        got = fresh["cases"].get(key)
-        if got is None:
-            problems.append(f"fleet case {key} missing from battery")
-            continue
-        if got["aggregate"] != want["aggregate"]:
-            diffs = [
-                f"{field}: {want['aggregate'][field]!r} -> {got['aggregate'][field]!r}"
-                for field in want["aggregate"]
-                if got["aggregate"].get(field) != want["aggregate"][field]
-            ]
-            problems.append(f"fleet {key}: aggregate diverged ({'; '.join(diffs)})")
-        for host, digest in want["hosts"].items():
-            fresh_digest = got["hosts"].get(host)
-            if fresh_digest != digest:
-                problems.append(f"fleet {key}: host {host} metrics diverged")
-    for key in fresh["cases"]:
-        if key not in golden["cases"]:
-            problems.append(f"fleet case {key} not pinned in fixture")
-    return problems
-
-
-# ------------------------------------------------------------ read/compare
-
-
-def capture(path: Path = DEFAULT_FIXTURE, progress=None, arch: str = "x86") -> dict:
-    """Run the battery and write the fixture file."""
-    payload = run_battery(progress, arch=arch)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    return payload
-
-
-def capture_arm(path: Path = ARM_FIXTURE, progress=None) -> dict:
-    """Capture the battery under the ARM generic-timer backend."""
-    return capture(path, progress, arch="arm")
-
-
-def load(path: Path = DEFAULT_FIXTURE) -> dict:
+def load(path: Path) -> dict:
     data = json.loads(Path(path).read_text())
     if data.get("schema") != SCHEMA:
         raise ValueError(
@@ -403,87 +304,78 @@ def load(path: Path = DEFAULT_FIXTURE) -> dict:
     return data
 
 
-def compare(path: Path = DEFAULT_FIXTURE, progress=None, arch: str = "x86") -> list[str]:
-    """Re-run the battery; return human-readable divergences (empty = ok)."""
-    golden = load(path)
-    pinned_arch = golden.get("arch", "x86")
-    if pinned_arch != arch:
-        return [f"fixture {path} pins arch {pinned_arch!r}, battery ran {arch!r}"]
-    fresh = run_battery(progress, arch=arch)
+def _arch_mismatch(name: str, golden: dict, arch: str) -> list[str]:
+    pinned = golden.get("arch", "x86")
+    if pinned == arch:
+        return []
+    return [f"{name}: fixture pins arch {pinned!r}, battery runs {arch!r}"]
+
+
+def diff(name: str, golden: dict, fresh: dict) -> list[str]:
+    """Every divergence of ``fresh`` from ``golden`` (empty = identical).
+
+    Problems name the battery, the section and case key, and — for
+    metrics and aggregates — each diverged field. Payloads pinned to
+    different architectures fail fast with a single problem.
+    """
+    mismatch = _arch_mismatch(name, golden, fresh.get("arch", "x86"))
+    if mismatch:
+        return mismatch
+    kinds = {case.section: case.kind for case in BATTERIES[name].cases()}
     problems: list[str] = []
-    for key, want in golden["workloads"].items():
-        got = fresh["workloads"].get(key)
-        if got is None:
-            problems.append(f"workload case {key} missing from battery")
-            continue
-        if got["metrics"] != want["metrics"]:
-            diffs = [
-                f"{field}: {want['metrics'][field]!r} -> {got['metrics'][field]!r}"
-                for field in want["metrics"]
-                if got["metrics"].get(field) != want["metrics"][field]
-            ]
-            problems.append(f"{key}: RunMetrics diverged ({'; '.join(diffs)})")
-        if got["trace_sha256"] != want["trace_sha256"]:
-            problems.append(
-                f"{key}: event stream diverged "
-                f"({want['trace_records']} -> {got['trace_records']} records)"
-            )
-    for key, want in golden["fuzz"].items():
-        got = fresh["fuzz"].get(key)
-        if got is None:
-            problems.append(f"fuzz case {key} missing from battery")
-        elif got != want:
-            problems.append(f"fuzz {key}: metrics hash diverged")
+    for section, kind in kinds.items():
+        want, got = golden.get(section, {}), fresh.get(section, {})
+        for key in want:
+            where = f"{name} {section} {key}"
+            if key not in got:
+                problems.append(f"{where}: missing from battery")
+            else:
+                problems += [f"{where}: {p}" for p in kind.diff(want[key], got[key])]
+        problems += [f"{name} {section} {key}: not pinned in fixture"
+                     for key in got if key not in want]
     return problems
 
 
-def compare_arm(path: Path = ARM_FIXTURE, progress=None) -> list[str]:
-    """Replay the battery on the ARM backend against its fixture."""
-    return compare(path, progress, arch="arm")
+def compare(name: str, path: Optional[Path] = None, progress=None) -> list[str]:
+    """Re-run one battery against its fixture; an arch mismatch fails
+    before anything runs."""
+    golden = load(path or BATTERIES[name].fixture)
+    return (_arch_mismatch(name, golden, BATTERIES[name].arch)
+            or diff(name, golden, run_battery(name, progress)))
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     import argparse
 
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--fixture", type=Path, default=None)
+    ap.add_argument("batteries", nargs="*", metavar="BATTERY",
+                    help=f"batteries to check or capture, of {', '.join(BATTERIES)} "
+                         "(default: simcore)")
     ap.add_argument("--write", action="store_true",
-                    help="re-capture the fixture instead of checking it")
-    ap.add_argument("--perturb", action="store_true",
-                    help="operate on the perturbation battery "
-                         f"(default fixture: {PERTURB_FIXTURE})")
-    ap.add_argument("--fleet", action="store_true",
-                    help="operate on the fleet battery "
-                         f"(default fixture: {FLEET_FIXTURE})")
-    ap.add_argument("--arm", action="store_true",
-                    help="operate on the ARM generic-timer battery "
-                         f"(default fixture: {ARM_FIXTURE})")
+                    help="re-capture the fixtures instead of checking them")
+    ap.add_argument("--fixture", type=Path, default=None,
+                    help="fixture file to use instead of the battery's own "
+                         "(one battery only)")
     args = ap.parse_args(argv)
-    if sum((args.perturb, args.fleet, args.arm)) > 1:
-        ap.error("--perturb, --fleet and --arm are mutually exclusive")
-    if args.arm:
-        fixture, do_capture, do_compare, name = (
-            ARM_FIXTURE, capture_arm, compare_arm, "arm battery")
-    elif args.fleet:
-        fixture, do_capture, do_compare, name = (
-            FLEET_FIXTURE, capture_fleet, compare_fleet, "fleet battery")
-    elif args.perturb:
-        fixture, do_capture, do_compare, name = (
-            PERTURB_FIXTURE, capture_perturb, compare_perturb, "perturb battery")
-    else:
-        fixture, do_capture, do_compare, name = (
-            DEFAULT_FIXTURE, capture, compare, "golden battery")
-    if args.fixture is not None:
-        fixture = args.fixture
-    if args.write:
-        do_capture(fixture, progress=print)
-        print(f"wrote {fixture}")
-        return 0
-    problems = do_compare(fixture, progress=None)
-    for p in problems:
-        print(f"DIVERGED: {p}")
-    print(f"{name}:", "clean" if not problems else f"{len(problems)} divergences")
-    return 1 if problems else 0
+    names = args.batteries or ["simcore"]
+    unknown = [n for n in names if n not in BATTERIES]
+    if unknown:
+        ap.error(f"unknown battery {', '.join(unknown)}; know {', '.join(BATTERIES)}")
+    if args.fixture is not None and len(names) > 1:
+        ap.error("--fixture takes exactly one battery")
+    failed = 0
+    for name in names:
+        fixture = args.fixture or BATTERIES[name].fixture
+        if args.write:
+            capture(name, fixture, progress=print)
+            print(f"wrote {fixture}")
+            continue
+        problems = compare(name, fixture)
+        for p in problems:
+            print(f"DIVERGED: {p}")
+        print(f"{name} battery:", "clean" if not problems else f"{len(problems)} divergences")
+        failed += bool(problems)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -220,27 +220,12 @@ def _cmd_list(args) -> int:
 
 def _cmd_check(args) -> int:
     """Run one PARSEC model under the tick sanitizer; exit 1 on violation."""
-    from repro.analysis.checkers import TickSanitizer
-    from repro.analysis.reconcile import reconcile_run
-    from repro.config import MachineSpec
+    from repro.experiments.parallel import spec_for
+    from repro.scenarios.runcheck import sanitized_run
 
-    mode = TickMode(args.mode)
-    wl = parsec.benchmark(args.benchmark, threads=args.threads,
-                          target_cycles=args.target_mcycles * 1_000_000)
-    sanitizer = TickSanitizer(mode=mode)
-    mspec = MachineSpec()
-    internals: dict = {}
-
-    def inspect(sim, machine, hv, vm) -> None:
-        internals["machine"], internals["now"] = machine, sim.now
-
-    m = runner.run_workload(wl, tick_mode=mode, seed=args.seed,
-                            machine_spec=mspec, tracer=sanitizer, inspect=inspect)
-    problems = [str(v) for v in sanitizer.finish()]
-    problems += reconcile_run(sanitizer, m, freq_hz=mspec.freq_hz,
-                              machine=internals.get("machine"),
-                              now_ns=internals.get("now"))
-    print(f"{m.label}: {sanitizer.summary()}")
+    wl, kwargs = _parsec_workload(args)
+    _, sanitizer, problems = sanitized_run(spec_for(wl, **kwargs))
+    print(f"{wl.name}/{args.mode}: {sanitizer.summary()}")
     for p in problems:
         print(f"  VIOLATION: {p}")
     if problems:
@@ -689,17 +674,23 @@ def _write_obs_outputs(obs, args) -> None:
         print(f"wrote collapsed-stack profile: {args.collapsed_out}", file=sys.stderr)
 
 
-def _run_parsec(args, obs=None):
+def _parsec_workload(args) -> tuple:
+    """The PARSEC workload and ``run_workload`` keywords that the
+    per-benchmark commands (run, report, perf, check) describe."""
     wl = parsec.benchmark(args.benchmark, threads=args.threads,
                           target_cycles=args.target_mcycles * 1_000_000)
-    kwargs = {}
+    kwargs = {"tick_mode": TickMode(args.mode), "seed": args.seed}
     if getattr(args, "overcommit", False):
         from repro.analysis.fuzz import OVERCOMMIT, placement_for
 
         mspec, pinned = placement_for(wl.default_vcpus(), OVERCOMMIT)
         kwargs.update(machine_spec=mspec, pinned_cpus=pinned)
-    return runner.run_workload(wl, tick_mode=TickMode(args.mode), seed=args.seed,
-                               obs=obs, **kwargs)
+    return wl, kwargs
+
+
+def _run_parsec(args, obs=None, inspect=None):
+    wl, kwargs = _parsec_workload(args)
+    return runner.run_workload(wl, obs=obs, inspect=inspect, **kwargs)
 
 
 def _cmd_run(args) -> int:
@@ -735,16 +726,7 @@ def _cmd_perf(args) -> int:
     def inspect(sim, machine, hv, vm) -> None:
         internals["hv"] = hv
 
-    wl = parsec.benchmark(args.benchmark, threads=args.threads,
-                          target_cycles=args.target_mcycles * 1_000_000)
-    kwargs = {"inspect": inspect}
-    if args.overcommit:
-        from repro.analysis.fuzz import OVERCOMMIT, placement_for
-
-        mspec, pinned = placement_for(wl.default_vcpus(), OVERCOMMIT)
-        kwargs.update(machine_spec=mspec, pinned_cpus=pinned)
-    m = runner.run_workload(wl, tick_mode=TickMode(args.mode), seed=args.seed,
-                            obs=obs, **kwargs)
+    m = _run_parsec(args, obs=obs, inspect=inspect)
     steal = runtime_steal_summary(internals["hv"])
 
     if args.json:

@@ -348,15 +348,26 @@ def _obs_for(spec: RunSpec):
     )
 
 
-def execute_spec_full(spec: RunSpec) -> tuple[Any, Optional[dict], Optional[dict]]:
+def execute_spec_full(
+    spec: RunSpec, *, tracer=None, inspect=None
+) -> tuple[Any, Optional[dict], Optional[dict]]:
     """Run one spec, returning ``(result, obs_json, series_json)``.
 
     The second element is the profile artifact (``spec.profile``), the
     third the windowed in-sim time series (``spec.series``); each is
     None when not requested or the kind does not support it.
+
+    ``tracer`` and ``inspect`` are forwarded verbatim to
+    :func:`~repro.experiments.runner.run_workload` /
+    :func:`~repro.fleet.hostsim.run_host`. They are live objects, so
+    only in-process callers (the sanitizer and the golden batteries)
+    pass them; the worker pool never does.
     """
     if spec.workload.kind == OVERCOMMIT_IDLE:
         from repro.experiments.overcommit import run_idle_overcommit
+
+        if tracer is not None or inspect is not None:
+            raise GridError(f"{OVERCOMMIT_IDLE} runs take no tracer or inspect hook")
 
         result = run_idle_overcommit(
             spec.tick_mode, seed=spec.seed, arch=spec.arch, **spec.workload.kwargs()
@@ -366,7 +377,7 @@ def execute_spec_full(spec: RunSpec) -> tuple[Any, Optional[dict], Optional[dict
     if spec.workload.kind == FLEET_HOST:
         from repro.fleet.hostsim import execute_fleet_spec
 
-        return execute_fleet_spec(spec)
+        return execute_fleet_spec(spec, tracer=tracer, inspect=inspect)
 
     from repro.experiments.runner import DEFAULT_HORIZON_NS, run_workload
     from repro.host.costs import DEFAULT_COSTS
@@ -393,6 +404,8 @@ def execute_spec_full(spec: RunSpec) -> tuple[Any, Optional[dict], Optional[dict
             label=spec.label,
             perturbations=spec.perturbations,
             arch=spec.arch,
+            tracer=tracer,
+            inspect=inspect,
             obs=obs,
         )
     return (

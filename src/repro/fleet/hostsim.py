@@ -253,14 +253,17 @@ def run_host(
     )
 
 
-def execute_fleet_spec(spec: RunSpec) -> tuple[RunMetrics, Optional[dict], Optional[dict]]:
+def execute_fleet_spec(
+    spec: RunSpec, *, tracer=None, inspect=None
+) -> tuple[RunMetrics, Optional[dict], Optional[dict]]:
     """Parallel-engine entry point for ``fleet.host`` specs.
 
     Mirrors the workload arm of
     :func:`repro.experiments.parallel.execute_spec_full`: applies cost
     overrides and the keep-timer policy, honors ``spec.profile`` /
     ``spec.series`` with an :class:`repro.obs.Observability` bundle,
-    and returns ``(metrics, obs_json_or_None, series_json_or_None)``.
+    forwards ``tracer`` / ``inspect`` to :func:`run_host`, and returns
+    ``(metrics, obs_json_or_None, series_json_or_None)``.
     """
     from repro.experiments.parallel import _obs_for
 
@@ -282,6 +285,8 @@ def execute_fleet_spec(spec: RunSpec) -> tuple[RunMetrics, Optional[dict], Optio
             label=spec.label,
             perturbations=spec.perturbations,
             arch=spec.arch,
+            tracer=tracer,
+            inspect=inspect,
             obs=obs,
             **params,
         )

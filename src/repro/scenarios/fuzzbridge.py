@@ -24,8 +24,8 @@ from repro.config import TickMode
 from repro.experiments.parallel import RunSpec, WorkloadSpec
 from repro.scenarios.matrix import Cell
 
-#: Fuzz scenario kind -> registered workload-factory kind, with the
-#: parameter spellings :meth:`FuzzScenario.make_workload` applies.
+#: Fuzz scenario kind -> registered workload-factory kind; the only
+#: place a fuzz kind turns into a workload.
 _KIND_MAP = {
     "pingpong": "micro.pingpong",
     "syncstorm": "micro.syncstorm",
@@ -72,7 +72,7 @@ def fuzz_cells(
         perturbations_for_seed(seed, scenario.horizon_ns) if perturb else ()
     )
     ws = workload_spec_for(scenario)
-    nvcpus = scenario.make_workload().default_vcpus()
+    nvcpus = ws.build().default_vcpus()
     cells: list[Cell] = []
     for placement in placements:
         mspec, pinned = placement_for(nvcpus, placement)

@@ -4,10 +4,12 @@ Three entry points, all over the shared :class:`~repro.scenarios.matrix.Cell`
 representation (hand-written matrices and fuzz expansions alike):
 
 * :func:`check_cell` / :func:`check_cells` — serial **conformance** runs:
-  every cell executes under the full :class:`~repro.analysis.checkers.TickSanitizer`
+  every cell's spec executes through :func:`sanitized_run`, the one
+  sanitized run in the repo: the engine's own ``RunSpec`` translation
+  under the full :class:`~repro.analysis.checkers.TickSanitizer`
   (including the perturbation-aware suspend-span / restore-rearm /
   hotplug checkers) with a :class:`~repro.obs.steal.StealTracker` teed
-  onto the same event stream, then goes through the reconcile battery.
+  onto the same event stream, then the reconcile battery.
 * :func:`run_cells` — throughput path: compile to specs and hand the
   grid to :func:`repro.experiments.parallel.run_grid` (cache + workers).
 * :func:`identity_problems` — the determinism gate: the same cells run
@@ -26,7 +28,7 @@ from repro.analysis.checkers import TickSanitizer
 from repro.analysis.reconcile import reconcile_run
 from repro.config import MachineSpec
 from repro.errors import ReproError
-from repro.experiments.parallel import GridResult, RunSpec, _keep_timer, run_grid
+from repro.experiments.parallel import GridResult, RunSpec, execute_spec_full, run_grid
 from repro.metrics.perf import RunMetrics
 from repro.scenarios.matrix import Cell
 
@@ -45,90 +47,50 @@ class CellCheck:
         return not self.problems
 
 
-def check_cell(cell: Cell) -> CellCheck:
-    """Execute one cell serially under the sanitizer + reconcile battery.
+def sanitized_run(spec: RunSpec) -> tuple[Optional[RunMetrics], TickSanitizer, list[str]]:
+    """Execute one spec under the sanitizer + reconcile battery.
 
-    Mirrors :func:`repro.experiments.parallel.execute_spec` (costs,
-    keep-timer policy, horizon default) but wraps the run in the tracer
-    stack the fuzz harness uses, so matrix cells and fuzz scenarios are
-    checked to exactly the same standard.
+    The run goes through :func:`repro.experiments.parallel.execute_spec_full`
+    with a :class:`TickSanitizer` and a
+    :class:`~repro.obs.steal.StealTracker` teed onto its event stream,
+    then the reconcile battery cross-checks the trace against the
+    counters, the cycle ledger and the runtime steal accounting. Returns
+    ``(metrics, sanitizer, problems)``; a run that raises a
+    :class:`ReproError` yields ``metrics=None`` and a ``run failed``
+    problem instead of a traceback.
     """
-    from repro.experiments.parallel import FLEET_HOST
-    from repro.experiments.runner import DEFAULT_HORIZON_NS, run_workload
-    from repro.host.costs import DEFAULT_COSTS
     from repro.obs.steal import StealTracker
     from repro.sim.trace import TeeTracer
 
-    spec = cell.spec
     sanitizer = TickSanitizer(mode=spec.tick_mode)
     steal = StealTracker()
     internals: dict = {}
 
     def inspect(sim, machine, hv, vm) -> None:
-        internals["machine"] = machine
-        internals["now"] = sim.now
-        internals["hv"] = hv
+        internals.update(machine=machine, now=sim.now, hv=hv)
 
-    costs = DEFAULT_COSTS
-    if spec.cost_overrides:
-        costs = costs.with_overrides(**dict(spec.cost_overrides))
     try:
-        with _keep_timer(spec.keep_timer_on_idle_exit):
-            if spec.workload.kind == FLEET_HOST:
-                # A fleet host shard: the same tracer stack and the same
-                # battery, over the multi-VM host simulation.
-                from repro.fleet.hostsim import run_host
-                from repro.fleet.spec import fleet_params
-
-                metrics = run_host(
-                    tick_mode=spec.tick_mode,
-                    seed=spec.seed,
-                    tick_hz=spec.tick_hz,
-                    noise=spec.noise,
-                    cpuidle=spec.cpuidle,
-                    costs=costs,
-                    features=spec.features,
-                    horizon_ns=spec.horizon_ns,
-                    label=spec.label or cell.id,
-                    perturbations=spec.perturbations,
-                    tracer=TeeTracer(sanitizer, steal),
-                    inspect=inspect,
-                    **fleet_params(spec),
-                )
-            else:
-                metrics = run_workload(
-                    spec.workload.build(),
-                    tick_mode=spec.tick_mode,
-                    vcpus=spec.vcpus,
-                    pinned_cpus=spec.pinned_cpus,
-                    machine_spec=spec.machine,
-                    features=spec.features,
-                    costs=costs,
-                    tick_hz=spec.tick_hz,
-                    seed=spec.seed,
-                    noise=spec.noise,
-                    cpuidle=spec.cpuidle,
-                    device_kind=spec.device_kind,
-                    horizon_ns=spec.horizon_ns if spec.horizon_ns is not None else DEFAULT_HORIZON_NS,
-                    label=spec.label or cell.id,
-                    perturbations=spec.perturbations,
-                    tracer=TeeTracer(sanitizer, steal),
-                    inspect=inspect,
-                )
+        metrics = execute_spec_full(
+            spec, tracer=TeeTracer(sanitizer, steal), inspect=inspect)[0]
     except ReproError as exc:
         sanitizer.finish()
-        return CellCheck(cell, None, [f"run failed: {type(exc).__name__}: {exc}"],
-                         events=sanitizer.events)
+        return None, sanitizer, [f"run failed: {type(exc).__name__}: {exc}"]
     problems = [str(v) for v in sanitizer.finish()]
-    machine_spec = spec.machine if spec.machine is not None else MachineSpec()
     problems += reconcile_run(
         sanitizer, metrics,
-        freq_hz=machine_spec.freq_hz,
+        freq_hz=(spec.machine or MachineSpec()).freq_hz,
         machine=internals.get("machine"),
         now_ns=internals.get("now"),
         steal_tracker=steal,
         hv=internals.get("hv"),
     )
+    return metrics, sanitizer, problems
+
+
+def check_cell(cell: Cell) -> CellCheck:
+    """Execute one cell serially under :func:`sanitized_run`, so matrix
+    cells and fuzz scenarios are checked to exactly the same standard."""
+    metrics, sanitizer, problems = sanitized_run(cell.spec)
     return CellCheck(cell, metrics, problems, events=sanitizer.events)
 
 

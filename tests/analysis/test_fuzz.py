@@ -8,8 +8,6 @@ with a ready-to-paste replay command.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.analysis.fuzz import (
@@ -20,12 +18,14 @@ from repro.analysis.fuzz import (
     fuzz_many,
     fuzz_seed,
     placement_for,
-    run_scenario,
     scenario_for_seed,
 )
 from repro.config import TickMode
+from repro.experiments.parallel import RunSpec, WorkloadSpec
 from repro.metrics.counters import ExitCounters
 from repro.metrics.perf import RunMetrics
+from repro.scenarios.fuzzbridge import workload_spec_for
+from repro.scenarios.runcheck import sanitized_run
 
 SWEEP_SEEDS = range(20)
 
@@ -43,8 +43,8 @@ class TestScenarioGeneration:
         assert len(kinds) >= 3, f"seed window too homogeneous: {kinds}"
 
     def test_workload_is_fresh_each_time(self):
-        sc = scenario_for_seed(3)
-        assert sc.make_workload() is not sc.make_workload()
+        ws = workload_spec_for(scenario_for_seed(3))
+        assert ws.build() is not ws.build()
 
     def test_describe_mentions_seed_and_kind(self):
         sc = scenario_for_seed(7)
@@ -110,11 +110,13 @@ class TestDifferentialComparison:
 
 class TestSingleRuns:
     def test_run_failure_is_reported_not_raised(self):
-        sc = dataclasses.replace(scenario_for_seed(0), kind="pingpong",
-                                 params=(("rounds", 10), ("work_cycles", 50_000),
-                                         ("same_vcpu", 0)),
-                                 horizon_ns=1)  # too short: workload can't finish
-        metrics, sanitizer, problems = run_scenario(sc, TickMode.TICKLESS)
+        spec = RunSpec(
+            WorkloadSpec.make("micro.pingpong", rounds=10, work_cycles=50_000,
+                              same_vcpu=False),
+            tick_mode=TickMode.TICKLESS,
+            horizon_ns=1,  # too short: workload can't finish
+        )
+        metrics, sanitizer, problems = sanitized_run(spec)
         assert metrics is None
         assert problems and "run failed" in problems[0]
 

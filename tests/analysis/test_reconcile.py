@@ -182,12 +182,13 @@ class TestFullBattery:
         assert any("cpu0" in p for p in problems)
 
     def test_real_run_reconciles_end_to_end(self):
-        from repro.analysis.fuzz import run_scenario, scenario_for_seed
-        from repro.config import TickMode
+        from repro.analysis.fuzz import SOLO
+        from repro.scenarios.fuzzbridge import fuzz_cells
+        from repro.scenarios.runcheck import sanitized_run
 
-        metrics, sanitizer, problems = run_scenario(
-            scenario_for_seed(1), TickMode.TICKLESS
-        )
+        cell = next(c for c in fuzz_cells(1, placements=(SOLO,))
+                    if c.coord("mode") == "tickless")
+        metrics, sanitizer, problems = sanitized_run(cell.spec)
         assert metrics is not None
         assert problems == []
         assert sanitizer.events > 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.golden import FLEET_FIXTURE, compare_fleet
+from repro.analysis.golden import BATTERIES, compare
 from repro.config import TickMode
 from repro.experiments.parallel import WorkloadSpec
 from repro.fleet import (
@@ -76,13 +76,13 @@ class TestIdentityGate:
 
 class TestGoldenFleetBattery:
     def test_fixture_is_committed(self):
-        assert FLEET_FIXTURE.exists(), (
+        assert BATTERIES["fleet"].fixture.exists(), (
             "golden fleet fixture missing; capture it with "
-            "PYTHONPATH=src python -m repro.analysis.golden --fleet --write"
+            "PYTHONPATH=src python -m repro.analysis.golden fleet --write"
         )
 
     def test_battery_replays_bit_identically(self):
-        problems = compare_fleet(FLEET_FIXTURE)
+        problems = compare("fleet")
         assert problems == [], "\n".join(problems)
 
 

@@ -92,12 +92,12 @@ class TestGoldenFixture:
     def test_fixture_is_committed(self):
         assert FIXTURE.exists(), (
             "golden fixture missing; capture it with "
-            "`PYTHONPATH=src python -m repro.analysis.golden --write`"
+            "`PYTHONPATH=src python -m repro.analysis.golden simcore --write`"
         )
 
     def test_full_battery_matches_pre_rewrite_fixture(self):
         """Replays every golden case: 4 workloads x 3 tick modes with
         stream hashes, plus 20 fuzz seeds x 3 modes x 2 placements of
         metrics hashes — all captured on the pre-rewrite engine."""
-        problems = golden.compare(FIXTURE)
+        problems = golden.compare("simcore", FIXTURE)
         assert not problems, "engine behaviour diverged:\n" + "\n".join(problems)

@@ -33,20 +33,20 @@ class TestArmGoldenFixture:
     def test_fixture_is_committed(self):
         assert FIXTURE.exists(), (
             "ARM golden fixture missing; capture it with "
-            "`PYTHONPATH=src python -m repro.analysis.golden --arm --write`"
+            "`PYTHONPATH=src python -m repro.analysis.golden arm --write`"
         )
 
     def test_fixture_declares_arm(self):
         assert golden.load(FIXTURE).get("arch") == "arm"
 
     def test_full_battery_matches_fixture(self):
-        problems = golden.compare_arm(FIXTURE)
+        problems = golden.compare("arm", FIXTURE)
         assert not problems, "ARM backend diverged:\n" + "\n".join(problems)
 
     def test_arch_mismatch_is_reported_not_silent(self):
         """Replaying an ARM fixture with the x86 battery must fail fast
         instead of diffing apples against oranges."""
-        problems = golden.compare(FIXTURE, arch="x86")
+        problems = golden.compare("simcore", FIXTURE)
         assert problems and "pins arch 'arm'" in problems[0]
 
 

@@ -7,10 +7,11 @@ JSON and the SHA-256 of the structured event stream. Any behavioural
 drift in the suspend/resume freeze, the restore clock jump, the hotplug
 state machinery or the drift offset application diverges a hash here.
 
-On top of the bit-identity replay, every case must also pass the full
-perturbation-aware :class:`~repro.analysis.checkers.TickSanitizer` and
-the reconcile battery — golden traces that violate the invariants they
-exist to pin would be worthless.
+On top of the bit-identity replay, every case's spec must also pass the
+shared sanitized run (:func:`repro.scenarios.runcheck.sanitized_run`):
+the full perturbation-aware :class:`~repro.analysis.checkers.TickSanitizer`
+and the reconcile battery, steal included — golden traces that violate
+the invariants they exist to pin would be worthless.
 """
 
 from __future__ import annotations
@@ -20,35 +21,32 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import golden
-from repro.analysis.checkers import TickSanitizer
-from repro.analysis.reconcile import reconcile_run
-from repro.config import MachineSpec, TickMode
-from repro.experiments.runner import run_workload
-from repro.obs.steal import StealTracker
-from repro.sim.trace import TeeTracer
+from repro.config import TickMode
+from repro.scenarios.runcheck import sanitized_run
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 FIXTURE = REPO_ROOT / "tests" / "fixtures" / "golden_perturb.json"
 
 MODES = list(TickMode)
-CASES = dict(golden.perturb_cases())
+CASES = golden.PERTURB_SCHEDULES
+SPECS = {case.key: case.spec for case in golden.BATTERIES["perturb"].cases()}
 
 
 class TestPerturbFixture:
     def test_fixture_is_committed(self):
         assert FIXTURE.exists(), (
             "perturbation fixture missing; capture it with "
-            "`PYTHONPATH=src python -m repro.analysis.golden --perturb --write`"
+            "`PYTHONPATH=src python -m repro.analysis.golden perturb --write`"
         )
 
     def test_battery_covers_every_kind_and_mode(self):
         data = golden.load(FIXTURE)
         want = {f"{kind}/{mode.value}" for kind in CASES for mode in MODES}
-        assert set(data["cases"]) == want
+        assert set(data["cases"]) == want == set(SPECS)
         assert len(want) == 12
 
     def test_battery_matches_fixture(self):
-        problems = golden.compare_perturb(FIXTURE)
+        problems = golden.compare("perturb", FIXTURE)
         assert not problems, (
             "perturbation behaviour diverged:\n" + "\n".join(problems)
         )
@@ -58,23 +56,9 @@ class TestPerturbCasesAreSanitizerClean:
     @pytest.mark.parametrize("kind", sorted(CASES))
     @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
     def test_case_passes_sanitizer_and_reconcile(self, kind, mode):
-        sanitizer = TickSanitizer(mode=mode)
-        steal = StealTracker()
-        internals = {}
-
-        def inspect(sim, machine, hv, vm):
-            internals.update(machine=machine, now=sim.now, hv=hv)
-
-        metrics = run_workload(
-            golden._perturb_workload(), tick_mode=mode, seed=5, cpuidle=True,
-            perturbations=CASES[kind], tracer=TeeTracer(sanitizer, steal),
-            inspect=inspect, label=f"golden-perturb-check/{kind}/{mode.value}",
-        )
-        problems = [str(v) for v in sanitizer.finish()]
-        problems += reconcile_run(
-            sanitizer, metrics,
-            freq_hz=MachineSpec().freq_hz,
-            machine=internals["machine"], now_ns=internals["now"],
-            steal_tracker=steal, hv=internals["hv"],
-        )
+        spec = SPECS[f"{kind}/{mode.value}"]
+        assert spec.perturbations == CASES[kind]
+        metrics, sanitizer, problems = sanitized_run(spec)
+        assert metrics is not None
+        assert sanitizer.events > 0
         assert not problems, "\n".join(problems)

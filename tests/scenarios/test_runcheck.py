@@ -1,23 +1,32 @@
 """Execution-path tests for matrix cells and the fuzz bridge.
 
 A small matrix must check sanitizer-clean, run byte-identically across
-serial / pooled / cached engine paths, and the fuzz bridge must compile
-seeds into cells whose behaviour matches the fuzz harness exactly.
+serial / pooled / cached engine paths, a checked run must be the very
+run the engine executes for the same spec, and the fuzz bridge must
+compile seeds into well-formed cells.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import fuzz
-from repro.analysis.golden import metrics_digest
+from repro.experiments.parallel import execute_spec
+from repro.host.exitreasons import ExitReason
 from repro.scenarios import (
+    check_cell,
     check_cells,
     fuzz_cells,
     fuzz_matrix_cells,
     identity_problems,
+    load_matrix,
     parse_matrix,
 )
+from repro.scenarios.runcheck import canonical_result_bytes
+
+EXAMPLES = Path(__file__).resolve().parent.parent.parent / "examples"
 
 SMALL = """
 [matrix]
@@ -48,6 +57,18 @@ def small_cells():
     return parse_matrix(SMALL, "toml").expand()
 
 
+def _engine_cells():
+    """One x86 and one arm arch-matrix cell, one perturbed fuzz cell and
+    one fleet-host shard: every kind of spec a checked run executes."""
+    arch = {c.id: c for c in load_matrix(EXAMPLES / "matrix_arch.toml").expand()}
+    return [
+        arch["sync/periodic/x86/s0"],
+        arch["sync/periodic/arm/s0"],
+        fuzz_cells(7, perturb=True, placements=(fuzz.SOLO,))[0],
+        load_matrix(EXAMPLES / "fleet_smoke.toml").expand()[0],
+    ]
+
+
 class TestCheckCells:
     def test_small_matrix_is_sanitizer_clean(self, small_cells):
         checks = check_cells(small_cells)
@@ -56,6 +77,16 @@ class TestCheckCells:
             assert check.ok, f"{check.cell.id}: {check.problems}"
             assert check.metrics is not None
             assert check.events > 0
+
+    @pytest.mark.parametrize("cell", _engine_cells(), ids=lambda c: c.id)
+    def test_checked_run_is_the_engine_run(self, cell):
+        check = check_cell(cell)
+        assert check.ok, check.problems
+        assert canonical_result_bytes(check.metrics) == \
+            canonical_result_bytes(execute_spec(cell.spec))
+        if cell.spec.arch == "arm":
+            assert check.metrics.exits.by_reason(ExitReason.SYSREG_TRAP) > 0
+            assert check.metrics.exits.by_reason(ExitReason.MSR_WRITE) == 0
 
     def test_check_reports_progress(self, small_cells):
         seen = []
@@ -79,20 +110,6 @@ class TestFuzzBridge:
             assert cell.spec.label == cell.id
             assert dict(cell.coords)["seed"] == "3"
             assert cell.spec.perturbations  # seed 3 expands to >= 1 event
-
-    def test_bridge_matches_fuzz_harness_exactly(self):
-        # The compiled spec must reproduce the fuzz harness run bit for
-        # bit — same scenario, same placement, same label, same metrics.
-        from repro.config import TickMode
-
-        scenario = fuzz.scenario_for_seed(3)
-        direct, _, probs = fuzz.run_scenario(scenario, TickMode.TICKLESS)
-        assert not probs
-        cell = next(c for c in fuzz_cells(3)
-                    if c.coord("mode") == "tickless" and c.coord("placement") == "solo")
-        bridged = check_cells([cell])[0]
-        assert bridged.ok
-        assert metrics_digest(bridged.metrics) == metrics_digest(direct)
 
     def test_perturbed_and_plain_cells_hash_apart(self):
         from repro.experiments.parallel import spec_key
