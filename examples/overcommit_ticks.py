@@ -11,37 +11,19 @@ model.
     python examples/overcommit_ticks.py
 """
 
-from repro.config import MachineSpec, TickMode, VmSpec
-from repro.guest.kernel import GuestKernel
-from repro.host.kvm import Hypervisor
-from repro.hw.cpu import Machine
+from repro.config import TickMode
+from repro.experiments.overcommit import run_idle_overcommit
 from repro.metrics.report import format_table
-from repro.sim.engine import Simulator
 from repro.sim.timebase import SEC
 
 
 def run(mode: TickMode) -> tuple[int, float]:
-    sim = Simulator(seed=0)
-    machine = Machine(sim, MachineSpec(sockets=1, cpus_per_socket=2))
-    hv = Hypervisor(sim, machine)
-    kernels = []
-    for v in range(4):
-        vm = hv.create_vm(
-            VmSpec(
-                name=f"vm{v}",
-                vcpus=4,
-                tick_mode=mode,
-                # Two vCPUs of each VM share pCPU0, two share pCPU1.
-                pinned_cpus=(0, 1, 0, 1),
-                noise=False,
-            )
-        )
-        kernels.append(GuestKernel(vm))
-    hv.start()
-    sim.run(until=SEC)
-    exits = sum(vm.counters.total for vm in hv.vms)
-    busy_ms = machine.total_busy_ns() / 1e6
-    return exits, busy_ms
+    # Two vCPUs of each VM share pCPU0, two share pCPU1.
+    result = run_idle_overcommit(
+        mode, vms=4, vcpus_per_vm=4, pcpus=2, duration_ns=SEC, noise=False, seed=0
+    )
+    busy_ms = result.total_busy_ns * 2 / 1e6  # per-pCPU busy time x 2 pCPUs
+    return result.total_exits, busy_ms
 
 
 def main() -> None:

@@ -24,7 +24,6 @@ from repro.config import (
     HostFeatures,
     IoDeviceKind,
     MachineSpec,
-    ScenarioConfig,
     TickMode,
     VmSpec,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "VmSpec",
     "HostFeatures",
     "IoDeviceKind",
-    "ScenarioConfig",
     "RunMetrics",
     "Comparison",
     "compare_runs",

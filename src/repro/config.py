@@ -9,7 +9,7 @@ describes the simulated host (the paper's testbed is a 4-socket,
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.sim.timebase import hz_to_period_ns
@@ -163,29 +163,3 @@ class HostFeatures:
     def __post_init__(self) -> None:
         if self.halt_poll_ns < 0:
             raise ConfigError("halt_poll_ns must be >= 0")
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """A full experiment scenario: machine + VMs + duration + seed."""
-
-    machine: MachineSpec = field(default_factory=MachineSpec)
-    vms: tuple[VmSpec, ...] = field(default_factory=lambda: (VmSpec(),))
-    features: HostFeatures = field(default_factory=HostFeatures)
-    duration_ns: int = 1_000_000_000
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.vms:
-            raise ConfigError("scenario needs at least one VM")
-        if self.duration_ns <= 0:
-            raise ConfigError("duration must be positive")
-        names = [vm.name for vm in self.vms]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate VM names: {names}")
-        pinned = [c for vm in self.vms if vm.pinned_cpus for c in vm.pinned_cpus]
-        if len(set(pinned)) != len(pinned):
-            raise ConfigError("two vCPUs pinned to the same physical CPU")
-        for c in pinned:
-            if not 0 <= c < self.machine.total_cpus:
-                raise ConfigError(f"pinned CPU {c} outside machine (0..{self.machine.total_cpus - 1})")

@@ -23,27 +23,14 @@ re-running an ablation after a code change incremental.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 from repro.config import HostFeatures, MachineSpec, TickMode
 from repro.core.did import DidEstimate, crossover_cpus, estimate_did
-from repro.core.paratick_guest import ParatickPolicy
 from repro.experiments.parallel import RunSpec, WorkloadSpec, run_grid
 from repro.host.costs import DEFAULT_COSTS
 from repro.metrics.perf import RunMetrics
 from repro.sim.timebase import MSEC, SEC
-
-
-@contextlib.contextmanager
-def keep_timer_heuristic(enabled: bool):
-    """Temporarily flip §5.2.5's keep-timer heuristic (class-level knob)."""
-    prev = ParatickPolicy.keep_timer_on_idle_exit
-    ParatickPolicy.keep_timer_on_idle_exit = enabled
-    try:
-        yield
-    finally:
-        ParatickPolicy.keep_timer_on_idle_exit = prev
 
 
 def _grid(specs, *, jobs=None, cache_dir=None, use_cache=False, progress=None,

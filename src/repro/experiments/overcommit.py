@@ -1,23 +1,21 @@
 """Overcommitted multi-VM scenarios: the full §3.1/§3.3 regime, simulated.
 
 The paper's Table 1 counts are analytical; this module runs the same
-W1/W2-style configurations — multiple idle or sync-churning VMs sharing
-physical CPUs — on the full simulator with host-scheduler time sharing,
-which the single-VM experiment runner does not cover.
+W2-style configuration — several idle VMs sharing physical CPUs — on
+the full simulator with host-scheduler time sharing.
+:func:`run_idle_overcommit` is a thin layer over
+:func:`repro.experiments.runner.simulate`: G
+:class:`~repro.workloads.micro.IdleWorkload` guests, run to a fixed
+duration, collected into an :class:`OvercommitResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import MachineSpec, TickMode, VmSpec
+from repro.config import MachineSpec, TickMode
 from repro.errors import ConfigError
-from repro.guest.kernel import GuestKernel
-from repro.guest.noise import install_noise
-from repro.host.kvm import Hypervisor
-from repro.hw.cpu import Machine
 from repro.metrics.counters import ExitCounters
-from repro.sim.engine import Simulator
 from repro.sim.timebase import SEC
 
 
@@ -50,37 +48,47 @@ def run_idle_overcommit(
     duration_ns: int = SEC,
     noise: bool = False,
     seed: int = 0,
-    arch: str = "x86",
+    **stack,
 ) -> OvercommitResult:
     """N idle VMs time-sharing a small set of physical CPUs (W1/W2).
 
     With classic periodic ticks every vCPU is woken ``f_tick`` times a
     second; with tickless/paratick guests the host stays asleep.
+    ``stack`` holds the remaining :func:`~repro.experiments.runner.simulate`
+    keywords (``tick_hz``, ``costs``, ``features``, ``cpuidle``,
+    ``perturbations``, ``arch``, ``tracer``, ``inspect``, ``obs``).
     """
+    from repro.experiments.runner import Guest, simulate
+    from repro.workloads.micro import IdleWorkload
+
     if vms <= 0 or vcpus_per_vm <= 0 or pcpus <= 0:
         raise ConfigError("vms, vcpus_per_vm and pcpus must be positive")
-    sim = Simulator(seed=seed)
-    machine = Machine(sim, MachineSpec(sockets=1, cpus_per_socket=pcpus))
-    hv = Hypervisor(sim, machine, arch=arch)
-    for v in range(vms):
-        pins = tuple((v * vcpus_per_vm + i) % pcpus for i in range(vcpus_per_vm))
-        vm = hv.create_vm(
-            VmSpec(name=f"vm{v}", vcpus=vcpus_per_vm, tick_mode=mode, pinned_cpus=pins, noise=noise, arch=arch)
-        )
-        kernel = GuestKernel(vm)
-        if noise:
-            install_noise(kernel)
-    hv.start()
-    sim.run(until=duration_ns)
+    run = simulate(
+        [
+            Guest(
+                f"vm{v}",
+                IdleWorkload(vcpus_per_vm),
+                vcpus_per_vm,
+                tuple((v * vcpus_per_vm + i) % pcpus for i in range(vcpus_per_vm)),
+            )
+            for v in range(vms)
+        ],
+        machine_spec=MachineSpec(sockets=1, cpus_per_socket=pcpus),
+        tick_mode=mode,
+        seed=seed,
+        noise=noise,
+        horizon_ns=duration_ns,
+        **stack,
+    )
     counters = ExitCounters()
-    for vm in hv.vms:
+    for vm in run.hv.vms:
         counters = counters.merge(vm.counters)
     return OvercommitResult(
         mode=mode,
         duration_ns=duration_ns,
         total_exits=counters.total,
-        total_busy_ns=machine.total_busy_ns() // max(pcpus, 1),
-        host_switches=hv.sched.switches,
+        total_busy_ns=run.machine.total_busy_ns() // pcpus,
+        host_switches=run.hv.sched.switches,
     )
 
 

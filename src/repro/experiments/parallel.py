@@ -207,14 +207,13 @@ class RunSpec:
     #: Collect a virtual-perf profile (sampling profiler + latency
     #: histograms + steal) alongside the run. The profile is returned
     #: in :attr:`GridResult.artifacts` and cached content-addressed
-    #: next to the result (``<key>.obs.json``). Ignored for the
-    #: multi-VM ``overcommit.idle`` kind. Profiling never perturbs
-    #: simulated time, so the RunMetrics are identical either way.
+    #: next to the result (``<key>.obs.json``). Profiling never
+    #: perturbs simulated time, so the results are identical either way.
     profile: bool = False
     #: Collect the windowed in-sim time series (:mod:`repro.obs.series`)
     #: alongside the run; returned in :attr:`GridResult.series` and
-    #: cached as ``<key>.series.json``. Like ``profile``, ignored for
-    #: ``overcommit.idle`` and free of simulated-time side effects.
+    #: cached as ``<key>.series.json``. Like ``profile``, free of
+    #: simulated-time side effects.
     #: Serialized into the cache key only when set, so every
     #: pre-existing spec keeps its exact content address.
     series: bool = False
@@ -355,59 +354,71 @@ def execute_spec_full(
 
     The second element is the profile artifact (``spec.profile``), the
     third the windowed in-sim time series (``spec.series``); each is
-    None when not requested or the kind does not support it.
+    None when not requested. An ``overcommit.idle`` spec sizes its
+    scenario through its workload parameters and raises
+    :class:`GridError` when a RunSpec field that would conflict with
+    them (``vcpus``, ``pinned_cpus``, ``machine``, ``device_kind``,
+    ``horizon_ns``, ``noise=False``) is set.
 
-    ``tracer`` and ``inspect`` are forwarded verbatim to
-    :func:`~repro.experiments.runner.run_workload` /
-    :func:`~repro.fleet.hostsim.run_host`. They are live objects, so
-    only in-process callers (the sanitizer and the golden batteries)
-    pass them; the worker pool never does.
+    ``tracer`` and ``inspect`` are forwarded verbatim to the kind's
+    runner, and from there to :func:`~repro.experiments.runner.simulate`.
+    They are live objects, so only in-process callers (the sanitizer
+    and the golden batteries) pass them; the worker pool never does.
     """
-    if spec.workload.kind == OVERCOMMIT_IDLE:
-        from repro.experiments.overcommit import run_idle_overcommit
-
-        if tracer is not None or inspect is not None:
-            raise GridError(f"{OVERCOMMIT_IDLE} runs take no tracer or inspect hook")
-
-        result = run_idle_overcommit(
-            spec.tick_mode, seed=spec.seed, arch=spec.arch, **spec.workload.kwargs()
-        )
-        return result, None, None
-
-    if spec.workload.kind == FLEET_HOST:
-        from repro.fleet.hostsim import execute_fleet_spec
-
-        return execute_fleet_spec(spec, tracer=tracer, inspect=inspect)
-
-    from repro.experiments.runner import DEFAULT_HORIZON_NS, run_workload
     from repro.host.costs import DEFAULT_COSTS
 
     obs = _obs_for(spec)
     costs = DEFAULT_COSTS
     if spec.cost_overrides:
         costs = costs.with_overrides(**dict(spec.cost_overrides))
+    common = dict(
+        costs=costs, obs=obs, features=spec.features, tick_hz=spec.tick_hz,
+        cpuidle=spec.cpuidle, perturbations=spec.perturbations, arch=spec.arch,
+        tracer=tracer, inspect=inspect,
+    )
     with _keep_timer(spec.keep_timer_on_idle_exit):
-        result = run_workload(
-            spec.workload.build(),
-            tick_mode=spec.tick_mode,
-            vcpus=spec.vcpus,
-            pinned_cpus=spec.pinned_cpus,
-            machine_spec=spec.machine,
-            features=spec.features,
-            costs=costs,
-            tick_hz=spec.tick_hz,
-            seed=spec.seed,
-            noise=spec.noise,
-            cpuidle=spec.cpuidle,
-            device_kind=spec.device_kind,
-            horizon_ns=spec.horizon_ns if spec.horizon_ns is not None else DEFAULT_HORIZON_NS,
-            label=spec.label,
-            perturbations=spec.perturbations,
-            arch=spec.arch,
-            tracer=tracer,
-            inspect=inspect,
-            obs=obs,
-        )
+        if spec.workload.kind == OVERCOMMIT_IDLE:
+            from repro.experiments.overcommit import run_idle_overcommit
+
+            # Its vms/vcpus_per_vm/pcpus/duration_ns/noise parameters size
+            # the scenario; a RunSpec field that would too must stay default.
+            for name, default in (
+                ("vcpus", None), ("pinned_cpus", None), ("machine", None),
+                ("device_kind", None), ("horizon_ns", None), ("noise", True),
+            ):
+                if getattr(spec, name) != default:
+                    raise GridError(
+                        f"{OVERCOMMIT_IDLE} sizes its own scenario; RunSpec.{name} "
+                        f"must stay {default!r}, got {getattr(spec, name)!r}"
+                    )
+            result = run_idle_overcommit(
+                spec.tick_mode, seed=spec.seed, **spec.workload.kwargs(), **common
+            )
+        elif spec.workload.kind == FLEET_HOST:
+            from repro.fleet.hostsim import run_host
+            from repro.fleet.spec import fleet_params
+
+            result = run_host(
+                tick_mode=spec.tick_mode, seed=spec.seed, noise=spec.noise,
+                horizon_ns=spec.horizon_ns, label=spec.label,
+                **fleet_params(spec), **common,
+            )
+        else:
+            from repro.experiments.runner import DEFAULT_HORIZON_NS, run_workload
+
+            result = run_workload(
+                spec.workload.build(),
+                tick_mode=spec.tick_mode,
+                vcpus=spec.vcpus,
+                pinned_cpus=spec.pinned_cpus,
+                machine_spec=spec.machine,
+                seed=spec.seed,
+                noise=spec.noise,
+                device_kind=spec.device_kind,
+                horizon_ns=spec.horizon_ns if spec.horizon_ns is not None else DEFAULT_HORIZON_NS,
+                label=spec.label,
+                **common,
+            )
     return (
         result,
         obs.to_json_dict() if spec.profile and obs is not None else None,

@@ -1,18 +1,33 @@
-"""The experiment driver: build a stack, run a workload, measure.
+"""The experiment driver: build a simulated host, run it, measure.
 
-:func:`run_workload` is the single entry point every benchmark, example
-and integration test uses; :func:`run_comparison` performs the A/B
-(tickless vs paratick) measurement the paper's figures are built from,
-guaranteeing both runs share machine, seed and workload parameters.
+:func:`simulate` is the one place a simulated host is built: a
+Simulator, a Machine, a Hypervisor and one VM + guest kernel (block
+device, NIC, noise daemons, perturbations) per :class:`Guest`. Its
+callers are thin layers that choose the guests and fold the
+:class:`HostRun` into their result:
+
+* :func:`run_workload` — one workload in one VM, the entry point every
+  benchmark, example and integration test uses;
+* :func:`repro.fleet.hostsim.run_host` — one fleet host of staggered
+  guests;
+* :func:`repro.experiments.overcommit.run_idle_overcommit` — the W2
+  idle-overcommit regime.
+
+:func:`run_comparison` performs the A/B (tickless vs paratick)
+measurement the paper's figures are built from, guaranteeing both runs
+share machine, seed and workload parameters.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from repro.config import HostFeatures, IoDeviceKind, MachineSpec, TickMode, VmSpec
+from repro.errors import WorkloadError
 from repro.guest.kernel import GuestKernel
 from repro.guest.noise import install_noise
+from repro.guest.task import Sleep
 from repro.host.costs import DEFAULT_COSTS, CostModel
 from repro.host.kvm import Hypervisor
 from repro.hw.block import make_block_device
@@ -21,10 +36,223 @@ from repro.metrics.perf import RunMetrics, collect_metrics
 from repro.metrics.report import Comparison, compare_runs
 from repro.sim.engine import Simulator
 from repro.sim.timebase import SEC
-from repro.workloads.base import Workload, WorkloadResult
+from repro.workloads.base import Workload
 
 #: Default wall-clock bound on a run (simulated).
 DEFAULT_HORIZON_NS = 60 * SEC
+
+
+class Guest(NamedTuple):
+    """One VM of a simulated host and the workload it runs.
+
+    ``arrival_ns`` delays every task the workload's build creates by a
+    jiffy-granular ``Sleep`` — the workload "arrives" at that instant
+    like a request hitting an already-booted VM. Noise daemons run from
+    boot regardless.
+    """
+
+    name: str
+    workload: Workload
+    vcpus: int
+    pinned_cpus: Optional[tuple[int, ...]]
+    arrival_ns: int = 0
+
+
+@dataclass
+class HostRun:
+    """A finished :func:`simulate`: the stack plus completion instants."""
+
+    sim: Simulator
+    machine: Machine
+    hv: Hypervisor
+    #: Execution time: when the last main task finished, or the
+    #: horizon when no guest has main tasks.
+    exec_time_ns: int
+    #: Per guest, when its last main task finished (None when it has
+    #: none).
+    done_ns: list[Optional[int]]
+    perturbed: bool
+
+    def extra(self, **head) -> dict:
+        """``head`` followed by the host-wide counters every run reports."""
+        from repro.host.vcpu import VcpuState
+
+        vcpus = [v for vm in self.hv.vms for v in vm.vcpus]
+        extra = {
+            **head,
+            "virtual_ticks": sum(vm.virtual_ticks_injected for vm in self.hv.vms),
+            "halt_episodes": sum(v.halt_episodes for v in vcpus),
+            "halted_ns": sum(v.total_halted_ns for v in vcpus),
+            "steal_ns": sum(v.total_steal_ns for v in vcpus),
+            "steal_episodes": sum(v.steal_episodes for v in vcpus),
+        }
+        if self.perturbed:
+            # Only perturbed runs carry these keys, so unperturbed metrics
+            # stay bit-identical to the pre-perturbation engine.
+            for key, attr in (
+                ("suspend_count", "suspend_count"),
+                ("suspended_ns", "total_suspended_ns"),
+                ("clock_jump_ns", "clock_jump_ns"),
+                ("clock_offset_ns", "guest_clock_offset_ns"),
+                ("hotplug_count", "hotplug_count"),
+                ("unplug_count", "unplug_count"),
+            ):
+                extra[key] = sum(getattr(vm, attr) for vm in self.hv.vms)
+        for v in vcpus:
+            residency = dict(v.cstate_residency_ns)
+            if v.state is VcpuState.HALTED and v.requested_cstate is not None:
+                # Still asleep at collection time: flush the open residency.
+                name = v.requested_cstate.name
+                residency[name] = residency.get(name, 0) + (self.sim.now - v.halted_since_ns)
+            for state, ns in residency.items():
+                extra[f"cstate_{state}_ns"] = extra.get(f"cstate_{state}_ns", 0) + ns
+        return extra
+
+    def metrics(self, label: str, extra: dict) -> RunMetrics:
+        return collect_metrics(
+            label, self.machine, list(self.hv.vms),
+            exec_time_ns=self.exec_time_ns, extra=extra,
+        )
+
+
+def _arrive(body, ns: int):
+    """Prefix a task body with an arrival sleep; delegates the original."""
+    yield Sleep(ns)
+    yield from body
+
+
+def simulate(
+    guests: list[Guest],
+    *,
+    machine_spec: MachineSpec,
+    tick_mode: TickMode,
+    features: HostFeatures = HostFeatures(),
+    costs: CostModel = DEFAULT_COSTS,
+    tick_hz: int = 250,
+    seed: int = 0,
+    noise: bool = True,
+    cpuidle: bool = False,
+    device_kind: Optional[IoDeviceKind] = None,
+    horizon_ns: int = DEFAULT_HORIZON_NS,
+    perturbations=(),
+    arch: str = "x86",
+    tracer=None,
+    inspect=None,
+    obs=None,
+) -> HostRun:
+    """Build one simulated host, run it, and return the finished stack.
+
+    VMs are created in ``guests`` order, each with its guest kernel,
+    block device (``device_kind`` or the workload's own), NIC, noise
+    daemons and ``perturbations``. The run stops when the last main
+    task of any guest finishes, or at ``horizon_ns`` when no guest has
+    main tasks; main tasks still running at the horizon raise
+    :class:`~repro.errors.WorkloadError` rather than report a truncated
+    measurement.
+
+    ``obs`` (a :class:`repro.obs.Observability` bundle) tees its trace
+    sinks in front of ``tracer``, observes the cycle ledger, and is
+    finalized after the run. ``inspect``, when given, is then called
+    once as ``inspect(sim, machine, hv, vms)`` with the tuple of VMs.
+    """
+    if obs is not None:
+        tracer = obs.tracer(tracer)
+    sim = Simulator(seed=seed, tracer=tracer)
+    machine = Machine(sim, machine_spec)
+    hv = Hypervisor(sim, machine, costs=costs, features=features, arch=arch)
+    if obs is not None:
+        obs.install(machine, hv)
+
+    mains: list[list] = []
+    done_ns: list[Optional[int]] = [None] * len(guests)
+    pending = 0
+    for g, guest in enumerate(guests):
+        vm = hv.create_vm(
+            VmSpec(
+                name=guest.name,
+                vcpus=guest.vcpus,
+                tick_mode=tick_mode,
+                tick_hz=tick_hz,
+                pinned_cpus=guest.pinned_cpus,
+                noise=noise,
+                cpuidle=cpuidle,
+                arch=arch,
+            )
+        )
+        kernel = GuestKernel(vm)
+        workload = guest.workload
+
+        kind = device_kind or workload.io_device
+        if kind is not None:
+            device = make_block_device(
+                sim,
+                kind,
+                lambda req, vm=vm: hv.complete_io_request(vm, req.cookie[0], req),
+            )
+            kernel.attach_block_device(device)
+        nic_profile = getattr(workload, "nic_profile", None)
+        if nic_profile is not None:
+            from repro.hw.interrupts import Vector
+            from repro.hw.nic import Nic
+
+            nic = Nic(
+                sim,
+                nic_profile,
+                lambda req, vm=vm: hv.complete_io_request(
+                    vm, req.cookie[0], req, vector=Vector.NET_IO
+                ),
+            )
+            kernel.attach_nic(nic)
+        if noise:
+            install_noise(kernel)
+
+        pre_build = len(kernel.sched.tasks)
+        main_tasks = list(workload.build(kernel))
+        if guest.arrival_ns > 0:
+            # The delay applies to every task the build created (helper
+            # threads must not run ahead of their request), but not to
+            # the noise daemons, which run from boot on a real host.
+            for task in kernel.sched.tasks[pre_build:]:
+                task.body = _arrive(task.body, guest.arrival_ns)
+        mains.append(main_tasks)
+        pending += len(main_tasks)
+        main_set = set(id(t) for t in main_tasks)
+
+        def on_done(task, g=g, main_set=main_set) -> None:
+            nonlocal pending
+            if id(task) not in main_set:
+                return
+            main_set.discard(id(task))
+            pending -= 1
+            if not main_set:
+                done_ns[g] = sim.now
+            if not pending:
+                sim.stop()
+
+        kernel.task_done_callbacks.append(on_done)
+
+        if perturbations:
+            from repro.host.perturb import install_perturbations
+
+            install_perturbations(hv, vm, perturbations)
+
+    hv.start()
+    sim.run(until=horizon_ns)
+
+    if pending:
+        running = {
+            guest.name: [t.name for t in tasks if t.finished_ns is None][:5]
+            for guest, tasks in zip(guests, mains)
+            if any(t.finished_ns is None for t in tasks)
+        }
+        raise WorkloadError(f"run did not finish; still running: {running}")
+    exec_time = max((t for t in done_ns if t is not None), default=sim.now)
+
+    if obs is not None:
+        obs.finalize(sim, machine, hv)
+    if inspect is not None:
+        inspect(sim, machine, hv, tuple(hv.vms))
+    return HostRun(sim, machine, hv, exec_time, done_ns, bool(perturbations))
 
 
 def run_workload(
@@ -58,7 +286,7 @@ def run_workload(
     truncated measurement.
 
     ``inspect``, when given, is called as ``inspect(sim, machine, hv,
-    vm)`` after the run ends but before metrics collection — the
+    vms)`` after the run ends but before metrics collection — the
     sanitizer's reconciliation pass uses it to reach simulator internals
     (per-CPU ledgers) that :class:`RunMetrics` aggregates away.
 
@@ -75,121 +303,29 @@ def run_workload(
     in :attr:`RunMetrics.extra`.
     """
     nvcpus = vcpus if vcpus is not None else workload.default_vcpus()
-    mspec = machine_spec or MachineSpec()
     if pinned_cpus is None:
         pinned_cpus = tuple(range(nvcpus))
-    if obs is not None:
-        tracer = obs.tracer(tracer)
-    sim = Simulator(seed=seed, tracer=tracer)
-    machine = Machine(sim, mspec)
-    hv = Hypervisor(sim, machine, costs=costs, features=features, arch=arch)
-    if obs is not None:
-        obs.install(machine, hv)
-    vm = hv.create_vm(
-        VmSpec(
-            name="vm0",
-            vcpus=nvcpus,
-            tick_mode=tick_mode,
-            tick_hz=tick_hz,
-            pinned_cpus=pinned_cpus,
-            noise=noise,
-            cpuidle=cpuidle,
-            arch=arch,
-        )
+    run = simulate(
+        [Guest("vm0", workload, nvcpus, pinned_cpus)],
+        machine_spec=machine_spec or MachineSpec(),
+        tick_mode=tick_mode,
+        features=features,
+        costs=costs,
+        tick_hz=tick_hz,
+        seed=seed,
+        noise=noise,
+        cpuidle=cpuidle,
+        device_kind=device_kind,
+        horizon_ns=horizon_ns,
+        perturbations=perturbations,
+        arch=arch,
+        tracer=tracer,
+        inspect=inspect,
+        obs=obs,
     )
-    kernel = GuestKernel(vm)
-
-    kind = device_kind or workload.io_device
-    if kind is not None:
-        device = make_block_device(
-            sim,
-            kind,
-            lambda req: hv.complete_io_request(vm, req.cookie[0], req),
-        )
-        kernel.attach_block_device(device)
-
-    nic_profile = getattr(workload, "nic_profile", None)
-    if nic_profile is not None:
-        from repro.hw.interrupts import Vector
-        from repro.hw.nic import Nic
-
-        nic = Nic(
-            sim,
-            nic_profile,
-            lambda req: hv.complete_io_request(vm, req.cookie[0], req, vector=Vector.NET_IO),
-        )
-        kernel.attach_nic(nic)
-
-    if noise:
-        install_noise(kernel)
-
-    main_tasks = workload.build(kernel)
-    result = WorkloadResult(main_tasks=list(main_tasks))
-    main_set = set(id(t) for t in main_tasks)
-
-    def on_done(task) -> None:
-        if id(task) in main_set:
-            result.finished += 1
-            if result.finished == len(result.main_tasks):
-                result.completed_at_ns = sim.now
-                sim.stop()
-
-    kernel.task_done_callbacks.append(on_done)
-
-    if perturbations:
-        from repro.host.perturb import install_perturbations
-
-        install_perturbations(hv, vm, perturbations)
-
-    hv.start()
-    sim.run(until=horizon_ns)
-
-    if result.main_tasks:
-        result.check_complete()
-        exec_time = result.completed_at_ns
-    else:
-        exec_time = sim.now  # open-ended workload: ran to the horizon
-
-    if obs is not None:
-        obs.finalize(sim, machine, hv)
-
-    if inspect is not None:
-        inspect(sim, machine, hv, vm)
-
-    extra = {
-        "vcpus": nvcpus,
-        "seed": seed,
-        "virtual_ticks": vm.virtual_ticks_injected,
-        "halt_episodes": sum(v.halt_episodes for v in vm.vcpus),
-        "halted_ns": sum(v.total_halted_ns for v in vm.vcpus),
-        "steal_ns": sum(v.total_steal_ns for v in vm.vcpus),
-        "steal_episodes": sum(v.steal_episodes for v in vm.vcpus),
-    }
-    if perturbations:
-        # Only perturbed runs carry these keys, so unperturbed metrics
-        # stay bit-identical to the pre-perturbation engine.
-        extra["suspend_count"] = vm.suspend_count
-        extra["suspended_ns"] = vm.total_suspended_ns
-        extra["clock_jump_ns"] = vm.clock_jump_ns
-        extra["clock_offset_ns"] = vm.guest_clock_offset_ns
-        extra["hotplug_count"] = vm.hotplug_count
-        extra["unplug_count"] = vm.unplug_count
-    from repro.host.vcpu import VcpuState
-
-    for v in vm.vcpus:
-        residency = dict(v.cstate_residency_ns)
-        if v.state is VcpuState.HALTED and v.requested_cstate is not None:
-            # Still asleep at collection time: flush the open residency.
-            name = v.requested_cstate.name
-            residency[name] = residency.get(name, 0) + (sim.now - v.halted_since_ns)
-        for state, ns in residency.items():
-            extra[f"cstate_{state}_ns"] = extra.get(f"cstate_{state}_ns", 0) + ns
-    return collect_metrics(
+    return run.metrics(
         label or f"{workload.name}/{tick_mode.value}",
-        machine,
-        [vm],
-        exec_time_ns=exec_time,
-        extra=extra,
+        run.extra(vcpus=nvcpus, seed=seed),
     )
 
 

@@ -21,7 +21,7 @@ from repro.fleet.aggregate import (
     fleet_bytes,
     percentile_ns,
 )
-from repro.fleet.hostsim import execute_fleet_spec, run_host
+from repro.fleet.hostsim import run_host
 from repro.fleet.report import failed_lines, format_run_summary
 from repro.fleet.run import (
     fleet_identity_problems,
@@ -46,7 +46,6 @@ __all__ = [
     "FleetSpec",
     "aggregate_hosts",
     "arrival_schedule",
-    "execute_fleet_spec",
     "failed_lines",
     "fleet_bytes",
     "format_run_summary",

@@ -11,6 +11,6 @@
 """
 
 from repro.workloads import fio, micro, netserve, parsec
-from repro.workloads.base import Workload, WorkloadResult
+from repro.workloads.base import Workload
 
-__all__ = ["Workload", "WorkloadResult", "parsec", "fio", "micro", "netserve"]
+__all__ = ["Workload", "parsec", "fio", "micro", "netserve"]

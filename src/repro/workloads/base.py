@@ -8,11 +8,9 @@ runs until the main tasks finish (or a horizon), and collects metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.config import IoDeviceKind
-from repro.errors import WorkloadError
 from repro.guest.kernel import GuestKernel
 from repro.guest.task import Task
 
@@ -37,22 +35,3 @@ class Workload:
 
     def describe(self) -> str:
         return self.name
-
-
-@dataclass
-class WorkloadResult:
-    """Completion bookkeeping the runner attaches to a run."""
-
-    main_tasks: list[Task] = field(default_factory=list)
-    finished: int = 0
-    #: Simulated completion time of the last main task (ns), if all done.
-    completed_at_ns: Optional[int] = None
-
-    @property
-    def all_done(self) -> bool:
-        return self.finished == len(self.main_tasks) and self.main_tasks
-
-    def check_complete(self) -> None:
-        if not self.all_done:
-            missing = [t.name for t in self.main_tasks if t.finished_ns is None]
-            raise WorkloadError(f"workload did not finish; still running: {missing[:5]}")

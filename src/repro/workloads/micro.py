@@ -25,9 +25,6 @@ class IdleWorkload(Workload):
 
     name = "micro.idle"
 
-    #: Idle workloads never "finish": the runner uses the horizon.
-    runs_to_horizon = True
-
     def __init__(self, vcpus: int = 16):
         if vcpus <= 0:
             raise WorkloadError("vcpus must be positive")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 
 import pytest
 
@@ -84,6 +85,33 @@ class TestOvercommit:
             run_idle_overcommit(TickMode.PERIODIC, vms=0)
 
 
+#: sha256 of ``canonical_result_bytes`` for a 100 ms default W2 cell
+#: (4 idle VMs x 4 vCPUs on 2 pCPUs), pinned per (arch, tick mode).
+#: No golden battery covers ``overcommit.idle``; these do.
+OVERCOMMIT_DIGESTS = {
+    ("x86", "periodic"): "b26b06313e4aef6f318d544754943bc18c80692e964c47cc7261e3f2839f75c0",
+    ("x86", "tickless"): "b2a9121b4e7c099b8f65a22bd77b5a750e0ac261cd700db32b15ad3feb50235a",
+    ("x86", "paratick"): "3d33f2284dc389c698d0c21f0813adb29c00ad317775bcd2a522bbcac794bd6f",
+    ("arm", "periodic"): "e0090bc7988599c444ab5eff5b81b82d67eef27a8e43b7428f7dfbfda884cb0c",
+    ("arm", "tickless"): "b7f2f179c96ef0486c32ab31e4ec3d74e115a9af9f1796169360515dcc7d809e",
+    ("arm", "paratick"): "3d33f2284dc389c698d0c21f0813adb29c00ad317775bcd2a522bbcac794bd6f",
+}
+
+
+@pytest.mark.parametrize("arch,mode", sorted(OVERCOMMIT_DIGESTS))
+def test_overcommit_result_bytes_pinned(arch, mode):
+    from repro.experiments.parallel import OVERCOMMIT_IDLE, RunSpec, WorkloadSpec, execute_spec
+    from repro.scenarios.runcheck import canonical_result_bytes
+    from repro.sim.timebase import MSEC
+
+    spec = RunSpec(
+        WorkloadSpec.make(OVERCOMMIT_IDLE, duration_ns=100 * MSEC),
+        tick_mode=TickMode(mode), arch=arch,
+    )
+    digest = hashlib.sha256(canonical_result_bytes(execute_spec(spec))).hexdigest()
+    assert digest == OVERCOMMIT_DIGESTS[(arch, mode)]
+
+
 class TestNetWorkload:
     def test_net_service_runs_and_blocks(self):
         from repro.experiments.runner import run_workload
@@ -106,3 +134,53 @@ class TestNetWorkload:
             return run_workload(wl, seed=2, noise=False).exec_time_ns
 
         assert t(DATACENTER_100G) < t(DATACENTER_10G)
+
+
+class TestOvercommitSpecFields:
+    """An ``overcommit.idle`` cell honours every RunSpec field the stack
+    builder takes, and rejects the ones its own parameters replace."""
+
+    @staticmethod
+    def spec(**changes):
+        from repro.experiments.parallel import OVERCOMMIT_IDLE, RunSpec, WorkloadSpec
+        from repro.sim.timebase import MSEC
+
+        return RunSpec(
+            WorkloadSpec.make(OVERCOMMIT_IDLE, duration_ns=200 * MSEC),
+            tick_mode=TickMode.PERIODIC,
+        ).with_(**changes)
+
+    def test_tick_hz_scales_periodic_exits(self):
+        from repro.experiments.parallel import execute_spec
+
+        slow = execute_spec(self.spec())
+        fast = execute_spec(self.spec(tick_hz=1000))
+        assert fast.total_exits == pytest.approx(4 * slow.total_exits, rel=0.15)
+
+    def test_cost_overrides_change_busy_time_not_exits(self):
+        from repro.experiments.parallel import execute_spec
+
+        base = execute_spec(self.spec())
+        dear = execute_spec(self.spec(cost_overrides=(("vmexit_hw", 5_000),)))
+        assert dear.total_exits == base.total_exits
+        assert dear.total_busy_ns > base.total_busy_ns
+
+    def test_profile_and_series_artifacts(self):
+        from repro.experiments.parallel import encode_result, execute_spec, execute_spec_full
+
+        result, obs_json, series = execute_spec_full(self.spec(profile=True, series=True))
+        assert obs_json is not None
+        assert series is not None and series["windows"]
+        assert encode_result(result) == encode_result(execute_spec(self.spec()))
+
+    @pytest.mark.parametrize("field,value", [
+        ("horizon_ns", 50_000_000),
+        ("vcpus", 2),
+        ("pinned_cpus", (0, 1)),
+        ("noise", False),
+    ])
+    def test_conflicting_fields_rejected(self, field, value):
+        from repro.experiments.parallel import GridError, execute_spec
+
+        with pytest.raises(GridError, match=field):
+            execute_spec(self.spec(**{field: value}))

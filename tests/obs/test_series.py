@@ -133,7 +133,7 @@ class TestRunReconciliation:
         assert reconcile_series(series, metrics) == []
 
     def test_fleet_host_shard_reconciles_exactly(self):
-        from repro.fleet import FleetSpec, execute_fleet_spec
+        from repro.fleet import FleetSpec
         from repro.sim.timebase import MSEC
 
         fleet = FleetSpec(
@@ -146,7 +146,7 @@ class TestRunReconciliation:
             seed=4, horizon_ns=400 * MSEC,
         )
         [spec] = [s.with_(series=True) for s in fleet.host_specs()]
-        metrics, _, series = execute_fleet_spec(spec)
+        metrics, _, series = execute_spec_full(spec)
         assert reconcile_series(series, metrics) == []
 
     def test_metrics_bit_identical_with_and_without_series(self):
