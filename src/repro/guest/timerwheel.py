@@ -11,6 +11,13 @@ have jiffy resolution, each higher level is ``LVL_SIZE`` times coarser.
 Timers on higher levels cascade down as their slot boundary is crossed;
 they fire on jiffy granularity, possibly *later* than requested but never
 earlier — a property the hypothesis tests pin down.
+
+Like Linux 5.10, the wheel tracks which buckets are non-empty and never
+visits the rest: only non-empty buckets exist, in one dict whose key set
+plays the role of Linux's per-level ``pending_map``. A bucket is created
+by the first timer placed in it and dropped when its slot is drained, so
+memory and the ``next_expiry`` scan follow the queued timers, not the
+``LEVELS × LVL_SIZE`` capacity.
 """
 
 from __future__ import annotations
@@ -47,9 +54,8 @@ class TimerWheel:
     LEVELS = 8
 
     def __init__(self, *, start_jiffies: int = 0) -> None:
-        self._buckets: list[list[list[WheelTimer]]] = [
-            [[] for _ in range(self.LVL_SIZE)] for _ in range(self.LEVELS)
-        ]
+        #: Non-empty buckets only, keyed ``level << LVL_BITS | slot``.
+        self._buckets: dict[int, list[WheelTimer]] = {}
         self._current = start_jiffies
         self._count = 0
 
@@ -72,7 +78,7 @@ class TimerWheel:
             span <<= self.LVL_BITS
         gran_bits = level * self.LVL_BITS
         slot = (timer.expires_jiffies >> gran_bits) & (self.LVL_SIZE - 1)
-        self._buckets[level][slot].append(timer)
+        self._buckets.setdefault(level << self.LVL_BITS | slot, []).append(timer)
 
     def add(self, expires_jiffies: int, callback: Callable[[], None], *, name: str = "timer") -> WheelTimer:
         """Enqueue a timer for an absolute jiffy count."""
@@ -109,8 +115,7 @@ class TimerWheel:
         cur = self._current
         # Level 0: every live timer in this slot is due (placement
         # guarantees expiry within one wheel revolution).
-        slot0 = cur & (self.LVL_SIZE - 1)
-        self._drain(self._buckets[0][slot0], fired)
+        self._drain(cur & (self.LVL_SIZE - 1), fired)
         # Higher levels: when a level's granularity boundary is crossed,
         # re-place (cascade) that slot's timers; due ones fire.
         for level in range(1, self.LEVELS):
@@ -118,12 +123,13 @@ class TimerWheel:
             if cur & ((1 << gran_bits) - 1):
                 break
             slot = (cur >> gran_bits) & (self.LVL_SIZE - 1)
-            self._drain(self._buckets[level][slot], fired)
+            self._drain(level << self.LVL_BITS | slot, fired)
 
-    def _drain(self, bucket: list[WheelTimer], fired: list[WheelTimer]) -> None:
-        pending = [t for t in bucket if t._active]
-        bucket.clear()
-        for t in pending:
+    def _drain(self, key: int, fired: list[WheelTimer]) -> None:
+        """Drop bucket ``key``; fire its due timers, re-place the rest."""
+        for t in self._buckets.pop(key, ()):
+            if not t._active:
+                continue
             if t.expires_jiffies <= self._current:
                 t._active = False
                 self._count -= 1
@@ -136,13 +142,13 @@ class TimerWheel:
     def next_expiry(self) -> Optional[int]:
         """Earliest pending expiry in jiffies, or None if empty.
 
-        O(live timers) scan — acceptable because the idle path calls it
-        once per idle entry and guest timer queues are short.
+        Scans only the buckets that exist, so the cost is O(timers still
+        queued): live ones plus cancelled ones whose slot has not been
+        drained yet. The idle path calls it once per idle entry.
         """
         best: Optional[int] = None
-        for level in self._buckets:
-            for bucket in level:
-                for t in bucket:
-                    if t._active and (best is None or t.expires_jiffies < best):
-                        best = t.expires_jiffies
+        for bucket in self._buckets.values():
+            for t in bucket:
+                if t._active and (best is None or t.expires_jiffies < best):
+                    best = t.expires_jiffies
         return best

@@ -36,6 +36,10 @@ class ExitReason(enum.Enum):
     #: ARM: the virtual generic timer (vtimer) fired while in guest mode.
     VTIMER_IRQ = "vtimer_irq"
 
+    def __init__(self, value: str) -> None:
+        #: Definition-order position (the exit counters' dense row index).
+        self.index = len(type(self).__members__)
+
 
 class ExitTag(enum.Enum):
     """Semantic cause of an exit, for the paper's metric split."""
@@ -58,6 +62,10 @@ class ExitTag(enum.Enum):
     HYPERCALL = "hypercall"
     #: Everything else (EPT violations, PLE, instruction emulation...).
     OTHER = "other"
+
+    def __init__(self, value: str) -> None:
+        #: Definition-order position (the exit counters' dense column index).
+        self.index = len(type(self).__members__)
 
 
 #: Tags the paper counts as scheduler-tick-management overhead.

@@ -11,12 +11,14 @@ is the only driver of a pinned CPU's timeline and accounts each execution
 segment exactly once, *in arrears* (when the segment ends — which is the
 only correct choice under preemption, since an interrupt may truncate a
 segment that was scheduled to run longer). The ledger itself is therefore
-a plain per-domain counter. Two domains — ``HOST_TICK`` (a host tick
-arriving while already in root mode) and ``HOST_IO`` (vhost backend
-service) — represent work that runs concurrently with the vCPU timeline
-and are booked without occupying it. Timeline consistency is asserted by
-the integration tests via the invariant
-``busy_ns(cpu) − HOST_TICK − HOST_IO <= elapsed``.
+a plain per-domain counter: a list indexed by ``CycleDomain.index``, so
+the hot path never hashes an enum, and :meth:`PhysicalCPU.ledger`
+rebuilds the per-domain dict, in ``CycleDomain`` order, when it is read.
+Two domains — ``HOST_TICK`` (a host tick arriving while already in root
+mode) and ``HOST_IO`` (vhost backend service) — represent work that runs
+concurrently with the vCPU timeline and are booked without occupying it.
+Timeline consistency is asserted by the integration tests via the
+invariant ``busy_ns(cpu) − HOST_TICK − HOST_IO <= elapsed``.
 """
 
 from __future__ import annotations
@@ -52,6 +54,10 @@ class CycleDomain(enum.Enum):
     #: KVM halt-polling busy-wait cycles.
     HALT_POLL = "halt_poll"
 
+    def __init__(self, value: str) -> None:
+        #: Definition-order position: the member's slot in a CPU's ledger.
+        self.index = len(type(self).__members__)
+
 
 #: Domains counted as virtualization overhead in reports.
 OVERHEAD_DOMAINS = frozenset(
@@ -75,7 +81,7 @@ class PhysicalCPU:
         self.index = index
         self.socket = socket
         self.clock = clock
-        self._busy_ns: dict[CycleDomain, int] = {d: 0 for d in CycleDomain}
+        self._busy_ns = [0] * len(CycleDomain)
         #: Ledger observer (the obs-layer sampling profiler). None in
         #: production runs, so the hot path pays one attribute check —
         #: the accounting analogue of ``Tracer.enabled``.
@@ -87,7 +93,7 @@ class PhysicalCPU:
         """Record ``ns`` nanoseconds of busy time in ``domain``."""
         if ns < 0:
             raise HardwareError(f"cpu{self.index}: negative busy time {ns}")
-        self._busy_ns[domain] += ns
+        self._busy_ns[domain.index] += ns
         if self.observer is not None:
             self.observer.on_account(self, domain, ns)
 
@@ -102,16 +108,16 @@ class PhysicalCPU:
     def busy_ns(self, domain: Optional[CycleDomain] = None) -> int:
         """Busy nanoseconds in one domain, or total across all."""
         if domain is not None:
-            return self._busy_ns[domain]
-        return sum(self._busy_ns.values())
+            return self._busy_ns[domain.index]
+        return sum(self._busy_ns)
 
     def busy_cycles(self, domain: Optional[CycleDomain] = None) -> int:
         """Busy cycles (ns converted at the nominal clock)."""
         return self.clock.ns_to_cycles(self.busy_ns(domain))
 
     def ledger(self) -> dict[CycleDomain, int]:
-        """Copy of the per-domain busy-ns table."""
-        return dict(self._busy_ns)
+        """Copy of the per-domain busy-ns table, in ``CycleDomain`` order."""
+        return dict(zip(CycleDomain, self._busy_ns))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<pCPU{self.index} socket={self.socket} busy={self.busy_ns()}ns>"

@@ -122,3 +122,145 @@ class TestProperties:
         expected = sorted(h.expires_jiffies for h in handles[1::2])
         out = w.advance_to(max(deltas) + 1)
         assert sorted(t.expires_jiffies for t in out) == expected
+
+
+def _landing(added_at: int, seq: int, expiry: int) -> tuple:
+    """Where the cascade leaves a timer, as a sort key for same-jiffy ties.
+
+    A timer sits in the level its distance to expiry selects. When that
+    level's slot boundary is crossed, the timer is re-placed (cascaded)
+    one or more levels down, until it lands in the bucket drained on its
+    expiry jiffy. That jiffy drains level 0 first, then each higher level
+    whose boundary it is; inside a bucket, timers keep arrival order, and
+    cascades within a step come before adds made at that jiffy. The key
+    is ``(final level, arrival)``, where ``arrival`` nests back to the add.
+    """
+    bits = TimerWheel.LVL_BITS
+    arrival: tuple = (added_at, 1, seq)
+    now = added_at
+    while True:
+        level, span = 0, TimerWheel.LVL_SIZE
+        while expiry - now >= span and level < TimerWheel.LEVELS - 1:
+            level += 1
+            span <<= bits
+        boundary = expiry >> (level * bits) << (level * bits)
+        if level == 0 or boundary == expiry:
+            return (level, arrival)
+        arrival = (boundary, 0, level, arrival)
+        now = boundary
+
+
+class SortedListWheel:
+    """Naive oracle: one flat table of live timers, fired by a sorted scan."""
+
+    def __init__(self) -> None:
+        self.now = 0
+        self.live: dict[int, tuple[int, str, tuple]] = {}  # handle id -> (expiry, name, key)
+        self.seq = 0
+
+    def add(self, expiry: int, name: str) -> int:
+        expiry = max(expiry, self.now + 1)
+        self.seq += 1
+        self.live[self.seq] = (expiry, name, _landing(self.now, self.seq, expiry))
+        return self.seq
+
+    def cancel(self, handle: int) -> bool:
+        return self.live.pop(handle, None) is not None
+
+    def advance_to(self, jiffies: int) -> list[tuple[int, str]]:
+        self.now = jiffies
+        due = sorted((v for v in self.live.values() if v[0] <= jiffies), key=lambda v: (v[0], v[2]))
+        self.live = {h: v for h, v in self.live.items() if v[0] > jiffies}
+        return [(e, name) for e, name, _ in due]
+
+    def next_expiry(self):
+        return min((e for e, _, _ in self.live.values()), default=None)
+
+    def __len__(self) -> int:
+        return len(self.live)
+
+
+#: Expiry offsets that make ties and level boundaries likely: the same
+#: jiffy from different adds, past-due adds, and slots beyond level 0.
+_OFFSETS = st.one_of(
+    st.integers(min_value=-3, max_value=70),
+    st.sampled_from([63, 64, 65, 128, 4095, 4096, 4097, 8192]),
+    st.integers(min_value=71, max_value=20_000),
+)
+#: Absolute expiries shared by adds made at different jiffies, so one
+#: jiffy collects timers that arrived at different levels.
+_TARGETS = st.sampled_from([5, 63, 64, 65, 128, 130, 4096, 4160, 8192])
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _OFFSETS, st.sampled_from("abc")),
+        st.tuples(st.just("at"), _TARGETS, st.sampled_from("xyz")),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=30)),
+        st.tuples(st.just("readd"), st.integers(min_value=0, max_value=30)),
+        st.tuples(st.just("advance"), st.one_of(st.integers(0, 70), st.sampled_from([64, 4096]))),
+        st.tuples(st.just("next"),),
+    ),
+    max_size=60,
+)
+
+
+class TestOracle:
+    @given(ops=_OPS, flush=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sorted_list_model(self, ops, flush):
+        """Random add/cancel/advance/next_expiry interleavings fire the
+        same timers, in the same order, as the naive model."""
+        wheel, model = TimerWheel(), SortedListWheel()
+        handles: list[tuple] = []  # (wheel timer, model handle, offset, name)
+        for op in ops:
+            if op[0] == "add":
+                _, off, name = op
+                exp = wheel.current_jiffies + off
+                handles.append((wheel.add(exp, lambda: None, name=name), model.add(exp, name), off, name))
+            elif op[0] == "at":
+                _, exp, name = op
+                off = exp - wheel.current_jiffies
+                handles.append((wheel.add(exp, lambda: None, name=name), model.add(exp, name), off, name))
+            elif op[0] in ("cancel", "readd") and handles:
+                t, h, off, name = handles[op[1] % len(handles)]
+                assert wheel.cancel(t) == model.cancel(h)
+                if op[0] == "readd":
+                    exp = wheel.current_jiffies + off
+                    handles.append((wheel.add(exp, lambda: None, name=name), model.add(exp, name), off, name))
+            elif op[0] == "advance":
+                to = wheel.current_jiffies + op[1]
+                got = [(t.expires_jiffies, t.name) for t in wheel.advance_to(to)]
+                assert got == model.advance_to(to)
+            elif op[0] == "next":
+                assert wheel.next_expiry() == model.next_expiry()
+            assert len(wheel) == len(model)
+        if flush and len(model):
+            to = model.next_expiry() + 20_000
+            got = [(t.expires_jiffies, t.name) for t in wheel.advance_to(to)]
+            assert got == model.advance_to(to)
+        assert wheel.next_expiry() == model.next_expiry()
+        assert len(wheel) == len(model)
+
+    def test_cascade_tie_fires_level0_arrival_first(self):
+        """Same jiffy, different levels: the timer added later, straight
+        into level 0, fires before the earlier one still in level 1,
+        because a step drains level 0 first."""
+        w = TimerWheel()
+        w.add(64, lambda: None, name="early-add")  # level 1 at j0
+        w.advance_to(10)
+        w.add(64, lambda: None, name="late-add")  # level 0 at j10
+        assert [t.name for t in w.advance_to(64)] == ["late-add", "early-add"]
+
+
+class TestSparsity:
+    def test_fresh_wheel_holds_no_bucket(self):
+        assert not TimerWheel()._buckets
+
+    def test_drained_wheel_holds_no_bucket(self):
+        w = TimerWheel()
+        handles = [w.add(e, lambda: None) for e in (3, 64, 700, 5000, 300_000)]
+        assert w._buckets
+        for h in handles[::2]:
+            w.cancel(h)
+        w.advance_to(300_001)
+        assert len(w) == 0
+        assert not w._buckets

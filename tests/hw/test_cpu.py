@@ -62,6 +62,7 @@ class TestAccounting:
         m = make_machine(sockets=1, cpus_per_socket=1)
         with pytest.raises(HardwareError):
             m.cpu(0).account(CycleDomain.GUEST_USER, -1)
+        assert m.cpu(0).busy_ns() == 0
 
     def test_account_cycles_converts(self):
         m = make_machine(sockets=1, cpus_per_socket=1, freq_hz=2_000_000_000)
@@ -82,6 +83,18 @@ class TestAccounting:
         assert m.total_busy_ns() == 350
         assert m.total_busy_ns(CycleDomain.GUEST_USER) == 300
         assert m.ledger()[CycleDomain.HOST_TICK] == 50
+
+    def test_ledger_keys_in_domain_order(self):
+        m = make_machine(sockets=1, cpus_per_socket=2)
+        m.cpu(0).account(CycleDomain.HALT_POLL, 7)
+        m.cpu(0).account(CycleDomain.GUEST_USER, 3)
+        assert list(m.cpu(0).ledger()) == list(CycleDomain)
+        assert list(m.ledger()) == list(CycleDomain)
+        assert m.cpu(0).ledger()[CycleDomain.HALT_POLL] == 7
+        assert m.cpu(1).ledger() == dict.fromkeys(CycleDomain, 0)
+
+    def test_domain_index_is_definition_order(self):
+        assert [d.index for d in CycleDomain] == list(range(len(CycleDomain)))
 
     def test_ledger_is_a_copy(self):
         m = make_machine(sockets=1, cpus_per_socket=1)

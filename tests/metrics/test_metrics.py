@@ -57,6 +57,63 @@ class TestExitCounters:
         ((key, n),) = c.breakdown().items()
         assert key.reason is ExitReason.MSR_WRITE and n == 2
 
+    def test_breakdown_first_occurrence_order(self):
+        """Reports print tied counts in this order, so it is not enum order."""
+        a = counters_with(
+            [
+                (0, ExitReason.IO_INSTRUCTION, ExitTag.IO),
+                (0, ExitReason.HLT, ExitTag.IDLE),
+                (1, ExitReason.MSR_WRITE, ExitTag.TIMER_PROGRAM),
+                (0, ExitReason.HLT, ExitTag.IDLE),
+            ]
+        )
+        assert [(k.reason, k.tag) for k in a.breakdown()] == [
+            (ExitReason.IO_INSTRUCTION, ExitTag.IO),
+            (ExitReason.HLT, ExitTag.IDLE),
+            (ExitReason.MSR_WRITE, ExitTag.TIMER_PROGRAM),
+        ]
+        assert list(a.tag_breakdown()) == [ExitTag.IO, ExitTag.IDLE, ExitTag.TIMER_PROGRAM]
+        b = counters_with(
+            [
+                (2, ExitReason.PAUSE, ExitTag.OTHER),
+                (2, ExitReason.HLT, ExitTag.IDLE),
+            ]
+        )
+        merged = a.merge(b)
+        assert [(k.tag, n) for k, n in merged.breakdown().items()] == [
+            (ExitTag.IO, 1),
+            (ExitTag.IDLE, 3),
+            (ExitTag.TIMER_PROGRAM, 1),
+            (ExitTag.OTHER, 1),
+        ]
+        assert [k.tag for k in b.merge(a).breakdown()] == [
+            ExitTag.OTHER,
+            ExitTag.IDLE,
+            ExitTag.IO,
+            ExitTag.TIMER_PROGRAM,
+        ]
+
+    def test_dict_roundtrip(self):
+        c = counters_with(
+            [
+                (3, ExitReason.VTIMER_IRQ, ExitTag.TIMER_GUEST_TICK),
+                (0, ExitReason.EXTERNAL_INTERRUPT, ExitTag.TIMER_HOST_TICK),
+                (0, ExitReason.EXTERNAL_INTERRUPT, ExitTag.TIMER_HOST_TICK),
+                (1, ExitReason.HYPERCALL, ExitTag.HYPERCALL),
+            ]
+        )
+        data = c.to_dict()
+        assert data["by_key"] == [
+            ["external_interrupt", "timer_host_tick", 2],
+            ["hypercall", "hypercall", 1],
+            ["vtimer_irq", "timer_guest_tick", 1],
+        ]
+        back = ExitCounters.from_dict(data)
+        assert back == c
+        assert back.to_dict() == data
+        assert back.breakdown() == c.breakdown()
+        assert back.for_vcpu(3) == 1 and back.total == 4
+
 
 def metrics(label="x", exits=100, cycles=1_000_000, t=1_000_000, timer=50):
     c = ExitCounters()

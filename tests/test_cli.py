@@ -71,6 +71,52 @@ params = { rounds = 5, work_cycles = 20000, same_vcpu = false }
 """
 
 
+#: Exact ``repro run`` stdout. These cells have tied per-tag exit counts,
+#: which print in first-occurrence order, so any reordering shows here.
+PINNED_RUN_STDOUT = {
+    ("dedup", "periodic"): (
+        "parsec.dedup/periodic: exec=11.45 ms, exits=14 (timer 4), cycles=24 M, overhead=4.1%\n"
+        "  io                 4\n"
+        "  idle               4\n"
+        "  other              2\n"
+        "  timer_guest_tick   2\n"
+        "  timer_program      1\n"
+        "  timer_host_tick    1\n"
+    ),
+    ("dedup", "tickless"): (
+        "parsec.dedup/tickless: exec=11.55 ms, exits=22 (timer 12), cycles=24 M, overhead=6.0%\n"
+        "  timer_program      10\n"
+        "  io                 4\n"
+        "  idle               4\n"
+        "  other              2\n"
+        "  timer_host_tick    1\n"
+        "  timer_guest_tick   1\n"
+    ),
+    ("dedup", "paratick"): (
+        "parsec.dedup/paratick: exec=11.39 ms, exits=13 (timer 2), cycles=24 M, overhead=3.8%\n"
+        "  io                 4\n"
+        "  idle               4\n"
+        "  other              2\n"
+        "  hypercall          1\n"
+        "  timer_program      1\n"
+        "  timer_host_tick    1\n"
+    ),
+    ("swaptions", "periodic"): (
+        "parsec.swaptions/periodic: exec=10.97 ms, exits=6 (timer 5), cycles=24 M, overhead=1.8%\n"
+        "  timer_host_tick    2\n"
+        "  timer_guest_tick   2\n"
+        "  timer_program      1\n"
+        "  other              1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("bench,mode", sorted(PINNED_RUN_STDOUT))
+def test_run_stdout_pinned(capsys, bench, mode):
+    assert main(["run", bench, "--mode", mode, "--target-mcycles", "20"]) == 0
+    assert capsys.readouterr().out == PINNED_RUN_STDOUT[bench, mode]
+
+
 class TestTelemetryCommands:
     def test_telemetry_report_on_empty_dir(self, capsys, tmp_path):
         assert main(["telemetry", "report", str(tmp_path)]) == 0
