@@ -56,9 +56,6 @@ class FuzzScenario:
     cpuidle: bool
     horizon_ns: int
 
-    def param(self, name: str) -> int:
-        return dict(self.params)[name]
-
     def describe(self) -> str:
         knobs = ", ".join(f"{k}={v}" for k, v in self.params)
         return (

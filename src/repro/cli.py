@@ -22,8 +22,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from contextlib import nullcontext as _nullcontext
-
 from repro.config import TickMode
 from repro.experiments import runner
 from repro.experiments.scenarios import VM_SIZES
@@ -340,11 +338,47 @@ def _series_check(labeled_specs, result, *, out_dir=None) -> int:
     return bad
 
 
+def _series_cells(cells, args) -> list:
+    """Opt every cell into time-series recording under ``--series``."""
+    if not args.series:
+        return cells
+    from dataclasses import replace
+
+    return [replace(c, spec=c.spec.with_(series=True)) for c in cells]
+
+
+def _journaled(run, work, args):
+    """``run(work, journal=..., resume=..., **engine)``, or None after
+    reporting a journal that no longer matches the grid."""
+    from repro.resilience import ResumeError
+
+    try:
+        return run(work, journal=args.journal, resume=args.resume,
+                   **_engine_kwargs(args))
+    except ResumeError as exc:
+        print(f"resume failed: {exc}", file=sys.stderr)
+        return None
+
+
+def _identity_gate(check, work, args, *, prefix: str, ok: str) -> int:
+    """Run a byte-identity ``check`` in a throwaway cache; 1 on problems."""
+    import tempfile
+
+    with tempfile.TemporaryDirectory(prefix=prefix) as td:
+        problems = check(work, jobs=args.jobs or 2, cache_dir=td,
+                         progress=_progress_printer(args))
+    if problems:
+        print(f"\nidentity check FAILED ({len(problems)} problems):")
+        for p in problems:
+            print(f"  {p}")
+        return 1
+    print(f"identity check: {ok} (byte-identical)")
+    return 0
+
+
 def _cmd_matrix(args) -> int:
     """Expand / check / run a scenario-matrix file; exit 1 on problems."""
-    import sys
-
-    from repro.scenarios import check_cells, identity_problems, load_matrix, run_cells
+    from repro.scenarios import check_cells, identity_problems, load_matrix
 
     mx = load_matrix(args.file)
     cells = mx.expand()
@@ -380,18 +414,11 @@ def _cmd_matrix(args) -> int:
 
     # run
     from repro.fleet.report import format_run_summary
-    from repro.resilience import ResumeError
     from repro.scenarios import run_cells_resumable
 
-    if args.series:
-        from dataclasses import replace
-
-        cells = [replace(c, spec=c.spec.with_(series=True)) for c in cells]
-    try:
-        result = run_cells_resumable(cells, journal=args.journal,
-                                     resume=args.resume, **_engine_kwargs(args))
-    except ResumeError as exc:
-        print(f"resume failed: {exc}", file=sys.stderr)
+    cells = _series_cells(cells, args)
+    result = _journaled(run_cells_resumable, cells, args)
+    if result is None:
         return 1
     failures = {f.spec: f for f in result.failed_specs}
     for cell in cells:
@@ -415,20 +442,10 @@ def _cmd_matrix(args) -> int:
         )
         if bad:
             return 1
-    if args.identity:
-        import tempfile
-
-        with tempfile.TemporaryDirectory(prefix="repro-matrix-id-") as td:
-            problems = identity_problems(
-                cells, jobs=args.jobs or 2, cache_dir=td,
-                progress=_progress_printer(args),
-            )
-        if problems:
-            print(f"\nidentity check FAILED ({len(problems)} problems):")
-            for p in problems:
-                print(f"  {p}")
-            return 1
-        print("identity check: serial == pooled == cached (byte-identical)")
+    if args.identity and _identity_gate(identity_problems, cells, args,
+                                        prefix="repro-matrix-id-",
+                                        ok="serial == pooled == cached"):
+        return 1
     return 0 if result.complete else 1
 
 
@@ -436,57 +453,35 @@ def _cmd_fleet(args) -> int:
     """Run a fleet matrix through the engine and print rack aggregates."""
     import json
 
-    from repro.fleet import FLEET_HOST, aggregate_hosts
     from repro.fleet.report import (
         failed_lines,
         format_fleet_table,
         format_run_summary,
         report_lines,
     )
-    from repro.fleet.run import group_host_cells, identity_problems_for_groups
-    from repro.scenarios import load_matrix, run_cells
+    from repro.fleet.run import group_host_cells, identity_problems_for_groups, run_fleets
+    from repro.scenarios import load_matrix
 
     mx = load_matrix(args.file)
-    cells = mx.expand()
-    if args.series:
-        from dataclasses import replace
-
-        cells = [replace(c, spec=c.spec.with_(series=True)) for c in cells]
+    cells = _series_cells(mx.expand(), args)
     groups = group_host_cells(cells)
     if not groups:
         print(f"{mx.name}: no fleet cells — add a [fleets.*] table and put "
               f"its name on the [axes] fleet axis", file=sys.stderr)
         return 1
-    fleet_cells = [c for c in cells if c.spec.workload.kind == FLEET_HOST]
-
-    from repro.resilience import ResumeError
-    from repro.scenarios import run_cells_resumable
-
-    try:
-        result = run_cells_resumable(fleet_cells, journal=args.journal,
-                                     resume=args.resume, **_engine_kwargs(args))
-    except ResumeError as exc:
-        print(f"resume failed: {exc}", file=sys.stderr)
+    outcome = _journaled(run_fleets, groups, args)
+    if outcome is None:
         return 1
+    aggregates, result = outcome
+    hosts = sum(len(specs) for specs in groups.values())
     summary = format_run_summary(mx.name, result)
     if result.report is not None and result.report.outcome != "completed":
         summary += "\n" + result.report.render()
-    if result.failed_specs:
+    if aggregates is None:
         for line in failed_lines(result):
             print(line)
         print("\n" + summary)
         return 1
-    artifacts = {result.results[s].label: art
-                 for s, art in result.artifacts.items()}
-    tel = getattr(args, "telemetry", None)
-    with (tel.span("fleet.aggregate", lane="fleet", fleets=len(groups),
-                   hosts=len(fleet_cells))
-          if tel is not None and tel.enabled else _nullcontext()):
-        aggregates = {
-            key: aggregate_hosts([result.results[s] for s in specs],
-                                 artifacts or None)
-            for key, specs in groups.items()
-        }
 
     if args.json:
         print(json.dumps({k: a.to_json_dict() for k, a in aggregates.items()},
@@ -498,32 +493,19 @@ def _cmd_fleet(args) -> int:
         print("\n" + summary)
     else:
         print(format_fleet_table(aggregates))
-        print(f"\n{mx.name}: {len(groups)} fleet(s), {len(fleet_cells)} host "
-              f"shard(s)")
+        print(f"\n{mx.name}: {len(groups)} fleet(s), {hosts} host shard(s)")
         print(summary)
     if args.series:
         bad = _series_check(
-            [(c.id, c.spec) for c in fleet_cells], result,
-            out_dir=getattr(args, "telemetry_out", None),
+            [(c.id, c.spec) for c in cells if c.spec in result.results],
+            result, out_dir=getattr(args, "telemetry_out", None),
         )
         if bad:
             return 1
-
     if args.identity:
-        import tempfile
-
-        with tempfile.TemporaryDirectory(prefix="repro-fleet-id-") as td:
-            problems = identity_problems_for_groups(
-                groups, jobs=args.jobs or 2, cache_dir=td,
-                progress=_progress_printer(args),
-            )
-        if problems:
-            print(f"\nidentity check FAILED ({len(problems)} problems):")
-            for p in problems:
-                print(f"  {p}")
-            return 1
-        print("identity check: serial == pooled == cached == order-shuffled "
-              "(byte-identical)")
+        return _identity_gate(identity_problems_for_groups, groups, args,
+                              prefix="repro-fleet-id-",
+                              ok="serial == pooled == cached == order-shuffled")
     return 0
 
 
@@ -566,21 +548,23 @@ def _cmd_chaos(args) -> int:
     from pathlib import Path
 
     from repro.experiments.parallel import spec_key
-    from repro.fleet import FLEET_HOST, aggregate_hosts
     from repro.fleet.aggregate import fleet_bytes
-    from repro.fleet.run import group_host_cells
+    from repro.fleet.run import group_host_cells, run_fleets
     from repro.resilience import ChaosAbort, ChaosPolicy
     from repro.resilience.chaos import corrupt_cache_entry
-    from repro.scenarios import load_matrix, run_cells, run_cells_resumable
+    from repro.scenarios import load_matrix
 
     mx = load_matrix(args.file)
-    cells = [c for c in mx.expand() if c.spec.workload.kind == FLEET_HOST]
-    if not cells:
+    groups = group_host_cells(mx.expand())
+    if not groups:
         print(f"{mx.name}: no fleet cells to smoke", file=sys.stderr)
         return 1
-    groups = group_host_cells(cells)
     engine = _engine_kwargs(args)
     engine["jobs"] = engine["jobs"] or 2
+
+    def fleet_run(cache_dir, **kwargs):
+        return run_fleets(groups, **{**engine, "cache_dir": cache_dir,
+                                     "use_cache": True, **kwargs})
 
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as td:
         golden_dir = Path(td) / "golden-cache"
@@ -589,22 +573,18 @@ def _cmd_chaos(args) -> int:
         fuse_dir = Path(td) / "fuses"
 
         # 1. Uninterrupted run: the golden fleet bytes.
-        clean = run_cells(cells, **{**engine, "cache_dir": golden_dir,
-                                    "use_cache": True}).raise_if_failed()
-        golden = {key: fleet_bytes(aggregate_hosts([clean[s] for s in specs]))
-                  for key, specs in groups.items()}
+        golden, grid = fleet_run(golden_dir)
+        grid.raise_if_failed()
 
         # 2. Chaos run: seeded worker SIGKILLs, then a simulated harness
         #    crash partway through — the journal survives, the run dies.
         policy = ChaosPolicy.plan(
-            [spec_key(c.spec) for c in cells],
+            [spec_key(s) for specs in groups.values() for s in specs],
             seed=args.chaos_seed, kills=args.kills,
             abort_after=args.abort_after, fuse_dir=str(fuse_dir))
         interrupted = False
         try:
-            run_cells_resumable(cells, journal=journal, chaos=policy,
-                                **{**engine, "cache_dir": chaos_dir,
-                                   "use_cache": True, "retries": 2})
+            fleet_run(chaos_dir, journal=journal, chaos=policy, retries=2)
         except ChaosAbort as exc:
             interrupted = True
             print(f"chaos: {exc}", file=sys.stderr)
@@ -621,16 +601,12 @@ def _cmd_chaos(args) -> int:
         # 4. Resume from the journal; re-verification must catch the
         #    corruption (quarantine, re-run) and the fleet bytes must
         #    equal the golden run's.
-        resumed = run_cells_resumable(
-            cells, journal=journal, resume=journal,
-            **{**engine, "cache_dir": chaos_dir, "use_cache": True,
-               "retries": 2}).raise_if_failed()
-        report = resumed.report
+        recovered, resumed = fleet_run(chaos_dir, resume=journal, retries=2)
+        report = resumed.raise_if_failed().report
         print(report.render())
-        recovered = {key: fleet_bytes(aggregate_hosts([resumed[s] for s in specs]))
-                     for key, specs in groups.items()}
 
-    problems = [key for key in golden if recovered[key] != golden[key]]
+    problems = [key for key in golden
+                if fleet_bytes(recovered[key]) != fleet_bytes(golden[key])]
     if problems:
         print(f"chaos smoke FAILED: fleet bytes diverged for {problems}")
         return 1
@@ -659,13 +635,13 @@ def _make_obs(args):
 def _write_obs_outputs(obs, args) -> None:
     """Write --trace-out / --collapsed-out files, reporting each path."""
     if args.trace_out is not None:
-        from repro.obs.export import validate_chrome_trace, write_chrome_trace
+        from repro.obs.export import write_chrome_trace
 
         doc = obs.chrome_trace()
-        errors = validate_chrome_trace(doc)
-        if errors:
-            raise SystemExit(f"exported trace failed validation: {errors[:3]}")
-        write_chrome_trace(doc, args.trace_out)
+        try:
+            write_chrome_trace(doc, args.trace_out)
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
         print(f"wrote Perfetto-loadable trace: {args.trace_out} "
               f"({len(doc['traceEvents'])} events)", file=sys.stderr)
     if getattr(args, "collapsed_out", None) is not None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.parallel import WorkloadSpec, ab_specs, compare_from_grid, run_grid
-from repro.experiments.scenarios import VM_SIZES, VmSize, pins_for_size
+from repro.experiments.scenarios import VmSize, pins_for_size
 from repro.metrics.aggregate import aggregate_improvements
 from repro.metrics.report import Comparison, format_table
 from repro.workloads import parsec
@@ -86,8 +86,3 @@ def run_size(
     ).raise_if_failed()
     comps = [compare_from_grid(grid, b, c, bench) for bench, b, c in pairs]
     return Fig5Result(size, comps, aggregate_improvements(comps, label=f"average ({size.name})"))
-
-
-def run_all(**kwargs) -> list[Fig5Result]:
-    """All three scenarios (the full Table 3)."""
-    return [run_size(size, **kwargs) for size in VM_SIZES]

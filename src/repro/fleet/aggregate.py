@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from repro.errors import ReproError
-from repro.hw.cpu import CycleDomain
 from repro.metrics.counters import ExitCounters
 from repro.metrics.perf import RunMetrics
 
@@ -307,10 +306,6 @@ class FleetAggregate:
             guest_steal_ns=tuple(int(v) for v in dist["guest_steal_ns"]),
             latency_hists=_hists_from_dict(data.get("latency_hists", {})),
         )
-
-    def ledger_by_domain(self) -> dict[CycleDomain, int]:
-        """The merged ledger with enum keys (report rendering)."""
-        return {CycleDomain(k): v for k, v in self.ledger}
 
 
 def aggregate_hosts(

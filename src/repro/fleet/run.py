@@ -1,11 +1,16 @@
 """Fleet execution: the sharded grid, and its determinism gate.
 
-:func:`run_fleet` compiles a :class:`~repro.fleet.spec.FleetSpec` into
-per-host cells, hands them to the parallel engine (pool + cache), and
-folds the per-host metrics into a :class:`~repro.fleet.aggregate.FleetAggregate`.
+:func:`run_fleets` is the one fleet path: it runs every host cell of a
+``{fleet: [RunSpec]}`` mapping through the parallel engine (pool +
+cache, optionally journaled, resumed or chaos-injected) and folds each
+fleet's per-host metrics into a
+:class:`~repro.fleet.aggregate.FleetAggregate`. :func:`run_fleet` is
+the one-line form for a single :class:`~repro.fleet.spec.FleetSpec`;
+the CLI's ``fleet`` and ``chaos`` commands call :func:`run_fleets`
+with the groups :func:`group_host_cells` finds in a matrix.
 
-:func:`fleet_identity_problems` is the fleet counterpart of
-:func:`repro.scenarios.runcheck.identity_problems`: the same fleet run
+:func:`identity_problems_for_groups` is the fleet counterpart of
+:func:`repro.scenarios.runcheck.identity_problems`: the same fleets run
 serially, pooled, into a warm cache, and replayed cached-only must
 produce byte-identical per-host results *and* byte-identical fleet
 aggregates — additionally under a host-order shuffle, because the
@@ -14,6 +19,7 @@ aggregator promises order invariance.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Callable, Mapping, Optional, Sequence
 
 from repro.experiments.parallel import FLEET_HOST, GridResult, RunSpec, run_grid
@@ -22,59 +28,62 @@ from repro.fleet.spec import FleetSpec
 from repro.scenarios.runcheck import _identity_runs
 
 
-def run_fleet(
-    fleet: FleetSpec,
+def run_fleets(
+    groups: Mapping[str, Sequence[RunSpec]],
     *,
-    jobs: Optional[int] = None,
-    cache_dir=None,
-    use_cache: bool = True,
-    timeout_s: Optional[float] = None,
-    progress: Optional[Callable] = None,
-    series: bool = False,
     telemetry=None,
     journal=None,
     resume=None,
-    chaos=None,
+    **grid_kwargs,
+) -> tuple[Optional[dict[str, FleetAggregate]], GridResult]:
+    """Run every host cell of ``groups`` in one grid and aggregate.
+
+    Returns ``(aggregates, grid)``: one aggregate per group key, and
+    the grid (per-host metrics, obs artifacts, time series) for
+    drill-down. ``aggregates`` is ``None`` when any host failed — an
+    aggregate over a partial rack would silently under-count.
+
+    Every keyword passes through to
+    :func:`~repro.experiments.parallel.run_grid`; resuming without a
+    separate ``journal`` appends to the resumed file, and a resumed
+    fleet's aggregate is byte-identical to an uninterrupted run's.
+    ``telemetry`` also gets the ``fleet.aggregate`` span.
+    """
+    if resume is not None and journal is None:
+        journal = resume
+    grid = run_grid([s for group in groups.values() for s in group],
+                    telemetry=telemetry, journal=journal, resume=resume,
+                    **grid_kwargs)
+    if grid.failed_specs:
+        return None, grid
+    artifacts = {grid[s].label: art for s, art in grid.artifacts.items()} or None
+    tel = telemetry if (telemetry is not None and telemetry.enabled) else None
+    hosts = sum(len(group) for group in groups.values())
+    with (tel.span("fleet.aggregate", lane="fleet", fleets=len(groups), hosts=hosts)
+          if tel is not None else nullcontext()):
+        aggregates = {key: aggregate_hosts([grid[s] for s in group], artifacts)
+                      for key, group in groups.items()}
+    if tel is not None:
+        tel.counter("fleet_hosts", hosts, help="fleet host shards aggregated")
+    return aggregates, grid
+
+
+def run_fleet(
+    fleet: FleetSpec, *, series: bool = False, **kwargs
 ) -> tuple[FleetAggregate, GridResult]:
-    """Run every host of ``fleet`` and aggregate.
+    """Run every host of ``fleet`` and aggregate: :func:`run_fleets`
+    for one fleet.
 
-    Returns ``(aggregate, grid)`` — the grid retains per-host metrics
-    (and obs artifacts when ``fleet.profile``, per-host time series in
-    :attr:`~repro.experiments.parallel.GridResult.series` when
-    ``series=True``) for drill-down. Raises
-    :class:`~repro.experiments.parallel.GridError` if any host failed:
-    a fleet aggregate over a partial rack would silently under-count.
-
-    ``journal`` / ``resume`` / ``chaos`` pass straight through to
-    :func:`~repro.experiments.parallel.run_grid` — a resumed fleet
-    re-verifies every journaled host shard against its cached bytes,
-    so the aggregate is byte-identical to an uninterrupted run's.
-
-    ``telemetry`` (a :class:`repro.telemetry.HarnessTelemetry`) wraps
-    the grid and the aggregation in harness spans; like everywhere
-    else, a detached fleet pays one boolean check.
+    ``series=True`` records each host's windowed time series into
+    :attr:`~repro.experiments.parallel.GridResult.series`. Raises
+    :class:`~repro.experiments.parallel.GridError` if any host failed.
     """
     specs = fleet.host_specs()
     if series:
         specs = [s.with_(series=True) for s in specs]
-    tel = telemetry if (telemetry is not None and telemetry.enabled) else None
-    if resume is not None and journal is None:
-        journal = resume
-    kwargs: dict = dict(jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
-                        progress=progress, telemetry=telemetry,
-                        journal=journal, resume=resume, chaos=chaos)
-    if timeout_s is not None:
-        kwargs["timeout_s"] = timeout_s
-    grid = run_grid(specs, **kwargs).raise_if_failed()
-    metrics = [grid[s] for s in specs]
-    artifacts = {grid[s].label: art for s, art in grid.artifacts.items()}
-    if tel is not None:
-        with tel.span("fleet.aggregate", lane="fleet", fleet=fleet.display_label(),
-                      hosts=len(metrics)):
-            agg = aggregate_hosts(metrics, artifacts or None)
-        tel.counter("fleet_hosts", len(metrics), help="fleet host shards aggregated")
-        return agg, grid
-    return aggregate_hosts(metrics, artifacts or None), grid
+    aggregates, grid = run_fleets({fleet.display_label(): specs}, **kwargs)
+    grid.raise_if_failed()
+    return aggregates[fleet.display_label()], grid
 
 
 def group_host_cells(cells) -> dict[str, list[RunSpec]]:
@@ -106,7 +115,8 @@ def identity_problems_for_groups(
     host cell *and* an identical fleet aggregate per group; every
     aggregate must also survive reversing its host merge order
     unchanged (the aggregator's order-invariance promise, checked on
-    real data, not just in the property tests).
+    real data, not just in the property tests). For one
+    :class:`FleetSpec`, pass ``{fleet.display_label(): fleet.host_specs()}``.
     """
     grids, problems = _identity_runs(
         [(s.display_label(), s) for group in groups.values() for s in group],
@@ -125,17 +135,3 @@ def identity_problems_for_groups(
         if shuffled != reference:
             problems.append(f"{key}: fleet aggregate is sensitive to host merge order")
     return problems
-
-
-def fleet_identity_problems(
-    fleet: FleetSpec,
-    *,
-    jobs: int = 2,
-    cache_dir: str,
-    progress: Optional[Callable] = None,
-) -> list[str]:
-    """The identity gate for one programmatic :class:`FleetSpec`."""
-    return identity_problems_for_groups(
-        {fleet.display_label(): fleet.host_specs()},
-        jobs=jobs, cache_dir=cache_dir, progress=progress,
-    )

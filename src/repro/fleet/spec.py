@@ -41,7 +41,6 @@ __all__ = [
     "FleetSpec",
     "arrival_schedule",
     "fleet_params",
-    "host_run_spec",
     "host_sim_seed",
 ]
 
@@ -163,26 +162,38 @@ class FleetSpec:
         return f"{self.display_label()}/h{host_index:02d}"
 
     def host_spec(self, host_index: int) -> RunSpec:
-        """The one grid cell simulating host ``host_index``."""
+        """The one grid cell simulating host ``host_index``.
+
+        The guest workload's nested parameters are canonical-JSON
+        encoded (sorted keys, compact separators) so the WorkloadSpec
+        stays hashable and the cache key is stable.
+        """
         if not 0 <= host_index < self.hosts:
             raise ConfigError(
                 f"host index {host_index} out of range 0..{self.hosts - 1}"
             )
-        return host_run_spec(
-            guest_workload=self.workload,
+        params_json = json.dumps(dict(self.workload.params), sort_keys=True,
+                                 separators=(",", ":"))
+        ws = WorkloadSpec.make(
+            FLEET_HOST,
+            guest_kind=self.workload.kind,
+            guest_params=params_json,
             guests=self.guests_per_host,
             consolidation=self.consolidation,
-            tick_mode=self.tick_mode,
             burst=self.burst,
             burst_window_ns=self.burst_window_ns,
             burst_waves=self.burst_waves,
             host_index=host_index,
+        )
+        return RunSpec(
+            workload=ws,
+            tick_mode=self.tick_mode,
             seed=self.seed,
             tick_hz=self.tick_hz,
             noise=self.noise,
             cpuidle=self.cpuidle,
             horizon_ns=self.horizon_ns,
-            perturbations=self.perturbations,
+            perturbations=tuple(self.perturbations),
             profile=self.profile,
             arch=self.arch,
             label=self.host_label(host_index),
@@ -191,60 +202,6 @@ class FleetSpec:
     def host_specs(self) -> list[RunSpec]:
         """All host cells, in host order (the grid the engine runs)."""
         return [self.host_spec(h) for h in range(self.hosts)]
-
-
-def host_run_spec(
-    *,
-    guest_workload: WorkloadSpec,
-    guests: int,
-    consolidation: int,
-    tick_mode: TickMode,
-    burst: str = "burst",
-    burst_window_ns: int = DEFAULT_BURST_WINDOW_NS,
-    burst_waves: int = 4,
-    host_index: int = 0,
-    seed: int = 0,
-    tick_hz: int = 250,
-    noise: bool = False,
-    cpuidle: bool = False,
-    horizon_ns: Optional[int] = None,
-    perturbations: tuple = (),
-    profile: bool = False,
-    arch: str = "x86",
-    label: Optional[str] = None,
-) -> RunSpec:
-    """Compile one host of a fleet into a :class:`RunSpec`.
-
-    The guest workload's nested parameters are canonical-JSON encoded
-    (sorted keys, compact separators) so the WorkloadSpec stays
-    hashable and the cache key is stable.
-    """
-    params_json = json.dumps(dict(guest_workload.params), sort_keys=True,
-                             separators=(",", ":"))
-    ws = WorkloadSpec.make(
-        FLEET_HOST,
-        guest_kind=guest_workload.kind,
-        guest_params=params_json,
-        guests=int(guests),
-        consolidation=int(consolidation),
-        burst=burst,
-        burst_window_ns=int(burst_window_ns),
-        burst_waves=int(burst_waves),
-        host_index=int(host_index),
-    )
-    return RunSpec(
-        workload=ws,
-        tick_mode=tick_mode,
-        seed=seed,
-        tick_hz=tick_hz,
-        noise=noise,
-        cpuidle=cpuidle,
-        horizon_ns=horizon_ns,
-        perturbations=tuple(perturbations),
-        profile=profile,
-        arch=arch,
-        label=label,
-    )
 
 
 def fleet_params(spec: RunSpec) -> dict:

@@ -41,10 +41,6 @@ class Hrtimer:
         self._seq = seq
         self._active = True
 
-    @property
-    def active(self) -> bool:
-        return self._active
-
     def __lt__(self, other: "Hrtimer") -> bool:
         return (self.expires_ns, self._seq) < (other.expires_ns, other._seq)
 

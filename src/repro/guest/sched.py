@@ -40,12 +40,6 @@ class RunQueue:
     def pop(self) -> Optional[Task]:
         return self._queue.popleft() if self._queue else None
 
-    def remove(self, task: Task) -> None:
-        try:
-            self._queue.remove(task)
-        except ValueError:
-            pass
-
 
 class GuestScheduler:
     """Task placement and state transitions for one VM.

@@ -38,10 +38,6 @@ class WheelTimer:
         self.name = name
         self._active = True
 
-    @property
-    def active(self) -> bool:
-        return self._active
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<WheelTimer {self.name} @j{self.expires_jiffies}>"
 

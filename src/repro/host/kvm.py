@@ -294,10 +294,6 @@ class Hypervisor:
         for v in vm.vcpus:
             v.exec.unfreeze()
 
-    def restore_vm(self, vm: VirtualMachine) -> None:
-        """Resume with save/restore semantics (guest clock jump)."""
-        self.resume_vm(vm, clock_jump=True)
-
     def drift_guest_clock(self, vm: VirtualMachine, delta_ns: int) -> None:
         """Step the guest's clock offset by ``delta_ns`` (signed).
 
@@ -382,9 +378,6 @@ class Hypervisor:
             if vm.name == name:
                 return vm
         raise HostError(f"no VM named {name!r}")
-
-    def total_exits(self) -> int:
-        return sum(vm.counters.total for vm in self.vms)
 
 
 class _VcpuExec:

@@ -127,10 +127,6 @@ class VCpu:
         self.pending_irqs.clear()
         return out
 
-    def mean_idle_period_ns(self) -> float:
-        """Average halt-episode length — §3.2's T_idle, measured."""
-        return self.total_halted_ns / self.halt_episodes if self.halt_episodes else 0.0
-
     @property
     def has_pending_timer_irq(self) -> bool:
         """True if a local-timer interrupt awaits injection (§5.1 check)."""

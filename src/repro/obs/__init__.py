@@ -79,11 +79,6 @@ class ObsConfig:
     series: bool = False
     series_window_ns: int = DEFAULT_WINDOW_NS
 
-    @property
-    def any_tracing(self) -> bool:
-        return self.latency or self.steal or self.trace_export or self.series
-
-
 class Observability:
     """One run's worth of virtual-perf collectors, wired as a unit.
 

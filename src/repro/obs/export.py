@@ -48,6 +48,46 @@ def _ts(ns: int) -> float:
     return ns / 1000.0
 
 
+class TraceBuilder:
+    """The rows of one trace_event document, in emission order.
+
+    The one builder behind both exporters — the simulated timeline here
+    and the harness timeline (:mod:`repro.telemetry.export`) — so the
+    two documents share row shapes and :func:`validate_chrome_trace`.
+    """
+
+    def __init__(self) -> None:
+        self.events: list[dict] = []
+
+    def track(self, pid: int, tid: int, name: str) -> None:
+        """Name a track: tid 0 names the process, any other a thread."""
+        self.events.append({
+            "ph": _PH_METADATA, "name": "thread_name" if tid else "process_name",
+            "pid": pid, "tid": tid, "args": {"name": name},
+        })
+
+    def slice(self, name: str, cat: str, pid: int, tid: int, ts_ns: int,
+              dur_ns: int, args: Optional[dict] = None) -> None:
+        """A complete (``X``) slice ``[ts_ns, ts_ns + dur_ns)``."""
+        ev = {"ph": _PH_COMPLETE, "name": name, "cat": cat, "pid": pid,
+              "tid": tid, "ts": _ts(ts_ns), "dur": _ts(dur_ns)}
+        if args is not None:
+            ev["args"] = args
+        self.events.append(ev)
+
+    def instant(self, name: str, cat: str, pid: int, tid: int, ts_ns: int,
+                args: dict) -> None:
+        """A thread-scoped instant (``i``) event."""
+        self.events.append({
+            "ph": _PH_INSTANT, "name": name, "cat": cat, "s": "t",
+            "pid": pid, "tid": tid, "ts": _ts(ts_ns), "args": args,
+        })
+
+    def document(self, **other_data) -> dict:
+        return {"traceEvents": self.events, "displayTimeUnit": "ns",
+                "otherData": other_data}
+
+
 class _Track:
     """One (pid, tid) lane plus its open state slice, if any."""
 
@@ -74,46 +114,30 @@ def to_chrome_trace(
     the spec has no "unfinished" phase for the object format).
     """
     pcpu_of = pcpu_of or {}
-    events: list[dict] = []
+    trace = TraceBuilder()
     tracks: dict[str, _Track] = {}
     next_tid: dict[int, int] = {}
-    named_pids: set[int] = set()
     last_ts_ns = 0
 
     def track_for(source: str) -> _Track:
         track = tracks.get(source)
         if track is not None:
             return track
-        base = source.split("/vlapic")[0]
-        pid = pcpu_of.get(base, 0)
-        if pid not in named_pids:
-            named_pids.add(pid)
-            events.append({
-                "ph": _PH_METADATA, "name": "process_name", "pid": pid, "tid": 0,
-                "args": {"name": f"pCPU{pid}"},
-            })
+        pid = pcpu_of.get(source.split("/vlapic")[0], 0)
+        if pid not in next_tid:
+            trace.track(pid, 0, f"pCPU{pid}")
             next_tid[pid] = 1
         tid = next_tid[pid]
         next_tid[pid] = tid + 1
         track = tracks[source] = _Track(pid, tid)
-        events.append({
-            "ph": _PH_METADATA, "name": "thread_name", "pid": pid, "tid": tid,
-            "args": {"name": source},
-        })
+        trace.track(pid, tid, source)
         return track
 
     def close_slice(track: _Track, at_ns: int) -> None:
         if track.open_since_ns is None:
             return
-        events.append({
-            "ph": _PH_COMPLETE,
-            "name": track.open_state,
-            "cat": "vcpu_state",
-            "pid": track.pid,
-            "tid": track.tid,
-            "ts": _ts(track.open_since_ns),
-            "dur": _ts(at_ns - track.open_since_ns),
-        })
+        trace.slice(track.open_state, "vcpu_state", track.pid, track.tid,
+                    track.open_since_ns, at_ns - track.open_since_ns)
         track.open_since_ns = None
         track.open_state = None
 
@@ -130,30 +154,23 @@ def to_chrome_trace(
         args = {}
         if rec.detail is not None:
             args["detail"] = rec.detail if isinstance(rec.detail, (int, str)) else list(rec.detail)
-        events.append({
-            "ph": _PH_INSTANT,
-            "name": rec.kind,
-            "cat": "timer" if "timer" in rec.kind or "deadline" in rec.kind
-                   or "lapic" in rec.kind or "ptimer" in rec.kind else "event",
-            "s": "t",  # instant scope: thread
-            "pid": track.pid,
-            "tid": track.tid,
-            "ts": _ts(rec.time),
-            "args": args,
-        })
+        cat = ("timer" if "timer" in rec.kind or "deadline" in rec.kind
+               or "lapic" in rec.kind or "ptimer" in rec.kind else "event")
+        trace.instant(rec.kind, cat, track.pid, track.tid, rec.time, args)
 
     horizon = end_ns if end_ns is not None else last_ts_ns
     for track in tracks.values():
         close_slice(track, max(horizon, track.open_since_ns or 0))
 
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ns",
-        "otherData": {"generator": "repro.obs.export", "clock": "simulated"},
-    }
+    return trace.document(generator="repro.obs.export", clock="simulated")
 
 
 def write_chrome_trace(doc: dict, path: str) -> None:
+    """Validate ``doc`` (:func:`validate_chrome_trace`), then write it;
+    a document that fails raises ValueError and writes nothing."""
+    errors = validate_chrome_trace(doc)
+    if errors:
+        raise ValueError(f"exported trace failed validation: {errors[:3]}")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=None, separators=(",", ":"))
 

@@ -54,10 +54,11 @@ Axis options resolve through *named definition tables* (``[workloads.X]``,
 * ``fleet`` — ``none`` (single-VM cells, the default), or a
   ``[fleets.X]`` table (``hosts``, ``guests``, ``consolidation``,
   ``burst``, optional ``burst_window_ms``/``burst_waves``). A fleet
-  option fans the cell into ``hosts`` independent host shards — cell
-  IDs gain a ``/h<NN>`` suffix and each shard compiles to one
-  ``fleet.host`` spec riding the same cache keys, pool, and sanitizer
-  battery as every other cell. Fleet cells require the ``solo``
+  option makes the cell a :class:`~repro.fleet.spec.FleetSpec` named
+  after the cell ID and fans it into its ``hosts`` independent host
+  shards — cell IDs gain a ``/h<NN>`` suffix and each shard is that
+  fleet's ``fleet.host`` spec, riding the same cache keys, pool, and
+  sanitizer battery as every other cell. Fleet cells require the ``solo``
   placement (the host's physical CPU count comes from the
   consolidation ratio); pair other placements with fleets via
   ``[[exclude]]``.
@@ -79,13 +80,16 @@ import itertools
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.config import MachineSpec, TickMode
 from repro.errors import ConfigError
 from repro.experiments.parallel import RunSpec, WorkloadSpec
 from repro.host.perturb import Perturbation
 from repro.sim.timebase import MSEC, USEC
+
+if TYPE_CHECKING:
+    from repro.fleet.spec import FleetSpec
 
 #: Fixed axis order (expansion order and cell-ID part order).
 AXES = ("workload", "mode", "arch", "placement", "stress", "host_timer", "perturb", "fleet")
@@ -95,6 +99,16 @@ ARCH_OPTIONS = ("x86", "arm")
 
 #: Axes that always contribute a cell-ID part, even with one option.
 ALWAYS_IN_ID = ("workload", "mode")
+
+#: ``[fleets.X]`` table keys -> (FleetSpec field, type); the
+#: ``burst_window_{ns,us,ms}`` unit fields are read separately.
+_FLEET_FIELDS = {
+    "hosts": ("hosts", int),
+    "guests": ("guests_per_host", int),
+    "consolidation": ("consolidation", int),
+    "burst": ("burst", str),
+    "burst_waves": ("burst_waves", int),
+}
 
 _OC_RE = re.compile(r"^oc(\d+)$")
 _HZ_RE = re.compile(r"^hz(\d+)$")
@@ -289,7 +303,9 @@ class Matrix:
         )
 
     def _fleet_def(self, name: str) -> Optional[dict]:
-        """Resolve one fleet option; None means a plain single-VM cell."""
+        """Parse one fleet option's table into :class:`FleetSpec` fields
+        (only those it sets); None means a plain single-VM cell. The
+        spec itself checks the values when each cell builds it."""
         if name == "none":
             return None
         table = self._fleets.get(name)
@@ -298,38 +314,21 @@ class Matrix:
                 f"{self.origin}: unknown fleet {name!r} "
                 f"(builtin: none; or define [fleets.{name}])"
             )
-        from repro.fleet.spec import BURSTS, DEFAULT_BURST_WINDOW_NS
-
-        known = {
-            "hosts", "guests", "consolidation", "burst", "burst_waves",
-            "burst_window_ns", "burst_window_us", "burst_window_ms",
-        }
-        unknown = set(table) - known
+        unknown = set(table) - set(_FLEET_FIELDS) - {
+            "burst_window_ns", "burst_window_us", "burst_window_ms"}
         if unknown:
             raise ConfigError(
                 f"{self.origin}: unknown fleet fields {sorted(unknown)} "
                 f"in [fleets.{name}]"
             )
-        fdef = {
-            "hosts": int(table.get("hosts", 4)),
-            "guests": int(table.get("guests", 8)),
-            "consolidation": int(table.get("consolidation", 4)),
-            "burst": str(table.get("burst", "burst")),
-            "burst_window_ns": _ns_field(
-                table, "burst_window", default=DEFAULT_BURST_WINDOW_NS
-            ),
-            "burst_waves": int(table.get("burst_waves", 4)),
-        }
-        if fdef["hosts"] < 1 or fdef["guests"] < 1 or fdef["consolidation"] < 1:
-            raise ConfigError(
-                f"{self.origin}: fleets.{name} needs hosts/guests/consolidation >= 1"
-            )
-        if fdef["burst"] not in BURSTS:
-            raise ConfigError(
-                f"{self.origin}: fleets.{name} has unknown burst "
-                f"{fdef['burst']!r} (know {BURSTS})"
-            )
-        return fdef
+        fields = {attr: cast(table[key]) for key, (attr, cast) in _FLEET_FIELDS.items()
+                  if key in table}
+        if any(f"burst_window_{u}" in table for u in ("ns", "us", "ms")):
+            try:
+                fields["burst_window_ns"] = _ns_field(table, "burst_window")
+            except ConfigError as exc:
+                raise ConfigError(f"{self.origin}: fleets.{name}: {exc}") from None
+        return fields
 
     def _perturb_def(self, name: str) -> tuple[Perturbation, ...]:
         table = self._perturbs.get(name)
@@ -378,18 +377,13 @@ class Matrix:
                 if self._excluded(coords):
                     continue
                 cid = self.cell_id(coords)
-                fdef = self._resolved_fleets[axis_coords["fleet"]]
-                if fdef is None:
+                if self._resolved_fleets[axis_coords["fleet"]] is None:
                     shards = [(cid, coords, self._compile(axis_coords, seed, cid))]
                 else:
+                    fleet = self._compile_fleet(axis_coords, seed, cid)
                     shards = [
-                        (
-                            f"{cid}/h{h:02d}",
-                            {**coords, "host": str(h)},
-                            self._compile_fleet(axis_coords, seed, fdef, h,
-                                                f"{cid}/h{h:02d}"),
-                        )
-                        for h in range(fdef["hosts"])
+                        (f"{cid}/h{h:02d}", {**coords, "host": str(h)}, fleet.host_spec(h))
+                        for h in range(fleet.hosts)
                     ]
                 for shard_id, shard_coords, spec in shards:
                     if shard_id in seen:
@@ -404,31 +398,30 @@ class Matrix:
                     ))
         return cells
 
-    def _compile(self, coords: dict[str, str], seed: int, cid: str) -> RunSpec:
-        ws, nv = self._resolved_workloads[coords["workload"]]
-        machine, pinned = self._placement_def(coords["placement"])(nv)
+    def _knobs(self, coords: dict[str, str], seed: int) -> dict:
+        """The fields a cell's RunSpec and a fleet cell's FleetSpec share."""
         noise, cpuidle = self._resolved_stress[coords["stress"]]
-        return RunSpec(
-            workload=ws,
+        return dict(
+            workload=self._resolved_workloads[coords["workload"]][0],
             tick_mode=TickMode(coords["mode"]),
             seed=seed,
-            vcpus=nv,
-            machine=machine,
-            pinned_cpus=pinned,
             tick_hz=self._resolved_hz[coords["host_timer"]],
             noise=noise,
             cpuidle=cpuidle,
             horizon_ns=self.horizon_ns,
             perturbations=self._resolved_perturbs[coords["perturb"]],
             arch=coords["arch"],
-            label=cid,
         )
 
-    def _compile_fleet(
-        self, coords: dict[str, str], seed: int, fdef: dict, host: int, cid: str
-    ) -> RunSpec:
-        """One host shard of a fleet cell, as a ``fleet.host`` spec."""
-        from repro.fleet.spec import host_run_spec
+    def _compile(self, coords: dict[str, str], seed: int, cid: str) -> RunSpec:
+        nv = self._resolved_workloads[coords["workload"]][1]
+        machine, pinned = self._placement_def(coords["placement"])(nv)
+        return RunSpec(vcpus=nv, machine=machine, pinned_cpus=pinned, label=cid,
+                       **self._knobs(coords, seed))
+
+    def _compile_fleet(self, coords: dict[str, str], seed: int, cid: str) -> FleetSpec:
+        """The fleet a fleet cell describes; its hosts are the shards."""
+        from repro.fleet.spec import FleetSpec
 
         if coords["placement"] != "solo":
             raise ConfigError(
@@ -437,26 +430,11 @@ class Matrix:
                 f"exclude the ({coords['placement']!r}, "
                 f"{coords['fleet']!r}) combination with [[exclude]]"
             )
-        ws, _nv = self._resolved_workloads[coords["workload"]]
-        noise, cpuidle = self._resolved_stress[coords["stress"]]
-        return host_run_spec(
-            guest_workload=ws,
-            guests=fdef["guests"],
-            consolidation=fdef["consolidation"],
-            tick_mode=TickMode(coords["mode"]),
-            burst=fdef["burst"],
-            burst_window_ns=fdef["burst_window_ns"],
-            burst_waves=fdef["burst_waves"],
-            host_index=host,
-            seed=seed,
-            tick_hz=self._resolved_hz[coords["host_timer"]],
-            noise=noise,
-            cpuidle=cpuidle,
-            horizon_ns=self.horizon_ns,
-            perturbations=self._resolved_perturbs[coords["perturb"]],
-            arch=coords["arch"],
-            label=cid,
-        )
+        try:
+            return FleetSpec(name=cid, **self._knobs(coords, seed),
+                             **self._resolved_fleets[coords["fleet"]])
+        except ConfigError as exc:
+            raise ConfigError(f"{self.origin}: fleets.{coords['fleet']}: {exc}") from None
 
 
 def _squeeze(nvcpus: int, pcpus: int) -> tuple[MachineSpec, tuple[int, ...]]:

@@ -145,21 +145,6 @@ class Simulator:
 
     # ------------------------------------------------------------------- run
 
-    def step(self) -> bool:
-        """Dispatch the single earliest event. Returns False when idle."""
-        queue = self._queue
-        ev = queue.pop()
-        if ev is None:
-            return False
-        if ev.time < self._now:  # pragma: no cover - defended invariant
-            raise SimulationError("event queue returned an event from the past")
-        self._now = ev.time
-        ev._fired = True
-        self.dispatched += 1
-        ev.fn(*ev.args)
-        queue.recycle(ev)
-        return True
-
     def run(self, until: Optional[int] = None) -> int:
         """Run the event loop.
 

@@ -189,19 +189,6 @@ class EventQueue:
         if self._dead > _COMPACT_MIN_DEAD and self._dead * 2 > len(self._heap):
             self.compact()
 
-    def recycle(self, ev: Event) -> None:
-        """Offer a dispatched event back to the free list.
-
-        Only the engine calls this, with its own local reference plus
-        the call argument as the sole remaining refs (refcount 2). A
-        handle retained anywhere else — component state, a closure, a
-        test — fails the check and the object is simply garbage.
-        """
-        if ev._fired and len(self._free) < _FREE_CAP and getrefcount(ev) == 2:
-            ev.fn = None
-            ev.args = ()
-            self._free.append(ev)
-
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event, or None if empty.
 

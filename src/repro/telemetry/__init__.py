@@ -40,6 +40,7 @@ import json
 import os
 from typing import Any, Iterator, Optional, TextIO
 
+from repro.obs.export import write_chrome_trace
 from repro.telemetry.export import harness_chrome_trace
 from repro.telemetry.metrics import MetricsRegistry, validate_prometheus_text
 from repro.telemetry.report import (
@@ -121,7 +122,8 @@ class HarnessTelemetry:
 
         Produces ``spans.jsonl`` (the ring), ``metrics.prom``
         (Prometheus text), ``metrics.json`` (canonical snapshot), and
-        ``harness_trace.json`` (Perfetto timeline).
+        ``harness_trace.json`` (Perfetto timeline, validated before it
+        is written).
         """
         os.makedirs(out_dir, exist_ok=True)
         paths: dict[str, str] = {}
@@ -142,7 +144,6 @@ class HarnessTelemetry:
         paths["metrics_json"] = json_path
 
         trace_path = os.path.join(out_dir, TRACE_FILE)
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            json.dump(self.chrome_trace(), fh, separators=(",", ":"))
+        write_chrome_trace(self.chrome_trace(), trace_path)
         paths["trace"] = trace_path
         return paths

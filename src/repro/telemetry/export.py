@@ -1,19 +1,19 @@
 """Perfetto/Chrome export of the *harness* execution timeline.
 
 Same JSON Object Format that :mod:`repro.obs.export` produces for
-simulated time, applied to harness wall-clock: one process track
-(``pid 0`` = "harness"), one thread track per lane (the scheduler,
-each worker process, the sanitizer), spans as complete (``X``) slices
-and instants (cache probes, retries) as ``i`` events. The output must
-pass :func:`repro.obs.export.validate_chrome_trace` — the CI job
-asserts exactly that before uploading the artifact.
+simulated time, built by the same :class:`~repro.obs.export.TraceBuilder`
+and held to the same validator, applied to harness wall-clock: one
+process track (``pid 0`` = "harness"), one thread track per lane (the
+scheduler, each worker process, the sanitizer), spans as complete
+(``X``) slices and instants (cache probes, retries) as ``i`` events.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.telemetry.spans import InstantRecord, SpanRecord, SpanTracer
+from repro.obs.export import TraceBuilder
+from repro.telemetry.spans import SpanRecord, SpanTracer
 
 #: All harness tracks live in one trace "process".
 HARNESS_PID = 0
@@ -33,41 +33,20 @@ def harness_chrome_trace(tracer: SpanTracer) -> dict:
     tid 0 is reserved for the process-name row, matching the obs
     exporter's convention). Timestamps convert tracer-ns to trace-µs.
     """
-    events: list[dict] = [{
-        "ph": "M", "name": "process_name", "pid": HARNESS_PID, "tid": 0,
-        "args": {"name": HARNESS_PROCESS_NAME},
-    }]
-    tid_of: dict[str, int] = {}
-    for lane in tracer.lanes():
-        tid = tid_of[lane] = len(tid_of) + 1
-        events.append({
-            "ph": "M", "name": "thread_name", "pid": HARNESS_PID, "tid": tid,
-            "args": {"name": lane},
-        })
+    trace = TraceBuilder()
+    trace.track(HARNESS_PID, 0, HARNESS_PROCESS_NAME)
+    tid_of = {lane: tid for tid, lane in enumerate(tracer.lanes(), 1)}
+    for lane, tid in tid_of.items():
+        trace.track(HARNESS_PID, tid, lane)
     for rec in tracer.records:
-        tid = tid_of[rec.lane]
         args = {k: _json_safe(v) for k, v in rec.attrs.items()}
         if isinstance(rec, SpanRecord):
-            events.append({
-                "ph": "X", "name": rec.name, "cat": "harness",
-                "pid": HARNESS_PID, "tid": tid,
-                "ts": rec.ts_ns / 1000.0, "dur": rec.dur_ns / 1000.0,
-                "args": args,
-            })
-        elif isinstance(rec, InstantRecord):
-            events.append({
-                "ph": "i", "name": rec.name, "cat": "harness", "s": "t",
-                "pid": HARNESS_PID, "tid": tid,
-                "ts": rec.ts_ns / 1000.0,
-                "args": args,
-            })
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ns",
-        "otherData": {
-            "generator": "repro.telemetry.export",
-            "clock": "wall-monotonic",
-            "wall_epoch_s": tracer.wall_epoch_s,
-            "dropped": tracer.dropped,
-        },
-    }
+            trace.slice(rec.name, "harness", HARNESS_PID, tid_of[rec.lane],
+                        rec.ts_ns, rec.dur_ns, args)
+        else:
+            trace.instant(rec.name, "harness", HARNESS_PID, tid_of[rec.lane],
+                          rec.ts_ns, args)
+    return trace.document(generator="repro.telemetry.export",
+                          clock="wall-monotonic",
+                          wall_epoch_s=tracer.wall_epoch_s,
+                          dropped=tracer.dropped)

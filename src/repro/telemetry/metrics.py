@@ -139,12 +139,6 @@ class MetricsRegistry:
         h = m.series.get(_label_key(labels))
         return h if isinstance(h, Log2Histogram) else None
 
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def names(self) -> list[str]:
-        return sorted(self._metrics)
-
     # -------------------------------------------------------------- exports
 
     def to_prometheus(self) -> str:

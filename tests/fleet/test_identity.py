@@ -19,8 +19,9 @@ from repro.fleet import (
     FleetSpec,
     aggregate_hosts,
     fleet_bytes,
-    fleet_identity_problems,
+    identity_problems_for_groups,
     run_fleet,
+    run_fleets,
 )
 from repro.sim.timebase import MSEC
 
@@ -47,8 +48,10 @@ def small_fleet(mode=TickMode.PARATICK, **kw) -> FleetSpec:
 
 class TestIdentityGate:
     def test_serial_pooled_warm_cached_byte_identical(self, tmp_path):
-        problems = fleet_identity_problems(
-            small_fleet(), jobs=2, cache_dir=str(tmp_path))
+        fleet = small_fleet()
+        problems = identity_problems_for_groups(
+            {fleet.display_label(): fleet.host_specs()},
+            jobs=2, cache_dir=str(tmp_path))
         assert problems == []
 
     def test_jobs_do_not_change_the_aggregate(self, tmp_path):
@@ -72,6 +75,51 @@ class TestIdentityGate:
         metrics = [grid[s] for s in fleet.host_specs()]
         assert fleet_bytes(aggregate_hosts(metrics)) == \
             fleet_bytes(aggregate_hosts(list(reversed(metrics))))
+
+
+class TestRunFleets:
+    """The one fleet path: run a {fleet: [host spec]} mapping, aggregate."""
+
+    def test_groups_aggregate_like_their_fleets(self):
+        a, b = small_fleet(), small_fleet(mode=TickMode.TICKLESS, name="other")
+        aggregates, grid = run_fleets(
+            {"a": a.host_specs(), "b": b.host_specs()}, use_cache=False)
+        assert grid.executed == a.hosts + b.hosts
+        for key, fleet in (("a", a), ("b", b)):
+            assert fleet_bytes(aggregates[key]) == \
+                fleet_bytes(run_fleet(fleet, use_cache=False)[0])
+
+    def test_profiled_hosts_fold_their_latency_histograms(self):
+        agg, grid = run_fleet(small_fleet(profile=True), use_cache=False)
+        assert len(grid.artifacts) == 2
+        assert dict(agg.latency_hists)
+
+    def test_a_failed_host_leaves_no_aggregate(self):
+        from repro.experiments.parallel import GridError, register_workload
+
+        register_workload("test.fleet_boom", _fleet_boom)
+        fleet = small_fleet()
+        boom = fleet.host_spec(1).with_(workload=WorkloadSpec.make("test.fleet_boom"))
+        aggregates, grid = run_fleets({"f": [fleet.host_spec(0), boom]},
+                                      use_cache=False, retries=0)
+        assert aggregates is None and len(grid.failed_specs) == 1
+        with pytest.raises(GridError):
+            grid.raise_if_failed()
+
+    def test_aggregation_span_and_host_counter(self):
+        from repro.telemetry import HarnessTelemetry
+
+        tel = HarnessTelemetry()
+        fleet = small_fleet()
+        run_fleet(fleet, use_cache=False, telemetry=tel)
+        [span] = [s for s in tel.tracer.spans() if s.name == "fleet.aggregate"]
+        assert span.lane == "fleet"
+        assert span.attrs == {"fleets": 1, "hosts": fleet.hosts}
+        assert tel.metrics.counter_value("fleet_hosts") == fleet.hosts
+
+
+def _fleet_boom(**kw):
+    raise RuntimeError("fleet-boom")
 
 
 class TestGoldenFleetBattery:
@@ -121,6 +169,20 @@ burst_window_ms = 2
         checks = check_cells(self.expand())
         assert all(c.ok for c in checks), [p for c in checks for p in c.problems]
         assert all(c.events > 0 for c in checks)
+
+    def test_cli_fleet_json_is_the_run_fleets_aggregate(self, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+        from repro.fleet.run import group_host_cells
+
+        path = tmp_path / "mfleet.toml"
+        path.write_text(self.MATRIX)
+        assert main(["--quiet-progress", "--no-cache", "fleet", "run", str(path),
+                     "--json"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        aggregates, _ = run_fleets(group_host_cells(self.expand()), use_cache=False)
+        assert got == {k: a.to_json_dict() for k, a in aggregates.items()}
 
     def test_matrix_cells_aggregate_like_a_fleet(self, tmp_path):
         from repro.fleet.run import group_host_cells, identity_problems_for_groups

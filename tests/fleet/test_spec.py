@@ -17,7 +17,6 @@ from repro.fleet.spec import (
     FleetSpec,
     arrival_schedule,
     fleet_params,
-    host_run_spec,
     host_sim_seed,
 )
 
@@ -138,10 +137,7 @@ class TestCompilation:
         }
 
     def test_guest_params_canonical_json(self):
-        spec = host_run_spec(
-            guest_workload=PING, guests=2, consolidation=2,
-            tick_mode=TickMode.TICKLESS,
-        )
+        spec = fleet(tick_mode=TickMode.TICKLESS).host_spec(0)
         raw = spec.workload.kwargs()["guest_params"]
         assert raw == json.dumps(json.loads(raw), sort_keys=True,
                                  separators=(",", ":"))

@@ -86,6 +86,12 @@ class TestFig1GoldenExport:
         assert loaded["traceEvents"] == fig1_doc["traceEvents"]
         assert loaded["displayTimeUnit"] == "ns"
 
+    def test_writer_refuses_an_invalid_document(self, tmp_path):
+        path = tmp_path / "bad.trace.json"
+        with pytest.raises(ValueError, match="failed validation"):
+            write_chrome_trace({"traceEvents": [{"ph": "Q"}]}, str(path))
+        assert not path.exists()
+
 
 class TestExporterMechanics:
     def test_tracks_named_per_source(self):

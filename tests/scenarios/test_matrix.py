@@ -410,9 +410,44 @@ class TestFleetAxis:
             Matrix(self.fleet_doc(racks=2)).expand()
 
     def test_bad_topology_rejected(self):
-        with pytest.raises(ConfigError, match=">= 1"):
-            Matrix(self.fleet_doc(hosts=0)).expand()
+        with pytest.raises(ConfigError, match=r"^racks\.toml: fleets\.rack: .*>= 1"):
+            Matrix(self.fleet_doc(hosts=0), origin="racks.toml").expand()
 
     def test_bad_burst_rejected(self):
-        with pytest.raises(ConfigError, match="burst"):
-            Matrix(self.fleet_doc(burst="stampede")).expand()
+        with pytest.raises(ConfigError, match=r"^racks\.toml: fleets\.rack: .*burst"):
+            Matrix(self.fleet_doc(burst="stampede"), origin="racks.toml").expand()
+
+    def test_burst_window_in_two_units_rejected(self):
+        with pytest.raises(ConfigError, match=r"^racks\.toml: fleets\.rack: .*one unit"):
+            Matrix(self.fleet_doc(burst_window_ms=1, burst_window_us=5),
+                   origin="racks.toml").expand()
+
+    def test_fleet_cells_are_the_fleetspec_hosts(self):
+        """One path: a [fleets.*] cell expands to exactly the host specs
+        (and cache keys) of the FleetSpec it describes."""
+        from repro.experiments.parallel import WorkloadSpec
+        from repro.fleet.spec import FleetSpec
+        from repro.host.perturb import Perturbation
+
+        d = self.fleet_doc(burst="poisson", burst_window_us=2500, burst_waves=3)
+        d["axes"].update(perturb=["suspend@5ms"], stress=["noise"],
+                         host_timer=["hz100"], arch=["arm"])
+        d["matrix"]["seeds"] = [7]
+        cells = [c for c in Matrix(d).expand() if c.coord("fleet") == "rack"]
+        fleet = FleetSpec(
+            name="ping/paratick/rack",
+            workload=WorkloadSpec.make("micro.pingpong", rounds=10,
+                                       work_cycles=10_000, same_vcpu=False),
+            tick_mode=TickMode.PARATICK,
+            hosts=2, guests_per_host=3, consolidation=3,
+            burst="poisson", burst_window_ns=2_500_000, burst_waves=3,
+            seed=7, tick_hz=100, noise=True, horizon_ns=20_000_000,
+            perturbations=(Perturbation(kind="suspend", at_ns=5_000_000,
+                                        duration_ns=2_000_000),),
+            arch="arm",
+        )
+        shards = [c for c in cells if c.coord("mode") == "paratick"]
+        assert [c.id for c in shards] == [s.label for s in fleet.host_specs()]
+        assert [c.spec for c in shards] == fleet.host_specs()
+        assert [spec_key(c.spec) for c in shards] == \
+            [spec_key(s) for s in fleet.host_specs()]

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.obs.export import validate_chrome_trace
 from repro.telemetry import HarnessTelemetry, harness_chrome_trace
 from repro.telemetry.metrics import validate_prometheus_text
@@ -90,6 +92,14 @@ class TestWriteOutputs:
 
         with open(paths["trace"]) as fh:
             assert validate_chrome_trace(json.load(fh)) == []
+
+    def test_trace_validated_before_it_is_written(self, tmp_path, monkeypatch):
+        tel = HarnessTelemetry()
+        monkeypatch.setattr(tel, "chrome_trace",
+                            lambda: {"traceEvents": [{"ph": "X", "pid": 0, "tid": 1}]})
+        with pytest.raises(ValueError, match="failed validation"):
+            tel.write_outputs(str(tmp_path))
+        assert not (tmp_path / "harness_trace.json").exists()
 
     def test_report_renders_written_directory(self, tmp_path):
         tel = HarnessTelemetry()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -46,6 +48,32 @@ class TestCommands:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "fluidanimate" in out and "netserve" in out
+
+    def test_report_json_round_trips(self, capsys):
+        from repro.metrics.perf import RunMetrics
+
+        assert main(["report", "dedup", "--json", "--target-mcycles", "20"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        m = RunMetrics.from_json_dict(data)
+        assert m.label == "parsec.dedup/paratick"
+        # The same run `run dedup --mode paratick` pins below.
+        assert m.total_exits == 13 and m.timer_exits == 2
+        assert m.to_json_dict() == data
+
+    def test_report_table(self, capsys):
+        assert main(["report", "dedup", "--target-mcycles", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "parsec.dedup/paratick" in out and "overhead%" in out
+
+    def test_perf_writes_a_valid_trace_and_profile(self, capsys, tmp_path):
+        from repro.obs.export import validate_chrome_trace
+
+        trace, collapsed = tmp_path / "run.trace.json", tmp_path / "run.collapsed"
+        assert main(["perf", "swaptions", "--target-mcycles", "20",
+                     "--trace-out", str(trace), "--collapsed-out", str(collapsed)]) == 0
+        assert validate_chrome_trace(json.loads(trace.read_text())) == []
+        assert collapsed.read_text().strip()
+        assert "Perfetto-loadable trace" in capsys.readouterr().err
 
     def test_export_fig6(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
