@@ -40,7 +40,7 @@ def test_table2_fig4_sequential_parsec(benchmark):
     assert agg.exec_time <= 0.005
     # Per-benchmark: paratick must never *increase* exits (§4.2's
     # never-worse-than-tickless guarantee).
-    for comp in result.per_benchmark:
+    for comp in result.rows:
         assert comp.vm_exits < 0, f"{comp.label} gained exits"
 
 

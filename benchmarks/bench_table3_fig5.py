@@ -46,7 +46,7 @@ def test_table3_fig5_multithreaded_parsec(benchmark, size):
     # gains for multithreaded workloads.
     assert agg.exec_time <= 0.01
     assert abs(agg.exec_time) < agg.throughput
-    for comp in result.per_benchmark:
+    for comp in result.rows:
         assert comp.vm_exits < 0, f"{comp.label} gained exits"
 
 

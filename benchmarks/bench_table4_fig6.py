@@ -35,7 +35,7 @@ def test_table4_fig6_fio(benchmark):
     assert agg.throughput > 0.02
     assert agg.exec_time < -0.02
     # Fig. 6c: reads gain more than writes.
-    by_cat = {c.label: c for c in result.per_category}
+    by_cat = {c.label: c for c in result.rows}
     read_gain = (by_cat["seqr"].throughput + by_cat["rndr"].throughput) / 2
     write_gain = (by_cat["seqwr"].throughput + by_cat["rndwr"].throughput) / 2
     assert read_gain > write_gain, f"reads {read_gain:+.1%} <= writes {write_gain:+.1%}"

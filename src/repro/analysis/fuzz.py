@@ -155,103 +155,41 @@ def placement_for(nvcpus: int, placement: str) -> tuple[MachineSpec, tuple[int, 
     return spec, tuple(i % pcpus for i in range(nvcpus))
 
 
-def differential_problems(per_mode: dict[TickMode, RunMetrics]) -> list[str]:
-    """Cross-mode comparison: tick management must not change the work."""
-    if len(per_mode) < len(TickMode):
-        return []  # some run already failed; reported individually
-    ref = per_mode[TickMode.TICKLESS]
-    out: list[str] = []
-    allowed = max(int(ref.useful_cycles * USEFUL_REL_TOL), USEFUL_ABS_SLACK)
-    for mode, metrics in per_mode.items():
-        if mode is TickMode.TICKLESS:
-            continue
-        delta = abs(metrics.useful_cycles - ref.useful_cycles)
-        if delta > allowed:
-            out.append(
-                f"useful cycles diverge: {mode.value} did {metrics.useful_cycles} "
-                f"vs tickless {ref.useful_cycles} (|delta| {delta} > {allowed})"
-            )
-    return out
-
-
 #: Architectures the cross-arch sweep compares (x86 is the reference).
 ARCH_SWEEP = ("x86", "arm")
 
 
-def arch_differential_problems(
-    per_arch: dict[str, RunMetrics], mode: TickMode
-) -> list[str]:
-    """Cross-architecture comparison for one tick mode.
-
-    The timer architecture changes the *overhead* (exit counts, handler
-    costs) but must not change the *work*: useful cycles agree across
-    backends to the same tolerance the cross-mode check uses, and each
-    backend stays inside its own exit taxonomy (no MSR-write exits on
-    ARM, no sysreg traps on x86).
-    """
-    from repro.host.exitreasons import ExitReason
-
-    if len(per_arch) < len(ARCH_SWEEP):
-        return []  # some run already failed; reported individually
-    ref = per_arch["x86"]
+def differential_problems(per_cell: dict[str, RunMetrics], ref: str) -> list[str]:
+    """Cells that differ only in tick mode or timer architecture must do
+    the same work: each cell's useful cycles agree with ``ref``'s."""
+    base = per_cell[ref].useful_cycles
+    allowed = max(int(base * USEFUL_REL_TOL), USEFUL_ABS_SLACK)
     out: list[str] = []
-    allowed = max(int(ref.useful_cycles * USEFUL_REL_TOL), USEFUL_ABS_SLACK)
-    for arch, metrics in per_arch.items():
-        if arch != "x86":
-            delta = abs(metrics.useful_cycles - ref.useful_cycles)
-            if delta > allowed:
-                out.append(
-                    f"useful cycles diverge: {arch} did {metrics.useful_cycles} "
-                    f"vs x86 {ref.useful_cycles} (|delta| {delta} > {allowed})"
-                )
-        foreign = (
-            (ExitReason.SYSREG_TRAP, ExitReason.VTIMER_IRQ)
-            if arch == "x86"
-            else (ExitReason.MSR_WRITE, ExitReason.PREEMPTION_TIMER)
-        )
-        for reason in foreign:
-            n = metrics.exits.by_reason(reason)
-            if n:
-                out.append(
-                    f"{arch}/{mode.value}: {n} {reason.value} exit(s) — "
-                    f"foreign to this architecture's taxonomy"
-                )
+    for name, metrics in per_cell.items():
+        delta = abs(metrics.useful_cycles - base)
+        if name != ref and delta > allowed:
+            out.append(
+                f"useful cycles diverge: {name} did {metrics.useful_cycles} "
+                f"vs {ref} {base} (|delta| {delta} > {allowed})"
+            )
     return out
 
 
-def fuzz_seed_arch(
-    seed: int,
-    *,
-    placements: tuple[str, ...] = (SOLO,),
-) -> "FuzzReport":
-    """Run one seed's scenario on every (arch, mode) cell and diff.
+def foreign_exit_problems(metrics: RunMetrics, arch: str) -> list[str]:
+    """Each backend stays inside its own exit taxonomy: no MSR-write
+    exits on ARM, no sysreg traps on x86."""
+    from repro.host.exitreasons import ExitReason
 
-    The arch sweep keeps the placement list small by default (solo):
-    its job is comparing timer backends, not re-testing overcommit —
-    the plain :func:`fuzz_seed` already covers that per arch.
-    """
-    from repro.scenarios.fuzzbridge import fuzz_cells
-    from repro.scenarios.runcheck import sanitized_run
-
-    problems: list[str] = []
-    runs = 0
-    events = 0
-    for cell in fuzz_cells(seed, placements=placements):
-        mode, placement = cell.spec.tick_mode, cell.coord("placement")
-        per_arch: dict[str, RunMetrics] = {}
-        for arch in ARCH_SWEEP:
-            metrics, sanitizer, probs = sanitized_run(cell.spec.with_(arch=arch))
-            runs += 1
-            events += sanitizer.events
-            problems += [f"[{arch}/{mode.value}/{placement}] {p}" for p in probs]
-            if metrics is not None:
-                per_arch[arch] = metrics
-        problems += [
-            f"[archdiff/{mode.value}/{placement}] {p}"
-            for p in arch_differential_problems(per_arch, mode)
-        ]
-    return FuzzReport(seed=seed, scenario=scenario_for_seed(seed), problems=problems,
-                      runs=runs, events=events)
+    foreign = (
+        (ExitReason.SYSREG_TRAP, ExitReason.VTIMER_IRQ)
+        if arch == "x86"
+        else (ExitReason.MSR_WRITE, ExitReason.PREEMPTION_TIMER)
+    )
+    return [
+        f"{n} {reason.value} exit(s) — foreign to this architecture's taxonomy"
+        for reason in foreign
+        if (n := metrics.exits.by_reason(reason))
+    ]
 
 
 @dataclass
@@ -269,6 +207,35 @@ class FuzzReport:
         return not self.problems
 
 
+def _sweep(seed: int, groups, *, ref: str, tag: str) -> FuzzReport:
+    """Sanitize every cell of every group, then diff each group.
+
+    ``groups`` is ``[(where, {name: spec}), ...]``. A cell's own
+    problems (sanitizer, reconcile, foreign exits) are reported as
+    ``[<name>/<where>]``; once every cell of a group produced metrics,
+    their useful cycles are diffed against cell ``ref`` as
+    ``[<tag>/<where>]`` (a failed run is already reported on its own).
+    """
+    from repro.scenarios.runcheck import sanitized_run
+
+    problems: list[str] = []
+    runs = events = 0
+    for where, specs in groups:
+        per_cell: dict[str, RunMetrics] = {}
+        for name, spec in specs.items():
+            metrics, sanitizer, probs = sanitized_run(spec)
+            runs += 1
+            events += sanitizer.events
+            if metrics is not None:
+                per_cell[name] = metrics
+                probs = probs + foreign_exit_problems(metrics, spec.arch)
+            problems += [f"[{name}/{where}] {p}" for p in probs]
+        if len(per_cell) == len(specs):
+            problems += [f"[{tag}/{where}] {p}" for p in differential_problems(per_cell, ref)]
+    return FuzzReport(seed=seed, scenario=scenario_for_seed(seed), problems=problems,
+                      runs=runs, events=events)
+
+
 def fuzz_seed(
     seed: int,
     *,
@@ -277,31 +244,44 @@ def fuzz_seed(
 ) -> FuzzReport:
     """Run one seed's scenario under every (mode, placement) cell.
 
-    With ``perturb=True`` the seed additionally expands (via
-    :func:`perturbations_for_seed`) into a perturbation schedule applied
-    identically to every cell — the sanitizer's suspend/restore/hotplug
-    checkers then run against real disturbances, and the differential
-    property must hold *through* them.
+    Per placement, tick management must not change the work: the modes'
+    useful cycles are diffed against tickless. With ``perturb=True``
+    the seed additionally expands (via :func:`perturbations_for_seed`)
+    into a perturbation schedule applied identically to every cell —
+    the sanitizer's suspend/restore/hotplug checkers then run against
+    real disturbances, and the differential property must hold
+    *through* them.
     """
     from repro.scenarios.fuzzbridge import fuzz_cells
-    from repro.scenarios.runcheck import sanitized_run
 
-    problems: list[str] = []
-    runs = 0
-    events = 0
-    for placement in placements:
-        per_mode: dict[TickMode, RunMetrics] = {}
-        for cell in fuzz_cells(seed, placements=(placement,), perturb=perturb):
-            mode = cell.spec.tick_mode
-            metrics, sanitizer, probs = sanitized_run(cell.spec)
-            runs += 1
-            events += sanitizer.events
-            problems += [f"[{mode.value}/{placement}] {p}" for p in probs]
-            if metrics is not None:
-                per_mode[mode] = metrics
-        problems += [f"[diff/{placement}] {p}" for p in differential_problems(per_mode)]
-    return FuzzReport(seed=seed, scenario=scenario_for_seed(seed), problems=problems,
-                      runs=runs, events=events)
+    cells = fuzz_cells(seed, placements=placements, perturb=perturb)
+    return _sweep(seed, [
+        (placement, {c.spec.tick_mode.value: c.spec
+                     for c in cells if c.coord("placement") == placement})
+        for placement in placements
+    ], ref=TickMode.TICKLESS.value, tag="diff")
+
+
+def fuzz_seed_arch(
+    seed: int,
+    *,
+    placements: tuple[str, ...] = (SOLO,),
+) -> FuzzReport:
+    """Run one seed's scenario on every (arch, mode) cell and diff.
+
+    The timer architecture changes the *overhead* (exit counts, handler
+    costs) but must not change the *work*: per (mode, placement), useful
+    cycles agree with x86. The placement list defaults to solo: the
+    sweep's job is comparing timer backends, not re-testing overcommit
+    — the plain :func:`fuzz_seed` already covers that per arch.
+    """
+    from repro.scenarios.fuzzbridge import fuzz_cells
+
+    return _sweep(seed, [
+        (f"{c.spec.tick_mode.value}/{c.coord('placement')}",
+         {arch: c.spec.with_(arch=arch) for arch in ARCH_SWEEP})
+        for c in fuzz_cells(seed, placements=placements)
+    ], ref=ARCH_SWEEP[0], tag="archdiff")
 
 
 def fuzz_many(

@@ -44,18 +44,9 @@ def _progress_printer(args):
     """Per-cell progress lines on stderr (the CLI's progress callback)."""
     if args.quiet_progress:
         return None
+    from repro.experiments.parallel import progress_reporter
 
-    def cb(event) -> None:
-        detail = f" ({event.error})" if event.error else ""
-        if event.duration_s is not None:
-            detail += f" [{event.duration_s:.2f}s]"
-        print(
-            f"[{event.done}/{event.total}] {event.status:<6} "
-            f"{event.spec.display_label()}{detail}",
-            file=sys.stderr,
-        )
-
-    return cb
+    return progress_reporter()[1]
 
 
 def _cmd_table1(args) -> int:
@@ -69,17 +60,20 @@ def _cmd_table1(args) -> int:
     return 0
 
 
+def _print_figure(figure, args, name: str) -> None:
+    """A paper figure's table, then (``--chart``) its ASCII panels."""
+    print(figure.render())
+    if args.chart:
+        print(f"\n{name} —")
+        print(figure.chart())
+
+
 def _cmd_table2(args) -> int:
     from repro.experiments import table2_fig4
 
     budget = 120_000_000 if args.quick else 300_000_000
     result = table2_fig4.run(target_cycles=budget, seed=args.seed, **_engine_kwargs(args))
-    print(result.render())
-    if args.chart:
-        from repro.metrics.chart import comparison_panels
-
-        print("\nFig. 4 —")
-        print(comparison_panels(result.per_benchmark))
+    _print_figure(result, args, "Fig. 4")
     return 0
 
 
@@ -94,12 +88,7 @@ def _cmd_table3(args) -> int:
             size, benches=benches, target_cycles=budget, seed=args.seed,
             **_engine_kwargs(args),
         )
-        print(result.render())
-        if args.chart:
-            from repro.metrics.chart import comparison_panels
-
-            print("\nFig. 5 [" + size.name + "] —")
-            print(comparison_panels(result.per_benchmark))
+        _print_figure(result, args, f"Fig. 5 [{size.name}]")
         print()
     return 0
 
@@ -113,15 +102,7 @@ def _cmd_table4(args) -> int:
     result = table4_fig6.run(
         total_bytes=total, block_sizes=sizes, seed=args.seed, **_engine_kwargs(args)
     )
-    print(result.render())
-    if args.chart:
-        from repro.metrics.chart import comparison_panels
-
-        print("\nFig. 6 —")
-        print(comparison_panels(
-            result.per_category,
-            metric_titles=("(a) VM exits", "(b) I/O throughput", "(c) execution time"),
-        ))
+    _print_figure(result, args, "Fig. 6")
     return 0
 
 
@@ -170,17 +151,24 @@ def _cmd_ablations(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    from repro.experiments import export
+    from pathlib import Path
 
-    written = []
+    from repro.experiments import table2_fig4, table3_fig5, table4_fig6
+
+    engine = _engine_kwargs(args)
+    figures = []
     if args.figure in ("fig4", "all"):
-        written.append(export.export_fig4(args.out, seed=args.seed))
+        figures.append(("fig4_sequential_parsec.csv", table2_fig4.run(
+            target_cycles=200_000_000, seed=args.seed, **engine)))
     if args.figure in ("fig5", "all"):
-        written.extend(export.export_fig5(args.out, seed=args.seed))
+        figures += [(f"fig5_parallel_parsec_{size.name}.csv",
+                     table3_fig5.run_size(size, seed=args.seed, **engine))
+                    for size in VM_SIZES]
     if args.figure in ("fig6", "all"):
-        written.append(export.export_fig6(args.out, seed=args.seed))
-    for p in written:
-        print(f"wrote {p}")
+        figures.append(("fig6_fio.csv", table4_fig6.run(
+            total_bytes=8 << 20, seed=args.seed, **engine)))
+    for name, figure in figures:
+        print(f"wrote {figure.write_csv(Path(args.out) / name)}")
     return 0
 
 

@@ -68,7 +68,6 @@ from repro.config import HostFeatures, IoDeviceKind, MachineSpec, TickMode
 from repro.errors import ReproError
 from repro.host.perturb import perturbation_from_dict, perturbation_to_dict
 from repro.metrics.perf import RunMetrics
-from repro.metrics.report import Comparison, compare_runs
 from repro.resilience.chaos import ChaosAbort
 from repro.resilience.integrity import CacheFS, attach_footer, quarantine_file, split_verified
 from repro.resilience.journal import JournalState, RunJournal, replay_journal, result_hash
@@ -1194,44 +1193,17 @@ def progress_reporter(stream=None):
     import sys
 
     stats: collections.Counter[str] = collections.Counter()
-    out = stream if stream is not None else sys.stderr
 
     def callback(event: ProgressEvent) -> None:
         stats[event.status] += 1
         detail = f" ({event.error})" if event.error else ""
-        took = f" [{event.duration_s:.2f}s]" if event.duration_s is not None else ""
+        if event.duration_s is not None:
+            detail += f" [{event.duration_s:.2f}s]"
         print(f"[{event.done}/{event.total}] {event.status:<6} "
-              f"{event.spec.display_label()}{took}{detail}", file=out)
+              f"{event.spec.display_label()}{detail}",
+              file=stream if stream is not None else sys.stderr)
 
     return stats, callback
-
-
-# --------------------------------------------------------------------------
-# A/B comparison helpers (the paper's measurement, grid-shaped)
-# --------------------------------------------------------------------------
-
-def ab_specs(
-    workload: WorkloadSpec,
-    *,
-    baseline: TickMode = TickMode.TICKLESS,
-    candidate: TickMode = TickMode.PARATICK,
-    seed: int = 0,
-    label: Optional[str] = None,
-    **knobs: Any,
-) -> tuple[RunSpec, RunSpec]:
-    """The paper's A/B pair: same workload/seed/knobs, two tick modes."""
-    stem = label or workload.kind
-    base = RunSpec(workload=workload, tick_mode=baseline, seed=seed,
-                   label=f"{stem}/{baseline.value}", **knobs)
-    cand = base.with_(tick_mode=candidate, label=f"{stem}/{candidate.value}")
-    return base, cand
-
-
-def compare_from_grid(
-    grid: GridResult, base: RunSpec, cand: RunSpec, label: str
-) -> Comparison:
-    """Build one paper-style comparison row out of a finished grid."""
-    return compare_runs(grid[base], grid[cand], label)
 
 
 def cost_overrides_from(costs: Any) -> tuple[tuple[str, int], ...]:

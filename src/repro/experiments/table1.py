@@ -73,11 +73,8 @@ def simulated_cross_check(
     *,
     duration_ns: int = SEC,
     seed: int = 0,
-    jobs: int | None = None,
-    cache_dir=None,
     use_cache: bool = False,
-    progress=None,
-    telemetry=None,
+    **engine,
 ) -> dict[str, dict[str, float]]:
     """Simulate W1 and W3 (1 s) and report exits/s per mode.
 
@@ -88,10 +85,7 @@ def simulated_cross_check(
     from repro.experiments.parallel import run_grid
 
     specs = cross_check_specs(duration_ns=duration_ns, seed=seed)
-    grid = run_grid(
-        list(specs.values()), jobs=jobs, cache_dir=cache_dir,
-        use_cache=use_cache, progress=progress, telemetry=telemetry,
-    ).raise_if_failed()
+    grid = run_grid(list(specs.values()), use_cache=use_cache, **engine).raise_if_failed()
 
     out: dict[str, dict[str, float]] = {"W1": {}, "W3": {}}
     for (name, mode), spec in specs.items():

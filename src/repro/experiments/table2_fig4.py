@@ -9,47 +9,16 @@ are the figure's series, the aggregate row is the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.experiments.parallel import WorkloadSpec, ab_specs, compare_from_grid, run_grid
+from repro.experiments.figure import Figure, run_ab
+from repro.experiments.parallel import WorkloadSpec
 from repro.metrics.aggregate import aggregate_improvements
-from repro.metrics.report import Comparison, format_table
 from repro.workloads import parsec
 
 #: The paper's Table 2.
 PAPER_TABLE2 = {"vm_exits": -0.50, "throughput": +0.07, "exec_time": -0.02}
 
 
-@dataclass
-class Fig4Result:
-    per_benchmark: list[Comparison]
-    aggregate: Comparison
-
-    def render(self) -> str:
-        rows = [c.row() for c in self.per_benchmark]
-        rows.append(self.aggregate.row())
-        return format_table(
-            ["benchmark", "VM exits", "throughput", "exec time"],
-            rows,
-            title=(
-                "Fig. 4 / Table 2 — sequential PARSEC, paratick vs tickless\n"
-                f"(paper averages: {PAPER_TABLE2['vm_exits']:+.0%} exits, "
-                f"{PAPER_TABLE2['throughput']:+.0%} throughput, "
-                f"{PAPER_TABLE2['exec_time']:+.0%} exec time)"
-            ),
-        )
-
-
-def run(
-    *,
-    target_cycles: int = 300_000_000,
-    seed: int = 0,
-    jobs: int | None = None,
-    cache_dir=None,
-    use_cache: bool = False,
-    progress=None,
-    telemetry=None,
-) -> Fig4Result:
+def run(*, target_cycles: int = 300_000_000, seed: int = 0, **engine) -> Figure:
     """Run all 13 benchmarks sequentially in both modes.
 
     The 13 x 2 grid goes through the parallel experiment engine:
@@ -57,16 +26,18 @@ def run(
     result cache (``use_cache``/``cache_dir``) re-executes only cells
     whose spec changed since the last sweep.
     """
-    pairs = []
-    specs = []
-    for bench in parsec.BENCHMARK_NAMES:
-        ws = WorkloadSpec.make("parsec", name=bench, target_cycles=target_cycles)
-        b, c = ab_specs(ws, seed=seed, label=bench)
-        pairs.append((bench, b, c))
-        specs += [b, c]
-    grid = run_grid(
-        specs, jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
-        progress=progress, telemetry=telemetry,
-    ).raise_if_failed()
-    comps = [compare_from_grid(grid, b, c, bench) for bench, b, c in pairs]
-    return Fig4Result(comps, aggregate_improvements(comps, label="average (Table 2)"))
+    rows = run_ab(
+        [(bench, WorkloadSpec.make("parsec", name=bench, target_cycles=target_cycles))
+         for bench in parsec.BENCHMARK_NAMES],
+        seed=seed, **engine,
+    )
+    return Figure(
+        title=(
+            "Fig. 4 / Table 2 — sequential PARSEC, paratick vs tickless\n"
+            f"(paper averages: {PAPER_TABLE2['vm_exits']:+.0%} exits, "
+            f"{PAPER_TABLE2['throughput']:+.0%} throughput, "
+            f"{PAPER_TABLE2['exec_time']:+.0%} exec time)"
+        ),
+        rows=rows,
+        aggregate=aggregate_improvements(rows, label="average (Table 2)"),
+    )

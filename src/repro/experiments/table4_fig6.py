@@ -15,38 +15,16 @@ Fig. 6c additionally shows reads gaining more than writes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.config import IoDeviceKind
-from repro.experiments.parallel import WorkloadSpec, ab_specs, run_grid
+from repro.experiments.figure import Figure, run_ab
+from repro.experiments.parallel import WorkloadSpec
 from repro.metrics.aggregate import aggregate_improvements
 from repro.metrics.perf import RunMetrics
-from repro.metrics.report import Comparison, format_table
+from repro.metrics.report import Comparison
 from repro.workloads import fio
 
 #: The paper's Table 4.
 PAPER_TABLE4 = {"vm_exits": -0.34, "throughput": +0.20, "exec_time": -0.18}
-
-
-@dataclass
-class Fig6Result:
-    #: One comparison per category (block sizes aggregated), Fig. 6 style.
-    per_category: list[Comparison]
-    aggregate: Comparison
-
-    def render(self) -> str:
-        rows = [c.row() for c in self.per_category]
-        rows.append(self.aggregate.row())
-        return format_table(
-            ["category", "VM exits", "I/O throughput", "exec time"],
-            rows,
-            title=(
-                "Fig. 6 / Table 4 — fio, paratick vs tickless "
-                f"(paper averages: {PAPER_TABLE4['vm_exits']:+.0%} exits, "
-                f"{PAPER_TABLE4['throughput']:+.0%} throughput, "
-                f"{PAPER_TABLE4['exec_time']:+.0%} exec time)"
-            ),
-        )
 
 
 def _io_comparison(base: RunMetrics, cand: RunMetrics, label: str) -> Comparison:
@@ -65,32 +43,31 @@ def run(
     block_sizes: tuple[int, ...] = fio.BLOCK_SIZES,
     device: IoDeviceKind = IoDeviceKind.SATA_SSD,
     seed: int = 0,
-    jobs: int | None = None,
-    cache_dir=None,
-    use_cache: bool = False,
-    progress=None,
-    telemetry=None,
-) -> Fig6Result:
+    **engine,
+) -> Figure:
     """The full category x block-size sweep, aggregated per category.
 
     The category x block-size x tick-mode grid runs through the
     parallel experiment engine (``jobs``/cache aware).
     """
-    pairs: dict[str, list] = {cat: [] for cat in fio.CATEGORIES}
-    specs = []
-    for cat in fio.CATEGORIES:
-        for bs in block_sizes:
-            ws = WorkloadSpec.make("fio", category=cat, block_size=bs, total_bytes=total_bytes)
-            label = f"{cat}.{bs // 1024}k"
-            b, c = ab_specs(ws, seed=seed, device_kind=device, label=label)
-            pairs[cat].append((label, b, c))
-            specs += [b, c]
-    grid = run_grid(
-        specs, jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
-        progress=progress, telemetry=telemetry,
-    ).raise_if_failed()
-    per_category = []
-    for cat in fio.CATEGORIES:
-        comps = [_io_comparison(grid[b], grid[c], label) for label, b, c in pairs[cat]]
-        per_category.append(aggregate_improvements(comps, label=cat))
-    return Fig6Result(per_category, aggregate_improvements(per_category, label="average (Table 4)"))
+    comps = run_ab(
+        [(f"{cat}.{bs // 1024}k", WorkloadSpec.make(
+            "fio", category=cat, block_size=bs, total_bytes=total_bytes))
+         for cat in fio.CATEGORIES for bs in block_sizes],
+        seed=seed, compare=_io_comparison, knobs={"device_kind": device}, **engine,
+    )
+    n = len(block_sizes)
+    rows = [aggregate_improvements(comps[i * n:(i + 1) * n], label=cat)
+            for i, cat in enumerate(fio.CATEGORIES)]
+    return Figure(
+        title=(
+            "Fig. 6 / Table 4 — fio, paratick vs tickless "
+            f"(paper averages: {PAPER_TABLE4['vm_exits']:+.0%} exits, "
+            f"{PAPER_TABLE4['throughput']:+.0%} throughput, "
+            f"{PAPER_TABLE4['exec_time']:+.0%} exec time)"
+        ),
+        rows=rows,
+        aggregate=aggregate_improvements(rows, label="average (Table 4)"),
+        label_header="category",
+        io_throughput=True,
+    )

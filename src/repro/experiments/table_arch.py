@@ -148,20 +148,14 @@ def run(
     *,
     seed: int = 0,
     quick: bool = False,
-    jobs=None,
-    cache_dir=None,
     use_cache: bool = True,
-    progress=None,
-    telemetry=None,
+    **engine,
 ) -> ArchResult:
     """Run the comparison grid and fold it into rows."""
     from repro.experiments.parallel import run_grid
 
     specs = arch_specs(seed=seed, quick=quick)
-    grid = run_grid(
-        list(specs.values()), jobs=jobs, cache_dir=cache_dir,
-        use_cache=use_cache, progress=progress, telemetry=telemetry,
-    ).raise_if_failed()
+    grid = run_grid(list(specs.values()), use_cache=use_cache, **engine).raise_if_failed()
 
     cells: dict[tuple[str, str], dict[TickMode, RunMetrics]] = {}
     for (name, arch, mode), spec in specs.items():

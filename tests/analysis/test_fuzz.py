@@ -79,33 +79,60 @@ def fake_metrics(useful: int) -> RunMetrics:
 
 class TestDifferentialComparison:
     def base(self, useful=100_000_000):
-        return {mode: fake_metrics(useful) for mode in TickMode}
+        return {mode.value: fake_metrics(useful) for mode in TickMode}
 
     def test_identical_work_is_clean(self):
-        assert differential_problems(self.base()) == []
+        assert differential_problems(self.base(), "tickless") == []
 
     def test_divergence_is_reported(self):
         per_mode = self.base()
-        per_mode[TickMode.PERIODIC] = fake_metrics(80_000_000)
-        problems = differential_problems(per_mode)
+        per_mode["periodic"] = fake_metrics(80_000_000)
+        problems = differential_problems(per_mode, "tickless")
         assert len(problems) == 1
         assert "periodic" in problems[0]
         assert "diverge" in problems[0]
 
     def test_within_tolerance_is_clean(self):
         per_mode = self.base()
-        per_mode[TickMode.PARATICK] = fake_metrics(101_000_000)  # +1%
-        assert differential_problems(per_mode) == []
+        per_mode["paratick"] = fake_metrics(101_000_000)  # +1%
+        assert differential_problems(per_mode, "tickless") == []
 
     def test_abs_slack_covers_tiny_runs(self):
         per_mode = self.base(useful=1000)
-        per_mode[TickMode.PERIODIC] = fake_metrics(1000 + USEFUL_ABS_SLACK)
-        assert differential_problems(per_mode) == []
+        per_mode["periodic"] = fake_metrics(1000 + USEFUL_ABS_SLACK)
+        assert differential_problems(per_mode, "tickless") == []
 
     def test_missing_mode_skips_comparison(self):
-        per_mode = self.base()
-        del per_mode[TickMode.PERIODIC]
-        assert differential_problems(per_mode) == []
+        """A failed run leaves a hole; :func:`_sweep` skips the diff
+        (the failure is reported on its own) instead of diffing a
+        partial group."""
+        from repro.analysis import fuzz
+
+        spec = RunSpec(
+            WorkloadSpec.make("micro.pingpong", rounds=10, work_cycles=50_000,
+                              same_vcpu=False),
+            tick_mode=TickMode.TICKLESS,
+        )
+        report = fuzz._sweep(0, [("solo", {
+            "tickless": spec,
+            "periodic": spec.with_(horizon_ns=1),  # too short: the run fails
+        })], ref="tickless", tag="diff")
+        assert report.runs == 2
+        assert len(report.problems) == 1
+        assert report.problems[0].startswith("[periodic/solo] run failed")
+
+
+class TestForeignExits:
+    def test_each_backend_rejects_the_other_taxonomy(self):
+        from repro.analysis.fuzz import foreign_exit_problems
+        from repro.host.exitreasons import ExitReason, ExitTag
+
+        m = fake_metrics(1)
+        m.exits.record(0, ExitReason.MSR_WRITE, ExitTag.TIMER_PROGRAM)
+        m.exits.record(0, ExitReason.MSR_WRITE, ExitTag.TIMER_PROGRAM)
+        assert foreign_exit_problems(m, "x86") == []
+        (problem,) = foreign_exit_problems(m, "arm")
+        assert problem.startswith("2 msr_write exit(s) — foreign")
 
 
 class TestSingleRuns:

@@ -9,45 +9,51 @@ import pytest
 
 from repro.config import TickMode
 from repro.errors import ConfigError
-from repro.experiments.export import comparisons_to_csv, export_fig6, write_csv
+from repro.experiments.figure import Figure
 from repro.experiments.overcommit import compare_modes, run_idle_overcommit
 from repro.metrics.report import Comparison
 from repro.sim.timebase import SEC
 
 
+def figure(*comps: Comparison, io_throughput: bool = False) -> Figure:
+    return Figure(title="t", rows=list(comps), aggregate=Comparison("avg", 0, 0, 0),
+                  io_throughput=io_throughput)
+
+
 class TestCsvExport:
     def test_csv_roundtrip(self):
-        comps = [Comparison("a", -0.5, 0.1, -0.02), Comparison("b", -0.3, 0.2, -0.01)]
-        text = comparisons_to_csv(comps)
-        rows = list(csv.reader(text.splitlines()))
+        fig = figure(Comparison("a", -0.5, 0.1, -0.02), Comparison("b", -0.3, 0.2, -0.01))
+        rows = list(csv.reader(fig.csv().splitlines()))
         assert rows[0] == ["label", "vm_exits", "throughput", "exec_time"]
         assert rows[1][0] == "a"
         assert float(rows[1][1]) == pytest.approx(-0.5)
-        assert len(rows) == 3
+        assert [r[0] for r in rows[1:]] == ["a", "b", "avg"]
 
     def test_write_csv_creates_dirs(self, tmp_path):
-        p = write_csv(tmp_path / "nested" / "out.csv", [Comparison("x", 0, 0, 0)])
+        p = figure(Comparison("x", 0, 0, 0)).write_csv(tmp_path / "nested" / "out.csv")
         assert p.exists()
-        assert "label" in p.read_text()
+        assert p.read_bytes() == figure(Comparison("x", 0, 0, 0)).csv().encode()
 
-    def test_export_fig4_headers(self, tmp_path):
-        from repro.experiments.export import export_fig4
+    def test_export_fig4_headers(self):
+        from repro.experiments import table2_fig4
 
-        p = export_fig4(tmp_path, target_cycles=20_000_000)
-        rows = list(csv.reader(p.read_text().splitlines()))
+        text = table2_fig4.run(target_cycles=20_000_000).csv()
+        rows = list(csv.reader(text.splitlines()))
         assert len(rows) == 15  # 13 benchmarks + aggregate + header
         assert rows[0] == ["label", "vm_exits", "throughput", "exec_time"]
 
-    def test_export_fig5_small_only(self, tmp_path):
-        from repro.experiments.export import export_fig5
+    def test_export_fig5_small_only(self):
+        from repro.experiments import table3_fig5
+        from repro.experiments.scenarios import SMALL
 
-        paths = export_fig5(tmp_path, sizes=("small",), target_cycles=20_000_000)
-        assert len(paths) == 1
-        assert "small" in paths[0].name
-        assert len(paths[0].read_text().splitlines()) == 15
+        text = table3_fig5.run_size(SMALL, target_cycles=20_000_000).csv()
+        assert len(text.splitlines()) == 15
+        assert text.splitlines()[-1].startswith("average (small),")
 
     def test_export_fig6_writes_five_rows(self, tmp_path):
-        p = export_fig6(tmp_path, total_bytes=1 << 20)
+        from repro.experiments import table4_fig6
+
+        p = table4_fig6.run(total_bytes=1 << 20).write_csv(tmp_path / "fig6_fio.csv")
         rows = list(csv.reader(p.read_text().splitlines()))
         # 4 categories + 1 aggregate + header
         assert len(rows) == 6

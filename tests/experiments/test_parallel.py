@@ -18,6 +18,7 @@ import gc
 import io
 import json
 import os
+import re
 import time
 import weakref
 
@@ -335,14 +336,18 @@ def test_failed_cells_leave_holes_in_ordered():
 
 def test_progress_reporter_tallies_and_prints(tmp_path):
     specs = [cheap_spec(seed=s) for s in (0, 1)]
+    boom = RunSpec(WorkloadSpec.make("test.boom"), label="boom")
     out = io.StringIO()
     stats, cb = progress_reporter(stream=out)
     run_grid(specs, jobs=1, cache_dir=tmp_path, progress=cb)
     run_grid(specs, jobs=1, cache_dir=tmp_path, progress=cb)
-    assert stats["ran"] == 2 and stats["cached"] == 2
+    run_grid([boom], jobs=1, cache_dir=tmp_path, progress=cb, retries=0)
+    assert stats["ran"] == 2 and stats["cached"] == 2 and stats["failed"] == 1
     lines = out.getvalue().strip().splitlines()
-    assert len(lines) == 4
-    assert all("micro.pingpong" in line for line in lines)
+    assert len(lines) == 5
+    assert all("micro.pingpong" in line for line in lines[:4])
+    # The error comes before the attempt's wall time, as `repro` prints it.
+    assert re.fullmatch(r"\[1/1\] failed boom \(.+\) \[\d+\.\d\ds\]", lines[4]), lines[4]
 
 
 # --------------------------------------------------------------------------

@@ -107,7 +107,7 @@ class TestExperimentModules:
         from repro.experiments import table2_fig4
 
         res = table2_fig4.run(target_cycles=30_000_000)
-        assert len(res.per_benchmark) == 13
+        assert len(res.rows) == 13
         assert res.aggregate.vm_exits < 0
         assert "Table 2" in res.render()
 
@@ -117,13 +117,73 @@ class TestExperimentModules:
         res = table3_fig5.run_size(
             SMALL, benches=("streamcluster", "swaptions"), target_cycles=30_000_000
         )
-        assert len(res.per_benchmark) == 2
+        assert len(res.rows) == 2
         assert res.aggregate.vm_exits < 0
 
     def test_table4_tiny(self):
         from repro.experiments import table4_fig6
 
         res = table4_fig6.run(total_bytes=1 << 20, block_sizes=(4096,))
-        assert len(res.per_category) == 4
+        assert len(res.rows) == 4
         assert res.aggregate.vm_exits < 0
         assert res.aggregate.throughput > 0
+
+
+class TestFigureGrids:
+    """The grid each figure driver submits: spec labels, their order and
+    the A/B knobs. Labels are part of every cell's cache key and of the
+    benchmark digests, so a refactor of the drivers must not move them."""
+
+    class Submitted(Exception):
+        pass
+
+    @pytest.fixture
+    def submitted(self, monkeypatch):
+        from repro.experiments import figure
+
+        grids = []
+
+        def run_grid(specs, **engine):
+            grids.append(list(specs))
+            raise self.Submitted
+
+        monkeypatch.setattr(figure, "run_grid", run_grid)
+        return grids
+
+    @staticmethod
+    def ab_labels(stems):
+        return [f"{s}/{mode}" for s in stems for mode in ("tickless", "paratick")]
+
+    def test_table2_grid(self, submitted):
+        from repro.experiments import table2_fig4
+        from repro.workloads.parsec import BENCHMARK_NAMES
+
+        with pytest.raises(self.Submitted):
+            table2_fig4.run(target_cycles=1)
+        (specs,) = submitted
+        assert [s.label for s in specs] == self.ab_labels(BENCHMARK_NAMES)
+        assert [s.tick_mode for s in specs[:2]] == [TickMode.TICKLESS, TickMode.PARATICK]
+        assert specs[0].with_(tick_mode=TickMode.PARATICK, label="x") == specs[1].with_(label="x")
+
+    def test_table3_grid(self, submitted):
+        from repro.experiments import table3_fig5
+
+        with pytest.raises(self.Submitted):
+            table3_fig5.run_size(SMALL, benches=("swaptions", "dedup"), seed=3)
+        (specs,) = submitted
+        assert [s.label for s in specs] == self.ab_labels(["small.swaptions", "small.dedup"])
+        assert {s.pinned_cpus for s in specs} == {pins_for_size(SMALL)}
+        assert {s.seed for s in specs} == {3}
+        assert {s.workload.kwargs()["threads"] for s in specs} == {SMALL.vcpus}
+
+    def test_table4_grid(self, submitted):
+        from repro.config import IoDeviceKind
+        from repro.experiments import table4_fig6
+
+        with pytest.raises(self.Submitted):
+            table4_fig6.run(block_sizes=(4096, 65536), device=IoDeviceKind.NVME_SSD)
+        (specs,) = submitted
+        assert [s.label for s in specs] == self.ab_labels(
+            f"{cat}.{k}k" for cat in ("seqr", "seqwr", "rndr", "rndwr") for k in (4, 64)
+        )
+        assert {s.device_kind for s in specs} == {IoDeviceKind.NVME_SSD}

@@ -82,6 +82,28 @@ class TestCommands:
         assert "fig6_fio.csv" in out
         assert (tmp_path / "figs" / "fig6_fio.csv").exists()
 
+    def test_export_honours_engine_flags(self, capsys, tmp_path):
+        """``export`` runs its grid with the global engine flags: the
+        telemetry sink records the grid, and a pooled run writes the
+        same CSV as a serial one."""
+        tele = tmp_path / "tele"
+        assert main(["--quiet-progress", "--no-cache", "--telemetry-out", str(tele),
+                     "export", "fig6", "--out", str(tmp_path / "serial")]) == 0
+        spans = [json.loads(line) for line in (tele / "spans.jsonl").read_text().splitlines()]
+        assert any(s.get("name") == "grid.run" for s in spans)
+        assert main(["--quiet-progress", "--no-cache", "--jobs", "2",
+                     "export", "fig6", "--out", str(tmp_path / "pooled")]) == 0
+        serial = (tmp_path / "serial" / "fig6_fio.csv").read_bytes()
+        assert (tmp_path / "pooled" / "fig6_fio.csv").read_bytes() == serial
+        capsys.readouterr()
+
+    def test_table3_chart_header(self, capsys):
+        assert main(["--quiet-progress", "--no-cache", "table3", "--quick", "--size", "small",
+                     "--bench", "swaptions", "--chart"]) == 0
+        out = capsys.readouterr().out
+        assert "\nFig. 5 [small] —\n(a) VM exits\n" in out
+        assert "(b) system throughput" in out
+
 
 MATRIX_TOML = """\
 [matrix]
