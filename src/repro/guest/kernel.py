@@ -111,7 +111,7 @@ class GuestKernel:
             # grid (staggered per vCPU, like real kernel SMP bring-up).
             boot = self.costs.guest_boot_init + vidx * 40_000
             self.push(vidx, gops.Compute(boot, K))
-            self._with_vcpu(vidx, lambda v=vidx: self.policy.on_boot(v))
+            self.complete(vidx, lambda v=vidx: self.policy.on_boot(v))
 
     # ----------------------------------------------------------- wiring
 
@@ -153,7 +153,7 @@ class GuestKernel:
         at or after the restore instant.
         """
         for vidx in range(min(self.nvcpus, len(self.vm.vcpus))):
-            self._with_vcpu(vidx, lambda v=vidx: self.policy.on_clock_jump(v, jump_ns))
+            self.complete(vidx, lambda v=vidx: self.policy.on_clock_jump(v, jump_ns))
 
     def on_vcpu_hotplug(self, vidx: int) -> None:
         """A vCPU came online at index ``vidx`` (host-side hotplug).
@@ -174,7 +174,7 @@ class GuestKernel:
             raise GuestError(f"hotplug at index {vidx} skips slot {self.nvcpus}")
         boot = self.costs.guest_boot_init + vidx * 40_000
         self.push(vidx, gops.Compute(boot, K))
-        self._with_vcpu(vidx, lambda v=vidx: self.policy.on_boot(v))
+        self.complete(vidx, lambda v=vidx: self.policy.on_boot(v))
 
     def on_vcpu_unplug(self, vidx: int) -> None:
         """A vCPU went offline; drop its queued kernel work.
@@ -223,35 +223,26 @@ class GuestKernel:
         else:
             self._ctx[vidx].ops.append(op)
 
-    def _cb(self, vidx: int, fn: Callable[[], None]) -> Callable[[], None]:
-        """Wrap a callback so kernel work it does is attributed to vidx."""
-
-        def run() -> None:
-            prev = self._active_vidx
-            self._active_vidx = vidx
-            try:
-                fn()
-            finally:
-                self._active_vidx = prev
-
-        return run
-
-    def _with_vcpu(self, vidx: int, fn: Callable[[], None]) -> None:
-        self._cb(vidx, fn)()
-
     # =================================================================
     # Executor-facing interface
     # =================================================================
 
     def next_op(self, vidx: int):
-        """Produce the next primitive op for a vCPU (see module docstring)."""
+        """Produce the next primitive op for a vCPU (see module docstring).
+
+        A queued op other than ``Hlt`` is returned as is; only an empty
+        queue or a ``Hlt`` (the sti;hlt guard below) runs the scheduler.
+        """
         ctx = self._ctx[vidx]
+        ops = ctx.ops
+        if ops and not isinstance(ops[0], gops.Hlt):
+            return ops.popleft()
         prev = self._active_vidx
         self._active_vidx = vidx
         try:
             for _ in range(100_000):
-                if ctx.ops:
-                    op = ctx.ops.popleft()
+                if ops:
+                    op = ops.popleft()
                     if isinstance(op, gops.Hlt) and self.sched.has_work(vidx):
                         # Linux's sti;hlt race guard: a wakeup arrived
                         # between the idle-entry decision and the HLT —
@@ -282,6 +273,22 @@ class GuestKernel:
                 ctx.idle = True
                 self._push_idle_enter(vidx)
             raise GuestError(f"vCPU{vidx}: kernel op loop made no progress")
+        finally:
+            self._active_vidx = prev
+
+    def complete(self, vidx: int, fn: Callable[[], None]) -> None:
+        """Run ``fn`` as kernel work of vCPU ``vidx``.
+
+        The executor calls this with the ``on_done`` of every op that
+        ran its full cycle count; ``vidx`` is the vCPU whose queue held
+        the op. Ops ``fn`` pushes for ``vidx``, and the reschedule IPI
+        of a task it wakes on another vCPU, are attributed to ``vidx``.
+        Boot, hotplug and clock-jump work runs through it too.
+        """
+        prev = self._active_vidx
+        self._active_vidx = vidx
+        try:
+            fn()
         finally:
             self._active_vidx = prev
 
@@ -330,10 +337,8 @@ class GuestKernel:
 
     def push_tick_work(self, vidx: int) -> None:
         """Standard tick-handler body: accounting, sched check, softirqs."""
-        self.push(
-            vidx,
-            gops.Compute(self.costs.guest_tick_work, K, on_done=self._cb(vidx, lambda: self._tick_effects(vidx))),
-        )
+        self.push(vidx, gops.Compute(self.costs.guest_tick_work, K,
+                                     on_done=lambda: self._tick_effects(vidx)))
 
     def _tick_effects(self, vidx: int) -> None:
         ctx = self._ctx[vidx]
@@ -396,17 +401,14 @@ class GuestKernel:
                 self.vm.vcpus[vidx].requested_cstate = self.cpuidle_governor.select(predicted)
             self.push(vidx, gops.Hlt())
 
-        self.push(vidx, gops.Compute(self.costs.guest_idle_entry, K, on_done=self._cb(vidx, after_entry_code)))
+        self.push(vidx, gops.Compute(self.costs.guest_idle_entry, K, on_done=after_entry_code))
 
     def _push_idle_exit(self, vidx: int) -> None:
         def after_exit_code() -> None:
             self.trace_mark(vidx, "idle_exit")
             self.policy.on_idle_exit(vidx)
 
-        self.push(
-            vidx,
-            gops.Compute(self.costs.guest_idle_exit, K, on_done=self._cb(vidx, after_exit_code)),
-        )
+        self.push(vidx, gops.Compute(self.costs.guest_idle_exit, K, on_done=after_exit_code))
 
     def _push_switch(self, vidx: int) -> None:
         def do_switch() -> None:
@@ -414,7 +416,7 @@ class GuestKernel:
             if self.sched.current(vidx) is None:
                 self.sched.pick_next(vidx)
 
-        self.push(vidx, gops.Compute(self.costs.guest_sched_switch, K, on_done=self._cb(vidx, do_switch)))
+        self.push(vidx, gops.Compute(self.costs.guest_sched_switch, K, on_done=do_switch))
 
     # =================================================================
     # Task-op translation
@@ -439,39 +441,39 @@ class GuestKernel:
             self.push(vidx, gops.Compute(top.cycles, U))
         elif isinstance(top, tsk.Sleep):
             self.push(vidx, gops.Compute(c.guest_syscall + c.guest_hrtimer_soft, K,
-                                         on_done=self._cb(vidx, lambda: self._do_sleep(vidx, task, top.ns, top.precise))))
+                                         on_done=lambda: self._do_sleep(vidx, task, top.ns, top.precise)))
         elif isinstance(top, (tsk.BlockRead, tsk.BlockWrite)):
             op = "read" if isinstance(top, tsk.BlockRead) else "write"
             pages = max(1, -(-top.size // PAGE))
             cycles = c.guest_syscall + c.guest_io_submit + pages * c.guest_io_per_page
             self.push(vidx, gops.Compute(cycles, K,
-                                         on_done=self._cb(vidx, lambda: self._do_block_io(vidx, task, op, top.size, top.offset))))
+                                         on_done=lambda: self._do_block_io(vidx, task, op, top.size, top.offset)))
         elif isinstance(top, tsk.NetRequest):
             pages = max(1, -(-top.size // PAGE))
             cycles = c.guest_syscall + c.guest_io_submit // 2 + pages * c.guest_io_per_page
             self.push(vidx, gops.Compute(cycles, K,
-                                         on_done=self._cb(vidx, lambda: self._do_net_request(vidx, task, top.size))))
+                                         on_done=lambda: self._do_net_request(vidx, task, top.size)))
         elif isinstance(top, tsk.MutexLock):
             self.push(vidx, gops.Compute(c.guest_futex_wait, K,
-                                         on_done=self._cb(vidx, lambda: self._do_lock(vidx, task, top.mutex))))
+                                         on_done=lambda: self._do_lock(vidx, task, top.mutex)))
         elif isinstance(top, tsk.MutexUnlock):
             self.push(vidx, gops.Compute(c.guest_futex_wake, K,
-                                         on_done=self._cb(vidx, lambda: self._do_unlock(vidx, task, top.mutex))))
+                                         on_done=lambda: self._do_unlock(vidx, task, top.mutex)))
         elif isinstance(top, tsk.BarrierWait):
             self.push(vidx, gops.Compute(c.guest_futex_wait, K,
-                                         on_done=self._cb(vidx, lambda: self._do_barrier(vidx, task, top.barrier))))
+                                         on_done=lambda: self._do_barrier(vidx, task, top.barrier)))
         elif isinstance(top, tsk.CondWait):
             self.push(vidx, gops.Compute(c.guest_futex_wait, K,
-                                         on_done=self._cb(vidx, lambda: self._do_cond_wait(vidx, task, top.cond))))
+                                         on_done=lambda: self._do_cond_wait(vidx, task, top.cond)))
         elif isinstance(top, tsk.CondSignal):
             self.push(vidx, gops.Compute(c.guest_futex_wake, K,
-                                         on_done=self._cb(vidx, lambda: self._do_cond_signal(vidx, top.cond, top.n))))
+                                         on_done=lambda: self._do_cond_signal(vidx, top.cond, top.n)))
         elif isinstance(top, tsk.QueuePut):
             self.push(vidx, gops.Compute(c.guest_futex_wake, K,
-                                         on_done=self._cb(vidx, lambda: self._do_queue_put(vidx, task, top.queue, top.item))))
+                                         on_done=lambda: self._do_queue_put(vidx, task, top.queue, top.item)))
         elif isinstance(top, tsk.QueueGet):
             self.push(vidx, gops.Compute(c.guest_futex_wait, K,
-                                         on_done=self._cb(vidx, lambda: self._do_queue_get(vidx, task, top.queue))))
+                                         on_done=lambda: self._do_queue_get(vidx, task, top.queue)))
         elif isinstance(top, tsk.PageFault):
             for _ in range(top.count):
                 self.push(vidx, gops.Fault())
@@ -479,7 +481,7 @@ class GuestKernel:
             def do_yield() -> None:
                 self._ctx[vidx].need_resched = True
 
-            self.push(vidx, gops.Compute(c.guest_syscall, K, on_done=self._cb(vidx, do_yield)))
+            self.push(vidx, gops.Compute(c.guest_syscall, K, on_done=do_yield))
         else:
             raise GuestError(f"task {task.name} yielded unknown op {top!r}")
 
@@ -602,7 +604,7 @@ class GuestKernel:
                 if task is not None:
                     self.sched.wake(task)
 
-        seq.append(gops.Compute(c.guest_io_complete, K, on_done=self._cb(vidx, drain)))
+        seq.append(gops.Compute(c.guest_io_complete, K, on_done=drain))
 
     # --------------------------------------------------------------- wakeups
 

@@ -21,6 +21,9 @@ from repro.errors import GuestError
 from repro.hw.cpu import CycleDomain
 from repro.hw.iodev import IoRequest
 
+_USER = CycleDomain.GUEST_USER
+_KERNEL = CycleDomain.GUEST_KERNEL
+
 
 class GuestOp:
     """Base class for primitive guest operations."""
@@ -40,12 +43,12 @@ class Compute(GuestOp):
     def __init__(
         self,
         cycles: int,
-        domain: CycleDomain = CycleDomain.GUEST_USER,
+        domain: CycleDomain = _USER,
         on_done: Optional[Callable[[], None]] = None,
     ):
         if cycles < 0:
             raise GuestError(f"negative compute: {cycles}")
-        if domain not in (CycleDomain.GUEST_USER, CycleDomain.GUEST_KERNEL):
+        if domain is not _USER and domain is not _KERNEL:
             raise GuestError(f"guest compute must be guest-domain, got {domain}")
         self.cycles = cycles
         self.domain = domain

@@ -46,12 +46,44 @@ from repro.host.sched import HostScheduler
 from repro.host.vcpu import VCpu, VcpuState
 from repro.metrics.counters import ExitCounters
 from repro.sim.engine import Simulator
+from repro.sim.timebase import SEC, CpuClock
 
 #: Hypercall numbers.
 HC_PARATICK_SET_PERIOD = 1
 
 #: Safety bound on zero-duration guest ops handled back-to-back.
 _MAX_OP_CHAIN = 100_000
+
+_Compute = gops.Compute
+_GUEST_KERNEL = CycleDomain.GUEST_KERNEL
+_VMX_TRANSITION = CycleDomain.VMX_TRANSITION
+_POLLUTION = CycleDomain.POLLUTION
+_HOST_HANDLER = CycleDomain.HOST_HANDLER
+_HOST_SCHED = CycleDomain.HOST_SCHED
+
+
+class FixedCostNs(dict):
+    """Nanoseconds of the host's fixed costs, keyed by cycle count.
+
+    Every cost the hypervisor charges except guest compute is a
+    constant of the frozen :class:`CostModel` or a sum of them: the
+    exit and entry hardware (entry with *n* injected vectors), the
+    pollution term, each exit handler, block/wake/context switch, the
+    host tick handler and the I/O backend. Each distinct count is
+    converted with :meth:`CpuClock.cycles_to_ns` once, on first use,
+    and looked up afterwards — so the values are identical to
+    converting on every event by construction.
+    """
+
+    __slots__ = ("clock",)
+
+    def __init__(self, clock: CpuClock):
+        super().__init__()
+        self.clock = clock
+
+    def __missing__(self, cycles: int) -> int:
+        ns = self[cycles] = self.clock.cycles_to_ns(cycles)
+        return ns
 
 
 class VirtualMachine:
@@ -137,6 +169,10 @@ class Hypervisor:
         self.vms: list[VirtualMachine] = []
         self._host_tick_events: dict[int, object] = {}
         self._next_auto_cpu = 0
+        #: ns of every fixed cost this host charges, converted once.
+        self.fixed_ns = FixedCostNs(machine.clock)
+        #: The host tick period (the machine spec is frozen).
+        self.host_tick_period_ns = machine.spec.host_tick_period_ns
 
     # ----------------------------------------------------------- VM set-up
 
@@ -197,12 +233,9 @@ class Hypervisor:
         after the backend latency.
         """
         vcpu = vm.vcpus[vcpu_index]
-        backend_ns = self.machine.clock.cycles_to_ns(self.costs.host_io_backend)
+        backend_ns = self.fixed_ns[self.costs.host_io_backend]
         vcpu.pcpu.account(CycleDomain.HOST_IO, backend_ns)
         self.sim.schedule(backend_ns, self._deliver_io_completion, vm, vcpu_index, req, vector)
-
-    #: Backwards-compatible name (block devices were wired first).
-    complete_block_request = complete_io_request
 
     def _deliver_io_completion(
         self, vm: VirtualMachine, vcpu_index: int, req: IoRequest, vector: Vector
@@ -221,7 +254,7 @@ class Hypervisor:
         """
         if self._host_tick_events.get(pcpu_index) is not None:
             return
-        period = self.machine.spec.host_tick_period_ns
+        period = self.host_tick_period_ns
         next_fire = (self.sim.now // period + 1) * period
         self._host_tick_events[pcpu_index] = self.sim.at(next_fire, self._host_tick, pcpu_index)
 
@@ -230,7 +263,7 @@ class Hypervisor:
         vcpu = self.sched.running_on(pcpu_index)
         if vcpu is None or vcpu.state in (VcpuState.HALTED, VcpuState.OFF):
             return  # CPU idle: host is tickless, chain stops until next dispatch
-        period = self.machine.spec.host_tick_period_ns
+        period = self.host_tick_period_ns
         self._host_tick_events[pcpu_index] = self.sim.schedule(period, self._host_tick, pcpu_index)
         vcpu.exec.host_tick_interrupt(preempt=self.sched.wants_preemption(pcpu_index))
 
@@ -388,9 +421,16 @@ class _VcpuExec:
         "sim",
         "vm",
         "vcpu",
+        "pcpu",
         "costs",
         "clock",
         "preempt_timer",
+        "_ns",
+        "_freq_hz",
+        "_exit_hw_ns",
+        "_pollution_ns",
+        "_ple",
+        "_rate_adapt",
         "_cur_op",
         "_cur_start",
         "_cur_dur",
@@ -412,11 +452,21 @@ class _VcpuExec:
         self.sim = hv.sim
         self.vm = vm
         self.vcpu = vcpu
-        self.costs = hv.costs
+        self.pcpu = vcpu.pcpu
+        self.costs = costs = hv.costs
         self.clock = hv.machine.clock
         self.preempt_timer = PreemptionTimer(
             hv.sim, self._on_preempt_timer, name=f"{vm.name}/vcpu{vcpu.index}"
         )
+        # Per-vCPU invariants of the hot paths: the host's fixed-cost
+        # table, the clock rate guest compute is converted at, and the
+        # feature flags read on every op or entry.
+        self._ns = ns = hv.fixed_ns
+        self._freq_hz = self.clock.freq_hz
+        self._exit_hw_ns = ns[costs.vmexit_hw]
+        self._pollution_ns = ns[costs.pollution]
+        self._ple = hv.features.ple
+        self._rate_adapt = hv.features.paratick_rate_adapt
         self._cur_op: Optional[gops.Compute] = None
         self._cur_start = 0
         self._cur_dur = 0
@@ -514,7 +564,7 @@ class _VcpuExec:
             self._polling = False
             self.sim.cancel(self._poll_event)
             self._poll_event = None
-            vcpu.pcpu.account(CycleDomain.HALT_POLL, now - self._poll_start)
+            self.pcpu.account(CycleDomain.HALT_POLL, now - self._poll_start)
         if st is VcpuState.GUEST:
             self._cancel_cur()
             self.preempt_timer.stop()
@@ -575,35 +625,36 @@ class _VcpuExec:
         vcpu = self.vcpu
         if vcpu.state in (VcpuState.SUSPENDED, VcpuState.OFF):
             return  # parked by a VM suspend (or torn down) mid-transition
-        self._cancel_host_deadline()
-        self.hv.ensure_host_tick(vcpu.pcpu.index)
+        if self._host_deadline_event is not None:
+            self._cancel_host_deadline()
+        self.hv.ensure_host_tick(self.pcpu.index)
         # Paratick host hook (Fig. 2): runs on every VM entry.
-        if self.vm.paratick_enabled:
+        vm = self.vm
+        if vm.paratick_enabled:
             now = self.sim.now
             if vcpu.has_pending_timer_irq and self.hv.features.paratick_last_tick_heuristic:
                 # Heuristic of §5.1: the pending guest timer interrupt
                 # will act as a tick.
                 vcpu.last_virtual_tick_ns = now
-            elif now - vcpu.last_virtual_tick_ns >= self.vm.paratick_period_ns:
+            elif now - vcpu.last_virtual_tick_ns >= vm.paratick_period_ns:
                 if vcpu.post_irq(Vector.PARATICK_VIRTUAL_TICK):
-                    self.vm.virtual_ticks_injected += 1
+                    vm.virtual_ticks_injected += 1
                 vcpu.last_virtual_tick_ns = now
-        vectors = vcpu.drain_irqs()
+        vectors = vcpu.drain_irqs() if vcpu.pending_irqs else ()
         if vectors and self.sim.trace.enabled:
             self.sim.trace.emit(
-                self.sim.now, f"{self.vm.name}/vcpu{vcpu.index}", "inject",
+                self.sim.now, f"{vm.name}/vcpu{vcpu.index}", "inject",
                 tuple(int(v) for v in vectors),
             )
         c = self.costs
-        entry_cycles = c.vmentry_hw + c.inject_irq * len(vectors)
-        entry_ns = self.clock.cycles_to_ns(entry_cycles)
-        pollution_ns = self.clock.cycles_to_ns(c.pollution)
-        self.sim.schedule(entry_ns + pollution_ns, self._entered, vectors, entry_ns, pollution_ns)
+        entry_ns = self._ns[c.vmentry_hw + c.inject_irq * len(vectors)]
+        self.sim.schedule(entry_ns + self._pollution_ns, self._entered, vectors, entry_ns)
 
-    def _entered(self, vectors: tuple, entry_ns: int, pollution_ns: int) -> None:
+    def _entered(self, vectors: tuple, entry_ns: int) -> None:
         vcpu = self.vcpu
-        vcpu.pcpu.account(CycleDomain.VMX_TRANSITION, entry_ns)
-        vcpu.pcpu.account(CycleDomain.POLLUTION, pollution_ns)
+        pcpu = self.pcpu
+        pcpu.account(_VMX_TRANSITION, entry_ns)
+        pcpu.account(_POLLUTION, self._pollution_ns)
         if vcpu.state in (VcpuState.SUSPENDED, VcpuState.OFF):
             # Frozen mid-entry: the drained vectors go back to pending so
             # the post-resume entry injects them again.
@@ -612,59 +663,63 @@ class _VcpuExec:
             return
         vcpu.state = VcpuState.GUEST
         deadline = vcpu.guest_deadline_ns
-        if (
-            self.hv.features.paratick_rate_adapt
-            and self.vm.paratick_enabled
-            and self.vm.paratick_period_ns > 0
-        ):
+        vm = self.vm
+        if self._rate_adapt and vm.paratick_enabled and vm.paratick_period_ns > 0:
             # §4.1 rate adaptation: guarantee an injection opportunity
             # once per guest tick period even if the host tick is slower.
-            backstop = vcpu.last_virtual_tick_ns + self.vm.paratick_period_ns
+            backstop = vcpu.last_virtual_tick_ns + vm.paratick_period_ns
             if deadline is None or backstop < deadline:
                 deadline = backstop
         self.preempt_timer.set_deadline(deadline)
         self.preempt_timer.start()
         if vectors:
-            self.vm.kernel.on_interrupts(vcpu.index, vectors)
+            vm.kernel.on_interrupts(vcpu.index, vectors)
         self._next_op()
 
     # ----------------------------------------------------------- op stream
 
     def _next_op(self) -> None:
+        """Run the guest op stream up to its next timed op or exit.
+
+        Zero-cycle computes retire inline; a positive one schedules its
+        completion (converted with ``cycles_to_ns``'s ceil formula: the
+        durations vary, so they are not in the fixed-cost table).
+        """
         kernel = self.vm.kernel
-        vcpu = self.vcpu
-        for _ in range(_MAX_OP_CHAIN):
-            op = kernel.next_op(vcpu.index)
-            if op is None:
-                self.shutdown()
-                return
-            if isinstance(op, gops.Compute):
-                if op.cycles == 0:
-                    if op.on_done is not None:
-                        op.on_done()
-                    continue
+        vidx = self.vcpu.index
+        chain = 0
+        while True:
+            op = kernel.next_op(vidx)
+            if type(op) is not _Compute:
+                if op is None:
+                    self.shutdown()
+                    return
+                if isinstance(op, gops.Pause) and not self._ple:
+                    # Without pause-loop exiting, spinning is just compute.
+                    op = _Compute(op.cycles, _GUEST_KERNEL)
+                elif not isinstance(op, _Compute):
+                    self._sync_exit(op)
+                    return
+            cycles = op.cycles
+            if cycles:
+                sim = self.sim
                 self._cur_op = op
-                self._cur_start = self.sim.now
-                self._cur_dur = self.clock.cycles_to_ns(op.cycles)
-                self._cur_event = self.sim.schedule(self._cur_dur, self._compute_done)
+                self._cur_start = sim.now
+                self._cur_dur = dur = -(-cycles * SEC // self._freq_hz)
+                self._cur_event = sim.schedule(dur, self._compute_done)
                 return
-            if isinstance(op, gops.Pause) and not self.hv.features.ple:
-                # Without pause-loop exiting, spinning is just compute.
-                self._cur_op = gops.Compute(op.cycles, CycleDomain.GUEST_KERNEL)
-                self._cur_start = self.sim.now
-                self._cur_dur = self.clock.cycles_to_ns(op.cycles)
-                self._cur_event = self.sim.schedule(self._cur_dur, self._compute_done)
-                return
-            self._sync_exit(op)
-            return
-        raise HostError(f"{vcpu!r}: guest op stream made no progress")
+            if op.on_done is not None:
+                kernel.complete(vidx, op.on_done)
+            chain += 1
+            if chain == _MAX_OP_CHAIN:
+                raise HostError(f"{self.vcpu!r}: guest op stream made no progress")
 
     def _compute_done(self) -> None:
         op = self._cur_op
-        self.vcpu.pcpu.account(op.domain, self.sim.now - self._cur_start)
+        self.pcpu.account(op.domain, self.sim.now - self._cur_start)
         self._cur_op = self._cur_event = None
         if op.on_done is not None:
-            op.on_done()
+            self.vm.kernel.complete(self.vcpu.index, op.on_done)
         self._next_op()
 
     def _cancel_cur(self) -> None:
@@ -674,16 +729,16 @@ class _VcpuExec:
         op = self._cur_op
         elapsed = self.sim.now - self._cur_start
         if elapsed > 0:
-            self.vcpu.pcpu.account(op.domain, elapsed)
+            self.pcpu.account(op.domain, elapsed)
         self.sim.cancel(self._cur_event)
         remaining = self.clock.ns_to_cycles(self._cur_dur - elapsed)
         if remaining > 0:
             self.vm.kernel.requeue_front(
-                self.vcpu.index, gops.Compute(remaining, op.domain, op.on_done)
+                self.vcpu.index, _Compute(remaining, op.domain, op.on_done)
             )
         elif op.on_done is not None:
             # The interrupt landed exactly at completion; finish the op.
-            op.on_done()
+            self.vm.kernel.complete(self.vcpu.index, op.on_done)
         self._cur_op = self._cur_event = None
 
     # ------------------------------------------------------------- VM exits
@@ -738,17 +793,15 @@ class _VcpuExec:
                 self.sim.now, f"{self.vm.name}/vcpu{vcpu.index}", "vmexit",
                 (reason.value, tag.value),
             )
-        c = self.costs
-        exit_hw_ns = self.clock.cycles_to_ns(c.vmexit_hw)
-        handler_ns = self.clock.cycles_to_ns(handler_cycles)
+        handler_ns = self._ns[handler_cycles]
         self.sim.schedule(
-            exit_hw_ns + handler_ns, self._exit_work_done, exit_hw_ns, handler_ns, effect, then
+            self._exit_hw_ns + handler_ns, self._exit_work_done, handler_ns, effect, then
         )
 
-    def _exit_work_done(self, exit_hw_ns, handler_ns, effect, then) -> None:
-        pcpu = self.vcpu.pcpu
-        pcpu.account(CycleDomain.VMX_TRANSITION, exit_hw_ns)
-        pcpu.account(CycleDomain.HOST_HANDLER, handler_ns)
+    def _exit_work_done(self, handler_ns, effect, then) -> None:
+        pcpu = self.pcpu
+        pcpu.account(_VMX_TRANSITION, self._exit_hw_ns)
+        pcpu.account(_HOST_HANDLER, handler_ns)
         if effect is not None:
             effect()
         if self.vcpu.state in (VcpuState.OFF, VcpuState.SUSPENDED):
@@ -830,12 +883,12 @@ class _VcpuExec:
     def _poll_timeout(self) -> None:
         self._polling = False
         self._poll_event = None
-        self.vcpu.pcpu.account(CycleDomain.HALT_POLL, self.sim.now - self._poll_start)
+        self.pcpu.account(CycleDomain.HALT_POLL, self.sim.now - self._poll_start)
         self._block()
 
     def _block(self) -> None:
         vcpu = self.vcpu
-        block_ns = self.clock.cycles_to_ns(self.costs.block_vcpu)
+        block_ns = self._ns[self.costs.block_vcpu]
         vcpu.state = VcpuState.HALTED
         vcpu.halted_since_ns = self.sim.now
         self._arm_host_deadline()
@@ -895,12 +948,11 @@ class _VcpuExec:
         vcpu.total_steal_ns += stolen_ns
         vcpu.steal_episodes += 1
         if self.sim.trace.enabled:
-            self._trace("sched_dispatch", (vcpu.pcpu.index, stolen_ns))
+            self._trace("sched_dispatch", (self.pcpu.index, stolen_ns))
         vcpu.state = VcpuState.EXITED
-        ctx_ns = self.clock.cycles_to_ns(self.costs.ctx_switch)
-        ctx_ns += extra_ns + self._pending_sched_ns
+        ctx_ns = self._ns[self.costs.ctx_switch] + extra_ns + self._pending_sched_ns
         self._pending_sched_ns = 0
-        self.vcpu.pcpu.account(CycleDomain.HOST_SCHED, ctx_ns)
+        self.pcpu.account(_HOST_SCHED, ctx_ns)
         self.sim.schedule(ctx_ns, self._enter_guest)
 
     # ----------------------------------------------------- async interrupts
@@ -931,7 +983,7 @@ class _VcpuExec:
         self._polling = False
         self.sim.cancel(self._poll_event)
         self._poll_event = None
-        self.vcpu.pcpu.account(CycleDomain.HALT_POLL, self.sim.now - self._poll_start)
+        self.pcpu.account(CycleDomain.HALT_POLL, self.sim.now - self._poll_start)
         self._enter_guest()
 
     def _wake(self, *, cross_socket: bool = False) -> None:
@@ -944,7 +996,7 @@ class _VcpuExec:
         wake_cycles = self.costs.wake_vcpu
         if cross_socket:
             wake_cycles = int(wake_cycles * self.hv.machine.spec.cross_socket_penalty)
-        wake_ns = self.clock.cycles_to_ns(wake_cycles)
+        wake_ns = self._ns[wake_cycles]
         cstate = vcpu.requested_cstate
         if cstate is not None:
             # cpuidle model: the deeper the state, the longer the exit.
@@ -955,7 +1007,7 @@ class _VcpuExec:
         wake_ns += self._pending_sched_ns
         self._pending_sched_ns = 0
         if self.hv.sched.acquire(vcpu):
-            vcpu.pcpu.account(CycleDomain.HOST_SCHED, wake_ns)
+            self.pcpu.account(_HOST_SCHED, wake_ns)
             self.sim.schedule(wake_ns, self._enter_guest)
         else:
             # READY behind another vCPU: the pCPU is busy right now, so
@@ -1010,16 +1062,14 @@ class _VcpuExec:
             # Tick arrived while already in root mode: host-side work only,
             # no VM exit. Runs concurrently with the in-flight exit
             # processing (approximation: does not stretch the sequence).
-            self.vcpu.pcpu.account(
-                CycleDomain.HOST_TICK, self.clock.cycles_to_ns(self.costs.host_tick_handler)
-            )
+            self.pcpu.account(CycleDomain.HOST_TICK, self._ns[self.costs.host_tick_handler])
 
     def _preempt_requeue(self) -> None:
         """Host tick boundary with waiters: rotate this CPU (overcommit)."""
         vcpu = self.vcpu
         nxt = self.hv.sched.release(vcpu)
         self.hv.sched.requeue(vcpu)
-        self._trace("sched_preempt", vcpu.pcpu.index)
+        self._trace("sched_preempt", self.pcpu.index)
         self._arm_host_deadline()
         if nxt is not None:
             nxt.exec.dispatch()

@@ -55,27 +55,33 @@ class PreemptionTimer:
 
     def start(self) -> None:
         """VM entry: begin counting toward the recorded deadline."""
-        if self.running:
+        # start/stop run on every VM entry and exit: test the handle's
+        # state directly rather than through ``running``/``pending``.
+        ev = self._event
+        if ev is not None and not (ev._cancelled or ev._fired):
             raise HardwareError("preemption timer started twice")
-        if self.deadline_ns is None:
+        deadline = self.deadline_ns
+        if deadline is None:
             return
-        when = max(self.deadline_ns, self._sim.now)
+        sim = self._sim
+        when = max(deadline, sim.now)
         # Entry/exit churn is the hottest timer path in overcommit runs:
         # one Event handle per timer, re-armed on every VM entry.
-        if self._event is None:
-            self._event = self._sim.at(when, self._fire)
+        if ev is None:
+            self._event = sim.at(when, self._fire)
         else:
-            self._sim.rearm(self._event, when)
-        if self._sim.trace.enabled:
-            self._sim.trace.emit(self._sim.now, self.name, "ptimer_start", when)
+            sim.rearm(ev, when)
+        if sim.trace.enabled:
+            sim.trace.emit(sim.now, self.name, "ptimer_start", when)
 
     def stop(self) -> None:
         """VM exit: pause the countdown (deadline is retained)."""
         ev = self._event
-        if ev is not None and ev.pending:
-            self._sim.cancel(ev)
-            if self._sim.trace.enabled:
-                self._sim.trace.emit(self._sim.now, self.name, "ptimer_stop")
+        if ev is not None and not (ev._cancelled or ev._fired):
+            sim = self._sim
+            sim.cancel(ev)
+            if sim.trace.enabled:
+                sim.trace.emit(sim.now, self.name, "ptimer_stop")
 
     def clear(self) -> None:
         """Drop the deadline entirely (guest disarmed its timer)."""
