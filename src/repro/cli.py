@@ -206,12 +206,13 @@ def _cmd_list(args) -> int:
 
 def _cmd_check(args) -> int:
     """Run one PARSEC model under the tick sanitizer; exit 1 on violation."""
-    from repro.experiments.parallel import spec_for
+    from repro.experiments.parallel import RunSpec
     from repro.scenarios.runcheck import sanitized_run
 
-    wl, kwargs = _parsec_workload(args)
-    _, sanitizer, problems = sanitized_run(spec_for(wl, **kwargs))
-    print(f"{wl.name}/{args.mode}: {sanitizer.summary()}")
+    ws = _parsec_spec(args)
+    _, sanitizer, problems = sanitized_run(
+        RunSpec(ws, tick_mode=TickMode(args.mode), seed=args.seed))
+    print(f"{ws.build().name}/{args.mode}: {sanitizer.summary()}")
     for p in problems:
         print(f"  VIOLATION: {p}")
     if problems:
@@ -341,7 +342,8 @@ def _journaled(run, work, args):
     from repro.resilience import ResumeError
 
     try:
-        return run(work, journal=args.journal, resume=args.resume,
+        # Resuming without --journal appends to the resumed file.
+        return run(work, journal=args.journal or args.resume, resume=args.resume,
                    **_engine_kwargs(args))
     except ResumeError as exc:
         print(f"resume failed: {exc}", file=sys.stderr)
@@ -402,10 +404,10 @@ def _cmd_matrix(args) -> int:
 
     # run
     from repro.fleet.report import format_run_summary
-    from repro.scenarios import run_cells_resumable
+    from repro.scenarios import run_cells
 
     cells = _series_cells(cells, args)
-    result = _journaled(run_cells_resumable, cells, args)
+    result = _journaled(run_cells, cells, args)
     if result is None:
         return 1
     failures = {f.spec: f for f in result.failed_specs}
@@ -638,11 +640,19 @@ def _write_obs_outputs(obs, args) -> None:
         print(f"wrote collapsed-stack profile: {args.collapsed_out}", file=sys.stderr)
 
 
+def _parsec_spec(args):
+    """The PARSEC workload that the per-benchmark commands (run, report,
+    perf, check) name by ``benchmark``/``--threads``/``--target-mcycles``."""
+    from repro.experiments.parallel import WorkloadSpec
+
+    return WorkloadSpec.make("parsec", name=args.benchmark, threads=args.threads,
+                             target_cycles=args.target_mcycles * 1_000_000)
+
+
 def _parsec_workload(args) -> tuple:
-    """The PARSEC workload and ``run_workload`` keywords that the
-    per-benchmark commands (run, report, perf, check) describe."""
-    wl = parsec.benchmark(args.benchmark, threads=args.threads,
-                          target_cycles=args.target_mcycles * 1_000_000)
+    """The :func:`_parsec_spec` workload, built, and the ``run_workload``
+    keywords that run, report and perf describe."""
+    wl = _parsec_spec(args).build()
     kwargs = {"tick_mode": TickMode(args.mode), "seed": args.seed}
     if getattr(args, "overcommit", False):
         from repro.analysis.fuzz import OVERCOMMIT, placement_for
@@ -753,8 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--telemetry-out", default=None, metavar="DIR",
                    help="attach harness telemetry (span tracer + metrics "
                         "registry) to the command and write spans.jsonl, "
-                        "metrics.prom, metrics.json and harness_trace.json "
-                        "under DIR on exit")
+                        "metrics.json and harness_trace.json under DIR on exit")
     sub = p.add_subparsers(dest="command", required=True)
 
     t1 = sub.add_parser("table1", help="Table 1: periodic vs tickless exit counts")

@@ -60,7 +60,7 @@ import warnings
 from collections import Counter, deque
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
 
@@ -1204,95 +1204,3 @@ def progress_reporter(stream=None):
               file=stream if stream is not None else sys.stderr)
 
     return stats, callback
-
-
-def cost_overrides_from(costs: Any) -> tuple[tuple[str, int], ...]:
-    """Diff a :class:`CostModel` against the defaults, as spec overrides."""
-    from repro.host.costs import DEFAULT_COSTS
-
-    out = []
-    for f in fields(costs):
-        value = getattr(costs, f.name)
-        if value != getattr(DEFAULT_COSTS, f.name):
-            out.append((f.name, value))
-    return tuple(sorted(out))
-
-
-def spec_for(
-    workload: Any,
-    *,
-    tick_mode: TickMode,
-    seed: int = 0,
-    label: Optional[str] = None,
-    **run_kwargs: Any,
-) -> RunSpec:
-    """Translate a ``run_workload``-style call into a :class:`RunSpec`.
-
-    ``workload`` may be a :class:`WorkloadSpec` or a live workload
-    object (reverse-mapped via :func:`describe_workload`); the remaining
-    keywords mirror :func:`~repro.experiments.runner.run_workload`.
-    Raises :class:`GridError` for anything the engine cannot express
-    (an unknown workload type, a live ``tracer``).
-    """
-    ws = workload if isinstance(workload, WorkloadSpec) else describe_workload(workload)
-    if run_kwargs.get("tracer") is not None:
-        raise GridError("a live tracer cannot cross the worker boundary")
-    run_kwargs.pop("tracer", None)
-    machine = run_kwargs.pop("machine_spec", None)
-    costs = run_kwargs.pop("costs", None)
-    overrides = cost_overrides_from(costs) if costs is not None else ()
-    return RunSpec(workload=ws, tick_mode=tick_mode, seed=seed, machine=machine,
-                   cost_overrides=overrides, label=label, **run_kwargs)
-
-
-def describe_workload(workload: Any) -> WorkloadSpec:
-    """Reverse-map a live workload object to its declarative spec.
-
-    Covers every in-tree workload class; raises :class:`GridError` for
-    unknown types (callers fall back to serial in-process execution).
-    """
-    from repro.hw.nic import DATACENTER_10G
-    from repro.workloads.fio import FioWorkload
-    from repro.workloads.micro import (
-        IdlePeriodWorkload,
-        IdleWorkload,
-        PingPongWorkload,
-        SyncStormWorkload,
-    )
-    from repro.workloads.netserve import NetServiceWorkload
-    from repro.workloads.parsec import ParsecWorkload
-
-    if isinstance(workload, ParsecWorkload):
-        return WorkloadSpec.make(
-            "parsec", name=workload.profile.name, threads=workload.threads,
-            target_cycles=workload.target_cycles,
-        )
-    if isinstance(workload, FioWorkload):
-        return WorkloadSpec.make(
-            "fio", category=workload.job.category, block_size=workload.job.block_size,
-            total_bytes=workload.total_bytes,
-        )
-    if isinstance(workload, IdleWorkload):
-        return WorkloadSpec.make("micro.idle", vcpus=workload.vcpus)
-    if isinstance(workload, SyncStormWorkload):
-        return WorkloadSpec.make(
-            "micro.syncstorm", threads=workload.threads,
-            events_per_second=workload.events_per_second,
-            duration_cycles=workload.duration_cycles,
-        )
-    if isinstance(workload, IdlePeriodWorkload):
-        return WorkloadSpec.make(
-            "micro.idleperiod", idle_ns=workload.idle_ns,
-            iterations=workload.iterations, work_cycles=workload.work_cycles,
-        )
-    if isinstance(workload, PingPongWorkload):
-        return WorkloadSpec.make(
-            "micro.pingpong", rounds=workload.rounds,
-            work_cycles=workload.work_cycles, same_vcpu=workload.same_vcpu,
-        )
-    if isinstance(workload, NetServiceWorkload) and workload.profile is DATACENTER_10G:
-        return WorkloadSpec.make(
-            "netserve", workers=workload.workers, requests=workload.requests,
-            request_bytes=workload.request_bytes, think_cycles=workload.think_cycles,
-        )
-    raise GridError(f"cannot describe workload {type(workload).__name__} as a spec")

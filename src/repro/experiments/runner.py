@@ -21,7 +21,7 @@ share machine, seed and workload parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.config import HostFeatures, IoDeviceKind, MachineSpec, TickMode, VmSpec
 from repro.errors import WorkloadError
@@ -37,6 +37,9 @@ from repro.metrics.report import Comparison, compare_runs
 from repro.sim.engine import Simulator
 from repro.sim.timebase import SEC
 from repro.workloads.base import Workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiments.parallel import WorkloadSpec
 
 #: Default wall-clock bound on a run (simulated).
 DEFAULT_HORIZON_NS = 60 * SEC
@@ -332,12 +335,10 @@ def run_workload(
 def run_comparison(
     workload: Workload,
     *,
-    baseline: TickMode = TickMode.TICKLESS,
-    candidate: TickMode = TickMode.PARATICK,
     label: Optional[str] = None,
     **kwargs,
 ) -> tuple[Comparison, RunMetrics, RunMetrics]:
-    """A/B run of a workload under two tick modes with shared parameters.
+    """A/B run of a workload, tickless vs paratick, with shared parameters.
 
     This is the paper's measurement: the same workload, the same
     machine, the same seed — only the guest's tick management differs.
@@ -346,17 +347,15 @@ def run_comparison(
     attributable when replicated or cached.
     """
     stem = label or workload.name
-    base = run_workload(
-        workload, tick_mode=baseline, label=f"{stem}/{baseline.value}", **kwargs
-    )
-    cand = run_workload(
-        workload, tick_mode=candidate, label=f"{stem}/{candidate.value}", **kwargs
+    base, cand = (
+        run_workload(workload, tick_mode=mode, label=f"{stem}/{mode.value}", **kwargs)
+        for mode in (TickMode.TICKLESS, TickMode.PARATICK)
     )
     return compare_runs(base, cand, stem), base, cand
 
 
 def run_replicated_comparison(
-    workload: Workload,
+    workload: WorkloadSpec,
     *,
     seeds: tuple[int, ...] = (0, 1, 2),
     label: Optional[str] = None,
@@ -364,19 +363,20 @@ def run_replicated_comparison(
     cache_dir=None,
     use_cache: bool = False,
     progress=None,
-    **kwargs,
+    **knobs,
 ) -> tuple[Comparison, dict[str, float]]:
     """The paper's methodology (§6): repeat each experiment over several
     seeds and report the mean; the per-metric standard deviations are
     returned alongside ("a deviation of 5% is possible due to the
     multitude of non-deterministic factors").
 
-    The (seed x tick-mode) grid runs through the parallel experiment
-    engine (:mod:`repro.experiments.parallel`): ``jobs=N`` fans the
+    Each seed's pair is built by :func:`repro.experiments.figure.ab_specs`
+    (``knobs`` are extra :class:`RunSpec` fields), and the whole
+    (seed x tick-mode) grid runs through
+    :func:`repro.experiments.parallel.run_grid`: ``jobs=N`` fans the
     replicas out over worker processes and ``use_cache``/``cache_dir``
-    reuse previously computed cells. Workloads the engine cannot
-    describe declaratively (or a live ``tracer``) fall back to the
-    serial in-process loop.
+    reuse previously computed cells. ``label`` defaults to the built
+    workload's name.
 
     Returns the mean comparison and a dict of standard deviations
     (``vm_exits`` / ``throughput`` / ``exec_time``).
@@ -385,20 +385,19 @@ def run_replicated_comparison(
         ValueError: if ``seeds`` is empty — a replication without at
             least one seed has no defined mean.
     """
+    from repro.experiments.figure import ab_specs
+    from repro.experiments.parallel import run_grid
     from repro.sim.stats import OnlineStats
 
     if not seeds:
         raise ValueError("need at least one seed")
-    baseline = kwargs.pop("baseline", TickMode.TICKLESS)
-    candidate = kwargs.pop("candidate", TickMode.PARATICK)
-    stem = label or workload.name
-    comparisons = _replicated_comparisons(
-        workload, seeds=seeds, stem=stem, baseline=baseline, candidate=candidate,
-        jobs=jobs, cache_dir=cache_dir, use_cache=use_cache, progress=progress,
-        **kwargs,
-    )
+    stem = label or workload.build().name
+    pairs = [ab_specs(workload, seed=seed, label=stem, **knobs) for seed in seeds]
+    grid = run_grid([s for ab in pairs for s in ab], jobs=jobs, cache_dir=cache_dir,
+                    use_cache=use_cache, progress=progress).raise_if_failed()
     stats = {m: OnlineStats() for m in ("vm_exits", "throughput", "exec_time")}
-    for comp in comparisons:
+    for base, cand in pairs:
+        comp = compare_runs(grid[base], grid[cand], stem)
         stats["vm_exits"].add(comp.vm_exits)
         stats["throughput"].add(comp.throughput)
         stats["exec_time"].add(comp.exec_time)
@@ -410,48 +409,3 @@ def run_replicated_comparison(
     )
     sds = {m: (s.stdev if s.n > 1 else 0.0) for m, s in stats.items()}
     return mean, sds
-
-
-def _replicated_comparisons(
-    workload: Workload,
-    *,
-    seeds: tuple[int, ...],
-    stem: str,
-    baseline: TickMode,
-    candidate: TickMode,
-    jobs: Optional[int],
-    cache_dir,
-    use_cache: bool,
-    progress,
-    **kwargs,
-) -> list[Comparison]:
-    """Per-seed comparisons, engine-first with a serial fallback."""
-    from repro.experiments import parallel
-
-    try:
-        pairs = []
-        specs = []
-        for seed in seeds:
-            b = parallel.spec_for(
-                workload, tick_mode=baseline, seed=seed,
-                label=f"{stem}/{baseline.value}", **kwargs,
-            )
-            c = parallel.spec_for(
-                workload, tick_mode=candidate, seed=seed,
-                label=f"{stem}/{candidate.value}", **kwargs,
-            )
-            pairs.append((b, c))
-            specs += [b, c]
-    except parallel.GridError:
-        # Not expressible as a declarative grid: run serially in-process.
-        return [
-            run_comparison(
-                workload, seed=seed, label=stem,
-                baseline=baseline, candidate=candidate, **kwargs,
-            )[0]
-            for seed in seeds
-        ]
-    grid = parallel.run_grid(
-        specs, jobs=jobs, cache_dir=cache_dir, use_cache=use_cache, progress=progress
-    ).raise_if_failed()
-    return [compare_runs(grid[b], grid[c], stem) for b, c in pairs]

@@ -72,14 +72,14 @@ def check_sanitizer() -> str:
     and the trace reconciles against counters, the cycle ledger and the
     runtime steal accounting."""
     from repro.config import MachineSpec
-    from repro.experiments.parallel import spec_for
+    from repro.experiments.parallel import RunSpec, WorkloadSpec
     from repro.scenarios.runcheck import sanitized_run
 
     events = 0
     for mode in TickMode:
-        _, sanitizer, bad = sanitized_run(spec_for(
-            PingPongWorkload(rounds=150), tick_mode=mode, seed=7,
-            machine_spec=MachineSpec(sockets=1, cpus_per_socket=4), pinned_cpus=(0, 1),
+        _, sanitizer, bad = sanitized_run(RunSpec(
+            WorkloadSpec.make("micro.pingpong", rounds=150), tick_mode=mode, seed=7,
+            machine=MachineSpec(sockets=1, cpus_per_socket=4), pinned_cpus=(0, 1),
         ))
         assert not bad, f"{mode.value}: {bad[:3]}"
         assert sanitizer.events > 0, f"{mode.value}: no trace events seen"

@@ -14,7 +14,6 @@ from repro.scenarios.runcheck import (
     check_cells,
     identity_problems,
     run_cells,
-    run_cells_resumable,
 )
 
 __all__ = [
@@ -30,6 +29,5 @@ __all__ = [
     "load_matrix",
     "parse_matrix",
     "run_cells",
-    "run_cells_resumable",
     "workload_spec_for",
 ]

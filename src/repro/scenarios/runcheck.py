@@ -11,7 +11,8 @@ representation (hand-written matrices and fuzz expansions alike):
   hotplug checkers) with a :class:`~repro.obs.steal.StealTracker` teed
   onto the same event stream, then the reconcile battery.
 * :func:`run_cells` — throughput path: compile to specs and hand the
-  grid to :func:`repro.experiments.parallel.run_grid` (cache + workers).
+  grid to :func:`repro.experiments.parallel.run_grid` (cache, workers,
+  journal and resume).
 * :func:`identity_problems` — the determinism gate: the same cells run
   serially, pooled, and from a warm cache must produce **byte-identical**
   canonical metrics. :func:`_identity_runs` is the four-way run behind
@@ -124,31 +125,14 @@ def check_cells(
 
 
 def run_cells(cells: Iterable[Cell], **grid_kwargs: Any) -> GridResult:
-    """Run cells through the parallel engine (cache, workers, retries)."""
-    return run_grid([c.spec for c in cells], **grid_kwargs)
+    """Run cells through the parallel engine (cache, workers, retries).
 
-
-def run_cells_resumable(
-    cells: Iterable[Cell],
-    *,
-    journal=None,
-    resume=None,
-    **grid_kwargs: Any,
-) -> GridResult:
-    """:func:`run_cells` with crash-safe journaling and ``--resume``.
-
-    ``journal`` (a path) records every cell's lifecycle durably;
-    ``resume`` (a path) replays a previous journal, skipping completed
-    cells after re-verifying their cached bytes. Resuming without a
-    separate ``journal`` appends the new lifecycle to the resumed file
-    — the common ``--resume run.journal`` shape. Raises
-    :class:`~repro.resilience.journal.ResumeError` when the matrix no
-    longer matches the journaled grid.
+    ``grid_kwargs`` go to :func:`~repro.experiments.parallel.run_grid`,
+    including ``journal`` (a path that records every cell's lifecycle
+    durably) and ``resume`` (a previous journal to replay, skipping
+    completed cells after re-verifying their cached bytes).
     """
-    if resume is not None and journal is None:
-        journal = resume
-    return run_grid([c.spec for c in cells], journal=journal, resume=resume,
-                    **grid_kwargs)
+    return run_grid([c.spec for c in cells], **grid_kwargs)
 
 
 def canonical_result_bytes(result: Any) -> bytes:

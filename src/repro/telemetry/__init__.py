@@ -1,4 +1,4 @@
-"""Harness telemetry: spans, metrics, Prometheus/Perfetto export.
+"""Harness telemetry: spans, metrics, JSON/Perfetto export.
 
 `repro.obs` makes the *simulated machines* observable; this package
 makes the *platform that runs them* observable — the parallel pool,
@@ -11,8 +11,8 @@ the content-addressed cache, fleet sharding and aggregation. One
   a bounded ring with an optional streaming JSONL sink
   (:mod:`repro.telemetry.spans`);
 * **metrics** — counters, gauges, and log2 histograms shared with
-  :mod:`repro.obs.histograms` — exported as Prometheus text and
-  canonical JSON (:mod:`repro.telemetry.metrics`);
+  :mod:`repro.obs.histograms` — exported as a canonical JSON snapshot
+  (:mod:`repro.telemetry.metrics`);
 * a **Perfetto-loadable timeline** of the harness execution (worker
   lanes as tracks) via :mod:`repro.telemetry.export`.
 
@@ -42,13 +42,8 @@ from typing import Any, Iterator, Optional, TextIO
 
 from repro.obs.export import write_chrome_trace
 from repro.telemetry.export import harness_chrome_trace
-from repro.telemetry.metrics import MetricsRegistry, validate_prometheus_text
-from repro.telemetry.report import (
-    METRICS_JSON_FILE,
-    METRICS_PROM_FILE,
-    SPANS_FILE,
-    TRACE_FILE,
-)
+from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.report import METRICS_JSON_FILE, SPANS_FILE, TRACE_FILE
 from repro.telemetry.spans import DEFAULT_CAPACITY, SpanTracer
 
 __all__ = [
@@ -56,7 +51,6 @@ __all__ = [
     "MetricsRegistry",
     "SpanTracer",
     "harness_chrome_trace",
-    "validate_prometheus_text",
 ]
 
 
@@ -76,11 +70,10 @@ class HarnessTelemetry:
         enabled: bool = True,
         capacity: int = DEFAULT_CAPACITY,
         sink: Optional[TextIO] = None,
-        prefix: str = "repro_harness",
     ) -> None:
         self.enabled = enabled
         self.tracer = SpanTracer(capacity=capacity, sink=sink)
-        self.metrics = MetricsRegistry(prefix=prefix)
+        self.metrics = MetricsRegistry()
 
     # ------------------------------------------------------------ recording
 
@@ -118,12 +111,11 @@ class HarnessTelemetry:
         return harness_chrome_trace(self.tracer)
 
     def write_outputs(self, out_dir: str) -> dict[str, str]:
-        """Write all four artifacts into ``out_dir``; returns name->path.
+        """Write all three artifacts into ``out_dir``; returns name->path.
 
-        Produces ``spans.jsonl`` (the ring), ``metrics.prom``
-        (Prometheus text), ``metrics.json`` (canonical snapshot), and
-        ``harness_trace.json`` (Perfetto timeline, validated before it
-        is written).
+        Produces ``spans.jsonl`` (the ring), ``metrics.json`` (canonical
+        snapshot), and ``harness_trace.json`` (Perfetto timeline,
+        validated before it is written).
         """
         os.makedirs(out_dir, exist_ok=True)
         paths: dict[str, str] = {}
@@ -131,11 +123,6 @@ class HarnessTelemetry:
         spans_path = os.path.join(out_dir, SPANS_FILE)
         self.tracer.write_jsonl(spans_path)
         paths["spans"] = spans_path
-
-        prom_path = os.path.join(out_dir, METRICS_PROM_FILE)
-        with open(prom_path, "w", encoding="utf-8") as fh:
-            fh.write(self.metrics.to_prometheus())
-        paths["prometheus"] = prom_path
 
         json_path = os.path.join(out_dir, METRICS_JSON_FILE)
         with open(json_path, "w", encoding="utf-8") as fh:

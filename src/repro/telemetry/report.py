@@ -21,7 +21,6 @@ from repro.telemetry.spans import read_jsonl
 #: Artifact filenames inside a ``--telemetry-out`` directory.
 SPANS_FILE = "spans.jsonl"
 METRICS_JSON_FILE = "metrics.json"
-METRICS_PROM_FILE = "metrics.prom"
 TRACE_FILE = "harness_trace.json"
 
 

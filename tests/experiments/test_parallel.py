@@ -26,6 +26,7 @@ import pytest
 
 from repro.config import HostFeatures, TickMode
 from repro.experiments import parallel
+from repro.experiments.figure import run_ab
 from repro.experiments.parallel import (
     GridError,
     ResultCache,
@@ -355,6 +356,10 @@ def test_progress_reporter_tallies_and_prints(tmp_path):
 # --------------------------------------------------------------------------
 
 
+def _workload_spec():
+    return WorkloadSpec.make("micro.pingpong", rounds=40, work_cycles=10_000)
+
+
 def _workload():
     return PingPongWorkload(rounds=40, work_cycles=10_000)
 
@@ -375,7 +380,7 @@ def test_run_comparison_default_label_is_workload_name():
 def test_replicated_comparison_engine_matches_serial_loop():
     seeds = (0, 1)
     mean, sds = run_replicated_comparison(
-        _workload(), seeds=seeds, noise=False, jobs=2
+        _workload_spec(), seeds=seeds, noise=False, jobs=2
     )
     expected = [run_comparison(_workload(), seed=s, noise=False)[0] for s in seeds]
     assert mean.label == "micro.pingpong"
@@ -389,33 +394,35 @@ def test_replicated_comparison_engine_matches_serial_loop():
 def test_replicated_comparison_uses_cache(tmp_path):
     events = []
     run_replicated_comparison(
-        _workload(), seeds=(0, 1), noise=False,
+        _workload_spec(), seeds=(0, 1), noise=False,
         cache_dir=tmp_path, use_cache=True, progress=events.append,
     )
     run_replicated_comparison(
-        _workload(), seeds=(0, 1), noise=False,
+        _workload_spec(), seeds=(0, 1), noise=False,
         cache_dir=tmp_path, use_cache=True, progress=events.append,
     )
     assert _statuses(events).count("ran") == 4
     assert _statuses(events).count("cached") == 4
 
 
+def test_replicated_comparison_and_figure_share_spec_keys(tmp_path):
+    """One A/B spec builder: a replication's cells are the figure driver's
+    cells, so the figure grid is served entirely from the same cache."""
+    ws, seed = _workload_spec(), 3
+    first, second = [], []
+    run_replicated_comparison(ws, seeds=(seed,), cache_dir=tmp_path, use_cache=True,
+                              progress=first.append)
+    run_ab([("micro.pingpong", ws)], seed=seed, cache_dir=tmp_path, use_cache=True,
+           progress=second.append)
+    assert _statuses(first) == ["ran", "ran"]
+    assert _statuses(second) == ["cached", "cached"]
+    assert ([spec_key(e.spec) for e in first]
+            == [spec_key(e.spec) for e in second])
+
+
 def test_replicated_comparison_empty_seeds_raises():
     with pytest.raises(ValueError, match="seed"):
-        run_replicated_comparison(_workload(), seeds=())
-
-
-def test_spec_for_rejects_live_tracer():
-    with pytest.raises(GridError, match="tracer"):
-        parallel.spec_for(_workload(), tick_mode=TickMode.PARATICK, tracer=object())
-
-
-def test_describe_workload_round_trips_pingpong():
-    ws = parallel.describe_workload(_workload())
-    assert ws == WorkloadSpec.make(
-        "micro.pingpong", rounds=40, work_cycles=10_000, same_vcpu=False)
-    built = ws.build()
-    assert isinstance(built, PingPongWorkload) and built.rounds == 40
+        run_replicated_comparison(_workload_spec(), seeds=())
 
 
 def test_unknown_workload_kind_raises():

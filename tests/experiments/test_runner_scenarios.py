@@ -81,10 +81,11 @@ class TestRunner:
 
     def test_replicated_comparison_reports_mean_and_sd(self):
         """§6's methodology: several iterations, mean with ~5% spread."""
+        from repro.experiments.parallel import WorkloadSpec
         from repro.experiments.runner import run_replicated_comparison
 
         mean, sds = run_replicated_comparison(
-            PingPongWorkload(rounds=200), seeds=(0, 1, 2)
+            WorkloadSpec.make("micro.pingpong", rounds=200), seeds=(0, 1, 2)
         )
         assert mean.vm_exits < 0
         assert set(sds) == {"vm_exits", "throughput", "exec_time"}
@@ -92,10 +93,12 @@ class TestRunner:
         assert sds["vm_exits"] < 0.08
 
     def test_replicated_needs_seeds(self):
+        from repro.experiments.parallel import WorkloadSpec
         from repro.experiments.runner import run_replicated_comparison
 
         with pytest.raises(ValueError):
-            run_replicated_comparison(PingPongWorkload(rounds=10), seeds=())
+            run_replicated_comparison(WorkloadSpec.make("micro.pingpong", rounds=10),
+                                      seeds=())
 
 
 class TestExperimentModules:

@@ -24,6 +24,7 @@ import pytest
 from repro.analysis import golden
 from repro.config import TickMode
 from repro.experiments import parallel
+from repro.experiments.parallel import RunSpec, WorkloadSpec
 from repro.experiments.runner import run_workload
 from repro.workloads.micro import PingPongWorkload, SyncStormWorkload
 
@@ -71,9 +72,9 @@ class TestRunToRun:
 class TestAcrossParallelEngine:
     def test_jobs1_vs_jobsN_identical_all_modes(self):
         specs = [
-            parallel.spec_for(
-                SyncStormWorkload(threads=2, events_per_second=600.0,
-                                  duration_cycles=15_000_000),
+            RunSpec(
+                WorkloadSpec.make("micro.syncstorm", threads=2,
+                                  events_per_second=600.0, duration_cycles=15_000_000),
                 tick_mode=mode,
                 seed=31,
                 label=f"determinism/{mode.value}",

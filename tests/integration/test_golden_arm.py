@@ -21,7 +21,7 @@ import pytest
 from repro.analysis import golden
 from repro.config import TickMode
 from repro.experiments import parallel
-from repro.workloads.micro import SyncStormWorkload
+from repro.experiments.parallel import RunSpec, WorkloadSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 FIXTURE = REPO_ROOT / "tests" / "fixtures" / "golden_arm.json"
@@ -55,9 +55,9 @@ class TestArmEngineIdentity:
         """The parallel engine is arch-oblivious: ARM cells produce the
         same bytes serially and across a worker pool."""
         specs = [
-            parallel.spec_for(
-                SyncStormWorkload(threads=2, events_per_second=600.0,
-                                  duration_cycles=15_000_000),
+            RunSpec(
+                WorkloadSpec.make("micro.syncstorm", threads=2,
+                                  events_per_second=600.0, duration_cycles=15_000_000),
                 tick_mode=mode,
                 seed=31,
                 label=f"determinism-arm/{mode.value}",
@@ -77,17 +77,17 @@ class TestArchCacheKey:
         """An x86 spec encodes byte-identically to a pre-``arch`` spec,
         so every pre-existing cache key and golden content address
         survives the refactor."""
-        spec = parallel.spec_for(
-            SyncStormWorkload(threads=2, events_per_second=600.0,
-                              duration_cycles=15_000_000),
+        spec = RunSpec(
+            WorkloadSpec.make("micro.syncstorm", threads=2,
+                              events_per_second=600.0, duration_cycles=15_000_000),
             tick_mode=TickMode.TICKLESS, seed=1,
         )
         assert "arch" not in parallel.spec_to_dict(spec)
 
     def test_arm_arch_serialized_and_round_trips(self):
-        spec = parallel.spec_for(
-            SyncStormWorkload(threads=2, events_per_second=600.0,
-                              duration_cycles=15_000_000),
+        spec = RunSpec(
+            WorkloadSpec.make("micro.syncstorm", threads=2,
+                              events_per_second=600.0, duration_cycles=15_000_000),
             tick_mode=TickMode.TICKLESS, seed=1,
         ).with_(arch="arm")
         data = parallel.spec_to_dict(spec)
@@ -95,9 +95,9 @@ class TestArchCacheKey:
         assert parallel.spec_from_dict(data).arch == "arm"
 
     def test_arch_changes_the_cache_key(self):
-        spec = parallel.spec_for(
-            SyncStormWorkload(threads=2, events_per_second=600.0,
-                              duration_cycles=15_000_000),
+        spec = RunSpec(
+            WorkloadSpec.make("micro.syncstorm", threads=2,
+                              events_per_second=600.0, duration_cycles=15_000_000),
             tick_mode=TickMode.TICKLESS, seed=1,
         )
         assert parallel.spec_key(spec) != parallel.spec_key(spec.with_(arch="arm"))

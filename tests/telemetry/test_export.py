@@ -1,7 +1,7 @@
 """Harness timeline export and the HarnessTelemetry facade outputs.
 
 The Chrome trace must pass the same validator the obs exporter is held
-to, and ``write_outputs`` must produce all four artifacts in a form
+to, and ``write_outputs`` must produce all three artifacts in a form
 their respective validators/readers accept.
 """
 
@@ -13,7 +13,6 @@ import pytest
 
 from repro.obs.export import validate_chrome_trace
 from repro.telemetry import HarnessTelemetry, harness_chrome_trace
-from repro.telemetry.metrics import validate_prometheus_text
 from repro.telemetry.report import report_lines
 from repro.telemetry.spans import SpanTracer, read_jsonl
 
@@ -71,20 +70,17 @@ class TestChromeTrace:
 
 
 class TestWriteOutputs:
-    def test_all_four_artifacts_written_and_valid(self, tmp_path):
+    def test_all_three_artifacts_written_and_valid(self, tmp_path):
         tel = HarnessTelemetry()
         with tel.span("grid.run", cells=1):
             tel.counter("cells", help="settled", status="ran")
             tel.observe("shard_wall_ns", 12_345, status="ran")
             tel.instant("cache.write", lane="cache")
         paths = tel.write_outputs(str(tmp_path))
-        assert set(paths) == {"spans", "prometheus", "metrics_json", "trace"}
+        assert set(paths) == {"spans", "metrics_json", "trace"}
 
         header, records = read_jsonl(paths["spans"])
         assert header["records"] == len(records) == 2
-
-        with open(paths["prometheus"]) as fh:
-            assert validate_prometheus_text(fh.read()) == []
 
         with open(paths["metrics_json"]) as fh:
             snap = json.load(fh)

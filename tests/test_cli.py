@@ -185,8 +185,7 @@ class TestTelemetryCommands:
         assert rc == 0
         assert "1 cell(s), 0 cached, 1 executed" in captured.out
         assert "reconcile exactly" in captured.out
-        for artifact in ("spans.jsonl", "metrics.prom", "metrics.json",
-                         "harness_trace.json"):
+        for artifact in ("spans.jsonl", "metrics.json", "harness_trace.json"):
             assert (tele / artifact).exists()
         series_files = list(tele.glob("*.series.json"))
         assert len(series_files) == 1
