@@ -510,12 +510,10 @@ def _cmd_telemetry(args) -> int:
 
 def _cmd_cache(args) -> int:
     """Verify (checksum every entry) or garbage-collect the result cache."""
-    import os
-
-    from repro.experiments.parallel import CACHE_VERSION, DEFAULT_CACHE_DIR
+    from repro.experiments.parallel import CACHE_VERSION, ResultCache
     from repro.resilience import gc_cache, verify_cache
 
-    root = args.cache_dir or os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
+    root = ResultCache(args.cache_dir).root
     if args.action == "verify":
         audit = verify_cache(root, quarantine=not args.no_quarantine)
         print(f"cache {root}: {audit.summary()}")
@@ -901,8 +899,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ca.add_argument("action", choices=["verify", "gc"],
                     help="verify: checksum every entry (corrupt files are "
-                         "quarantined; exit 1 if any); gc: remove staging "
-                         "files, stale-version entries and orphan artifacts")
+                         "quarantined; exit 1 if any); gc: remove tmp files "
+                         "of interrupted writes and stale-version entries")
     ca.add_argument("--no-quarantine", action="store_true",
                     help="verify: report corrupt files but leave them in place")
     ca.add_argument("--purge-quarantine", action="store_true",

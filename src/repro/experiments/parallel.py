@@ -69,7 +69,7 @@ from repro.errors import ReproError
 from repro.host.perturb import perturbation_from_dict, perturbation_to_dict
 from repro.metrics.perf import RunMetrics
 from repro.resilience.chaos import ChaosAbort
-from repro.resilience.integrity import CacheFS, attach_footer, quarantine_file, split_verified
+from repro.resilience.integrity import CacheFS, attach_footer, quarantine_file, read_verified
 from repro.resilience.journal import JournalState, RunJournal, replay_journal, result_hash
 from repro.resilience.policy import CircuitBreaker, RunReport, classify_failure
 
@@ -205,14 +205,14 @@ class RunSpec:
     perturbations: tuple = ()
     #: Collect a virtual-perf profile (sampling profiler + latency
     #: histograms + steal) alongside the run. The profile is returned
-    #: in :attr:`GridResult.artifacts` and cached content-addressed
-    #: next to the result (``<key>.obs.json``). Profiling never
-    #: perturbs simulated time, so the results are identical either way.
+    #: in :attr:`GridResult.artifacts` and cached inside the spec's
+    #: entry (its ``"obs"`` key). Profiling never perturbs simulated
+    #: time, so the results are identical either way.
     profile: bool = False
     #: Collect the windowed in-sim time series (:mod:`repro.obs.series`)
     #: alongside the run; returned in :attr:`GridResult.series` and
-    #: cached as ``<key>.series.json``. Like ``profile``, free of
-    #: simulated-time side effects.
+    #: cached inside the spec's entry (its ``"series"`` key). Like
+    #: ``profile``, free of simulated-time side effects.
     #: Serialized into the cache key only when set, so every
     #: pre-existing spec keeps its exact content address.
     series: bool = False
@@ -514,21 +514,18 @@ def _worker_run(spec: RunSpec, timeout_s: Optional[float], chaos=None) -> dict:
 class ResultCache:
     """Content-addressed on-disk store of encoded run results.
 
-    Layout: ``<root>/<key[:2]>/<key>.json``, one file per spec, written
-    atomically (tmp + rename) with a checksum footer
-    (:func:`repro.resilience.integrity.attach_footer`). On read the
-    footer is verified: a corrupt file is moved to the cache's
-    ``quarantine/`` directory and treated as a miss — never fatal, and
-    never silently trusted. A footer-less ("legacy") file that still
-    parses stays readable. Structurally stale entries (old
-    ``CACHE_VERSION``, wrong shape) are plain-discarded as before —
-    staleness is not corruption.
-
-    Multi-file entries (result + profile/series artifacts) go through
-    :meth:`store_entry`, which stages the whole set in a temp directory
-    and publishes the result file *last* — an interruption leaves
-    either a complete entry or a cold miss, never a result whose
-    artifacts are missing.
+    Layout: ``<root>/<key[:2]>/<key>.json``, exactly one file per spec:
+    the single-line JSON body ``{"version", "key", "spec", "result"}``
+    — plus ``"obs"`` and ``"series"`` when the spec asked for them —
+    and a checksum footer
+    (:func:`repro.resilience.integrity.attach_footer`). An entry is
+    written to a sibling ``*.tmp*`` file and published with one rename,
+    so a reader sees a whole entry or none. Every read goes through
+    :func:`~repro.resilience.integrity.read_verified`: a corrupt file
+    is moved to the cache's ``quarantine/`` directory and treated as a
+    miss — never fatal, and never silently trusted. Structurally stale
+    entries (old ``CACHE_VERSION``, wrong shape, or no artifact the
+    spec asks for) are plain-discarded — staleness is not corruption.
 
     All filesystem traffic goes through an injectable
     :class:`~repro.resilience.integrity.CacheFS` shim so the chaos
@@ -546,117 +543,50 @@ class ResultCache:
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def artifact_path_for(self, key: str) -> Path:
-        """Profile artifact sibling of :meth:`path_for` (same address)."""
-        return self.root / key[:2] / f"{key}.obs.json"
-
-    def series_path_for(self, key: str) -> Path:
-        """Time-series artifact sibling (``<key>.series.json``)."""
-        return self.root / key[:2] / f"{key}.series.json"
-
-    def _read_json(self, path: Path) -> Any | None:
-        """Footer-verified JSON payload of ``path``, or None.
-
-        Missing file → miss. Corrupt bytes (failed checksum, or a
-        legacy file that does not parse) → quarantine + miss. A legacy
-        footer-less file that parses is served as-is.
-        """
-        try:
-            text = self.fs.read_text(path)
-        except FileNotFoundError:
-            return None
-        except OSError:
-            self._quarantine(path)
-            return None
-        body, status = split_verified(text)
+    def load(self, spec: RunSpec, key: Optional[str] = None,
+             ) -> tuple[Any, Optional[dict], Optional[dict]]:
+        """``(result, profile, series)`` cached for ``spec``; result None
+        on a miss — including an entry without an artifact ``spec``
+        asks for."""
+        path = self.path_for(key or spec_key(spec))
+        payload, status = read_verified(path, self.fs)
         if status == "corrupt":
-            self._quarantine(path)
-            return None
-        try:
-            return json.loads(body if body is not None else text)
-        except ValueError:
-            self._quarantine(path)
-            return None
-
-    def load(self, spec: RunSpec) -> Any | None:
-        """Decoded result for ``spec``, or None on miss/corruption."""
-        return self._load_key(spec_key(spec))
-
-    def _load_key(self, key: str) -> Any | None:
-        path = self.path_for(key)
-        payload = self._read_json(path)
+            self.quarantine(path)
         if payload is None:
-            return None
+            return None, None, None
         try:
             if payload["version"] != CACHE_VERSION:
                 raise ValueError("cache version mismatch")
-            return decode_result(payload["result"])
+            return (decode_result(payload["result"]),
+                    payload["obs"] if spec.profile else None,
+                    payload["series"] if spec.series else None)
         except (KeyError, TypeError, ValueError, ReproError):
             self.fs.unlink(path)
-            return None
+            return None, None, None
 
-    def store_entry(self, spec: RunSpec, encoded: dict, *,
-                    obs: Optional[dict] = None,
-                    series: Optional[dict] = None) -> Path:
-        """Store a result plus its artifacts as one atomic unit.
-
-        Everything is staged in a throwaway directory first, then
-        renamed into place with the result file **last** — the cache's
-        hit predicate requires a profiled/series entry's artifacts to
-        be present, so any interruption before the final rename reads
-        as a cold miss, not a torn entry.
-        """
+    def store(self, spec: RunSpec, encoded: dict, *,
+              obs: Optional[dict] = None, series: Optional[dict] = None) -> Path:
+        """Write one entry: a sibling tmp file, then one rename."""
         key = spec_key(spec)
-        result_path = self.path_for(key)
-        plan: list[tuple[Path, str]] = []
+        entry = {"version": CACHE_VERSION, "key": key, "spec": spec_to_dict(spec),
+                 "result": encoded}
         if obs is not None:
-            plan.append((self.artifact_path_for(key), json.dumps(obs, sort_keys=True)))
+            entry["obs"] = obs
         if series is not None:
-            plan.append((self.series_path_for(key), json.dumps(series, sort_keys=True)))
-        plan.append((result_path, json.dumps(
-            {"version": CACHE_VERSION, "key": key, "spec": spec_to_dict(spec),
-             "result": encoded}, sort_keys=True)))
-        stage = result_path.parent / f".stage-{os.getpid()}-{key[:8]}"
-        self.fs.mkdir(stage)
-        staged: list[tuple[Path, Path]] = []
+            entry["series"] = series
+        path = self.path_for(key)
+        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+        self.fs.mkdir(path.parent)
         try:
-            for path, body in plan:
-                tmp = stage / path.name
-                self.fs.write_text(tmp, attach_footer(body))
-                staged.append((tmp, path))
-            for tmp, path in staged:  # result file is last in `plan`
-                self.fs.replace(tmp, path)
-        finally:
-            for tmp, _ in staged:
-                self.fs.unlink(tmp)
-            with contextlib.suppress(OSError):
-                stage.rmdir()
-        return result_path
+            self.fs.write_text(tmp, attach_footer(json.dumps(entry, sort_keys=True)))
+            self.fs.replace(tmp, path)
+        except OSError:
+            self.fs.unlink(tmp)
+            raise
+        return path
 
-    def _load_sidecar(self, path: Path) -> Optional[dict]:
-        """A cached profile/series artifact, or None."""
-        payload = self._read_json(path)
-        if payload is not None and not isinstance(payload, dict):
-            self.fs.unlink(path)
-            return None
-        return payload
-
-    def quarantine_entry(self, key: str) -> int:
-        """Quarantine every file of entry ``key`` (result + artifacts).
-
-        Used when an entry's *content* is suspect as a unit — e.g. a
-        resume re-verification hash mismatch — not just one file's
-        bytes. Returns how many files were moved.
-        """
-        moved = 0
-        for path in (self.path_for(key), self.artifact_path_for(key),
-                     self.series_path_for(key)):
-            if path.exists():
-                self._quarantine(path)
-                moved += 1
-        return moved
-
-    def _quarantine(self, path: Path) -> None:
+    def quarantine(self, path: Path) -> None:
+        """Move a corrupt or suspect entry file aside (a miss from now on)."""
         target = quarantine_file(self.root, path, self.fs)
         if self.on_quarantine is not None:
             with contextlib.suppress(Exception):
@@ -883,7 +813,7 @@ class _Recorder:
                           lane=f"worker-{pid}", spec=spec.display_label())
         if cache is not None:
             try:
-                cache.store_entry(spec, encoded, obs=obs, series=series)
+                cache.store(spec, encoded, obs=obs, series=series)
             except OSError as exc:
                 # An unwritable store (bad cache_dir, full disk) must not
                 # sink a grid whose results are already in memory.
@@ -980,20 +910,6 @@ class _Recorder:
             warnings.warn(f"progress callback disabled after raising {exc!r}",
                           RuntimeWarning, stacklevel=2)
             self.progress = None
-
-
-def _probe(cache: Optional[ResultCache], spec: RunSpec, key: str,
-           ) -> tuple[Any, Optional[dict], Optional[dict]]:
-    """``(result, profile, series)`` cached for ``spec``; result None on a
-    miss — including a profiled or series entry missing its artifact."""
-    if cache is None:
-        return None, None, None
-    result = cache._load_key(key)
-    obs = cache._load_sidecar(cache.artifact_path_for(key)) if spec.profile else None
-    series = cache._load_sidecar(cache.series_path_for(key)) if spec.series else None
-    if (spec.profile and obs is None) or (spec.series and series is None):
-        result = None
-    return result, obs, series
 
 
 def _execute(pending: list[RunSpec], rec: _Recorder, cache: Optional[ResultCache], *,
@@ -1107,7 +1023,7 @@ def run_grid(
     """Execute a grid of specs, using the cache and ``jobs`` workers.
 
     The deduplicated specs pass four stages: **probe** the cache (a hit,
-    a miss, or a result without its artifacts — a miss); **verify
+    a miss, or an entry without its artifacts — a miss); **verify
     resume**; **schedule** the rest; **settle** each attempt (ran,
     retry, failed).
 
@@ -1161,14 +1077,15 @@ def run_grid(
             stack.callback(journal.close)
         pending: list[RunSpec] = []
         for spec, key in keys.items():
-            hit, obs, series = _probe(cache, spec, key)
+            hit, obs, series = (cache.load(spec, key) if cache is not None
+                                else (None, None, None))
             want = state.done.get(key) if state is not None else None
             verified = (result_hash(encode_result(hit))
                         if hit is not None and want is not None else None)
             if verified is not None and verified != want:
                 # The cached bytes no longer match what the journal
-                # witnessed: the entry is suspect as a unit.
-                cache.quarantine_entry(key)
+                # witnessed: the entry is suspect.
+                cache.quarantine(cache.path_for(key))
                 hit = None
             if hit is not None:
                 rec.served(spec, hit, obs, series, verified)

@@ -74,7 +74,7 @@ class ObsConfig:
     #: Windowed in-sim time series (exits / steal / halt / tick tail
     #: latency per interval of simulated time; see
     #: :mod:`repro.obs.series`). Off by default — it is a distinct
-    #: cached artifact (``<key>.series.json``), not part of
+    #: artifact (the ``"series"`` key of a cache entry), not part of
     #: :meth:`Observability.to_json_dict`.
     series: bool = False
     series_window_ns: int = DEFAULT_WINDOW_NS
@@ -163,11 +163,11 @@ class Observability:
         )
 
     def series_json(self) -> dict:
-        """The windowed time-series document (``<key>.series.json``).
+        """The windowed time-series document (a cache entry's ``"series"``).
 
         Deliberately *not* merged into :meth:`to_json_dict` — the
-        ``.obs.json`` artifact schema predates the series and cached
-        copies must stay readable as-is.
+        profile artifact (an entry's ``"obs"``) keeps its own schema,
+        and a spec may ask for either one alone.
         """
         if self.series is None:
             raise ValueError("series not enabled in ObsConfig")

@@ -10,8 +10,8 @@ profile's shape is visible, not just its integral.
 Determinism and exactness are the contract:
 
 * the recorder consumes only trace events, never wall-clock, so the
-  same run always yields the byte-identical series (it is cached as a
-  ``<key>.series.json`` artifact next to ``.obs.json``);
+  same run always yields the byte-identical series (it is cached as
+  the ``"series"`` key of the run's cache entry);
 * interval quantities (steal, halt) are split across window boundaries
   with exact integer arithmetic — the sum over windows equals the
   un-windowed total *to the nanosecond*;
@@ -164,7 +164,7 @@ class SeriesRecorder(Tracer):
         return out
 
     def to_json_dict(self) -> dict:
-        """The ``<key>.series.json`` artifact schema (version 1)."""
+        """The series artifact schema (version 1)."""
         windows = []
         for i in sorted(self._windows):
             w = self._windows[i]

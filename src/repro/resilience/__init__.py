@@ -9,8 +9,8 @@ pooled, or cached. This package extends that promise across *failures*:
   crash; ``--resume`` skips completed cells and **re-verifies** their
   cached bytes against the journaled result hash;
 * :mod:`repro.resilience.integrity` — checksum footers on every cache
-  entry and artifact, verification on read, quarantine (never crash)
-  for corrupt files, and the ``cache verify|gc`` maintenance pass;
+  entry, one verifying reader, quarantine (never crash) for corrupt
+  files, and the ``cache verify|gc`` maintenance pass;
 * :mod:`repro.resilience.chaos` — deterministic, seedable fault
   injection (worker SIGKILL, injected fsync/write failures, telemetry
   sink loss, timeout delays, simulated harness crash) so every

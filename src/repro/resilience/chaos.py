@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from repro.errors import ReproError
-from repro.resilience.integrity import QUARANTINE_DIR, CacheFS
+from repro.resilience.integrity import CacheFS, _cache_files
 
 
 class ChaosAbort(ReproError):
@@ -180,12 +180,7 @@ def corrupt_cache_entry(
     half (a torn write) or garbles its tail bytes (silent corruption
     that only the checksum footer can catch). Returns the victim path.
     """
-    root = Path(root)
-    candidates = [
-        p for p in sorted(root.rglob("*.json"))
-        if QUARANTINE_DIR not in p.relative_to(root).parts
-        and ".tmp" not in p.name
-    ]
+    candidates = _cache_files(Path(root))
     if key is not None:
         candidates = [p for p in candidates if p.name.startswith(key)]
     if not candidates:

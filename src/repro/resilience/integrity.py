@@ -12,13 +12,12 @@ This module closes that gap:
 * every cache file carries a **checksum footer** — a final line
   ``#sha256=<hex digest of the body>`` appended after the single-line
   JSON body. Verification is one hash over the body on read;
-* a file whose footer does not match (or whose body no longer parses)
-  is **quarantined**: moved into ``<root>/quarantine/`` — demoted to a
-  cache miss, never fatal, and preserved for forensics instead of
-  silently unlinked;
-* footer-less files are **legacy** entries written before this scheme;
-  they stay readable (their JSON must still parse) so a pre-existing
-  cache survives the upgrade, and ``cache verify`` reports them;
+* :func:`read_verified` is the one reader of a cache file: a file that
+  cannot be read or decoded, has no footer or a wrong one, or whose
+  body does not parse is ``corrupt``;
+* a corrupt file is **quarantined**: moved into ``<root>/quarantine/``
+  — demoted to a cache miss, never fatal, and preserved for forensics
+  instead of silently unlinked;
 * all filesystem traffic goes through an injectable :class:`CacheFS`
   shim so the chaos harness (:mod:`repro.resilience.chaos`) can inject
   deterministic write/fsync failures into every path that tests must
@@ -36,7 +35,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
 
 from repro.errors import ReproError
 
@@ -66,17 +65,39 @@ def attach_footer(body: str) -> str:
 def split_verified(text: str) -> tuple[Optional[str], str]:
     """Split a cache file into ``(body, status)``.
 
-    ``status`` is ``"ok"`` (footer present and matching), ``"legacy"``
-    (no footer — a pre-integrity file, body returned unverified), or
-    ``"corrupt"`` (footer present but wrong — body is ``None``).
+    ``status`` is ``"ok"`` (footer present and matching) or
+    ``"corrupt"`` (footer missing or wrong — body is ``None``).
     """
     idx = text.rfind(FOOTER_MARK)
     if idx < 0:
-        return text, "legacy"
+        return None, "corrupt"
     body = text[:idx]
     footer = text[idx + len(FOOTER_MARK):].strip()
     if footer == body_digest(body):
         return body, "ok"
+    return None, "corrupt"
+
+
+def read_verified(path: os.PathLike | str, fs: Optional[CacheFS] = None) -> tuple[Any, str]:
+    """``(payload, status)`` of one cache file — the only cache reader.
+
+    ``status`` is ``"ok"`` (footer verified, body parsed into
+    ``payload``), ``"missing"`` (no such file) or ``"corrupt"``
+    (unreadable, undecodable, footer missing or wrong, or a body that
+    does not parse); ``payload`` is None unless ``"ok"``.
+    """
+    try:
+        text = (fs or CacheFS()).read_text(path)
+    except FileNotFoundError:
+        return None, "missing"
+    except (OSError, UnicodeDecodeError):
+        return None, "corrupt"
+    body, _ = split_verified(text)
+    if body is not None:
+        try:
+            return json.loads(body), "ok"
+        except ValueError:
+            pass
     return None, "corrupt"
 
 
@@ -157,13 +178,11 @@ class CacheAudit:
     root: str
     scanned: int = 0
     ok: int = 0
-    #: Footer-less files whose body still parses (pre-integrity cache).
-    legacy: int = 0
     #: Files that failed verification (repo-relative paths).
     corrupt: list[str] = field(default_factory=list)
     #: Where each corrupt file was moved (parallel to ``corrupt``).
     quarantined: list[str] = field(default_factory=list)
-    #: Leftover ``*.tmp*`` staging files from interrupted writes.
+    #: Leftover ``*.tmp*`` files from interrupted writes.
     tmp_orphans: list[str] = field(default_factory=list)
 
     @property
@@ -171,10 +190,8 @@ class CacheAudit:
         return not self.corrupt
 
     def summary(self) -> str:
-        parts = [f"{self.scanned} file(s) scanned", f"{self.ok} ok"]
-        if self.legacy:
-            parts.append(f"{self.legacy} legacy (no footer)")
-        parts.append(f"{len(self.corrupt)} corrupt")
+        parts = [f"{self.scanned} file(s) scanned", f"{self.ok} ok",
+                 f"{len(self.corrupt)} corrupt"]
         if self.quarantined:
             parts.append(f"{len(self.quarantined)} quarantined")
         if self.tmp_orphans:
@@ -183,16 +200,12 @@ class CacheAudit:
 
 
 def _is_tmp(path: Path) -> bool:
-    """Staging debris: ``*.tmp*`` files, and anything under (or being)
-    a ``.stage-*`` directory — staged entry files keep their final
-    names, so the directory, not the filename, marks them."""
-    if ".tmp" in path.name:
-        return True
-    return any(part.startswith(".stage-") for part in path.parts)
+    """Debris of an interrupted write: a ``*.tmp*`` sibling file."""
+    return ".tmp" in path.name
 
 
 def _cache_files(root: Path) -> list[Path]:
-    """Every entry/artifact file under ``root``, quarantine excluded."""
+    """Every entry file under ``root``, quarantine and tmp files excluded."""
     out = []
     for path in sorted(root.rglob("*.json")):
         if QUARANTINE_DIR in path.relative_to(root).parts:
@@ -211,10 +224,9 @@ def verify_cache(
 ) -> CacheAudit:
     """Checksum-verify every file of a cache tree.
 
-    Corrupt files (bad footer, or a body that no longer parses as JSON)
-    are moved to quarantine when ``quarantine=True``, else left in
-    place and only reported. Footer-less files count as ``legacy`` when
-    their JSON parses, corrupt otherwise.
+    Files that :func:`read_verified` finds corrupt are moved to
+    quarantine when ``quarantine=True``, else left in place and only
+    reported.
     """
     fs = fs or CacheFS()
     root = Path(root)
@@ -223,19 +235,8 @@ def verify_cache(
         return audit
     for path in _cache_files(root):
         audit.scanned += 1
-        try:
-            body, status = split_verified(fs.read_text(path))
-        except OSError:
-            body, status = None, "corrupt"
-        if status != "corrupt":
-            try:
-                json.loads(body if body is not None else "")
-            except ValueError:
-                status = "corrupt"
-        if status == "ok":
+        if read_verified(path, fs)[1] == "ok":
             audit.ok += 1
-        elif status == "legacy":
-            audit.legacy += 1
         else:
             audit.corrupt.append(str(path))
             if quarantine:
@@ -255,13 +256,11 @@ class GcStats:
     root: str
     removed_tmp: int = 0
     removed_stale: int = 0
-    removed_orphan_artifacts: int = 0
     removed_quarantined: int = 0
     bytes_freed: int = 0
 
     def summary(self) -> str:
         return (f"{self.removed_tmp} tmp, {self.removed_stale} stale-version, "
-                f"{self.removed_orphan_artifacts} orphan artifact(s), "
                 f"{self.removed_quarantined} quarantined file(s) removed "
                 f"({self.bytes_freed:,} bytes freed)")
 
@@ -275,10 +274,11 @@ def gc_cache(
 ) -> GcStats:
     """Garbage-collect a cache tree.
 
-    Removes interrupted-write staging files, entries whose recorded
-    cache version is not ``current_version`` (they would be discarded
-    on read anyway), artifact files whose result entry is gone, and —
-    with ``purge_quarantine`` — previously quarantined corpses.
+    Removes interrupted-write tmp files, entries whose recorded cache
+    version is not ``current_version`` (they would be discarded on read
+    anyway) and — with ``purge_quarantine`` — previously quarantined
+    corpses. Corrupt or unreadable files are left for
+    :func:`verify_cache`.
     """
     fs = fs or CacheFS()
     root = Path(root)
@@ -298,34 +298,12 @@ def gc_cache(
         if path.is_file() and _is_tmp(path):
             _rm(path)
             stats.removed_tmp += 1
-    # Stale-version result entries (and their sibling artifacts).
     for path in _cache_files(root):
-        if path.name.endswith((".obs.json", ".series.json")):
-            continue
-        body, status = split_verified(fs.read_text(path))
-        if status == "corrupt":
-            continue  # verify's job, not gc's
-        try:
-            payload = json.loads(body if body is not None else "")
-            version = payload.get("version")
-        except (ValueError, AttributeError):
-            continue
-        if version != current_version:
-            stem = path.name[: -len(".json")]
-            for victim in (path,
-                           path.with_name(f"{stem}.obs.json"),
-                           path.with_name(f"{stem}.series.json")):
-                if victim.exists():
-                    _rm(victim)
-                    stats.removed_stale += 1
-    # Orphan artifacts: .obs/.series files whose result entry is gone.
-    for path in _cache_files(root):
-        if not path.name.endswith((".obs.json", ".series.json")):
-            continue
-        stem = path.name.rsplit(".", 2)[0]
-        if not path.with_name(f"{stem}.json").exists():
+        payload, status = read_verified(path, fs)
+        if status == "ok" and (not isinstance(payload, dict)
+                               or payload.get("version") != current_version):
             _rm(path)
-            stats.removed_orphan_artifacts += 1
+            stats.removed_stale += 1
     if purge_quarantine:
         qdir = root / QUARANTINE_DIR
         if qdir.exists():

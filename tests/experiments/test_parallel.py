@@ -226,14 +226,14 @@ def test_corrupted_cache_file_discarded_not_fatal(tmp_path):
 def test_stale_cache_version_discarded(tmp_path):
     spec = cheap_spec()
     cache = ResultCache(tmp_path)
-    cache.store_entry(spec, encode_result(execute_spec(spec)))
+    cache.store(spec, encode_result(execute_spec(spec)))
     path = cache.path_for(spec_key(spec))
     body, status = split_verified(path.read_text())
     assert status == "ok"
     payload = json.loads(body)
     payload["version"] = parallel.CACHE_VERSION + 1
     path.write_text(attach_footer(json.dumps(payload)))
-    assert cache.load(spec) is None
+    assert cache.load(spec) == (None, None, None)
     assert not path.exists(), "stale-format file should be discarded"
 
 

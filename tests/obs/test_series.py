@@ -29,6 +29,7 @@ from repro.experiments.parallel import (
 from repro.hw.interrupts import Vector
 from repro.obs import ObsConfig, Observability, reconcile_series
 from repro.obs.series import SeriesRecorder, series_totals
+from repro.resilience.integrity import attach_footer, read_verified
 
 
 def series_spec(**changes) -> RunSpec:
@@ -175,8 +176,8 @@ class TestSpecAndCache:
         spec = series_spec()
         cold = run_grid([spec], jobs=1, cache_dir=tmp_path)
         assert (cold.executed, cold.cache_hits) == (1, 0)
-        path = ResultCache(tmp_path).series_path_for(spec_key(spec))
-        assert path.exists()
+        entry, _ = read_verified(ResultCache(tmp_path).path_for(spec_key(spec)))
+        assert entry["series"] == cold.series[spec]
         warm = run_grid([spec], jobs=1, cache_dir=tmp_path)
         assert (warm.executed, warm.cache_hits) == (0, 1)
         assert warm.series[spec] == cold.series[spec]
@@ -185,7 +186,10 @@ class TestSpecAndCache:
     def test_missing_series_artifact_demotes_hit_to_miss(self, tmp_path):
         spec = series_spec()
         run_grid([spec], jobs=1, cache_dir=tmp_path)
-        ResultCache(tmp_path).series_path_for(spec_key(spec)).unlink()
+        path = ResultCache(tmp_path).path_for(spec_key(spec))
+        entry, _ = read_verified(path)
+        del entry["series"]
+        path.write_text(attach_footer(json.dumps(entry, sort_keys=True)))
         again = run_grid([spec], jobs=1, cache_dir=tmp_path)
         assert (again.executed, again.cache_hits) == (1, 0)
         assert spec in again.series
@@ -195,9 +199,9 @@ class TestSpecAndCache:
         spec = series_spec()
         run_grid([spec], jobs=1, cache_dir=a)
         run_grid([spec], jobs=1, cache_dir=b)
-        pa = ResultCache(a).series_path_for(spec_key(spec))
-        pb = ResultCache(b).series_path_for(spec_key(spec))
-        assert pa.read_bytes() == pb.read_bytes()
+        pa = ResultCache(a).path_for(spec_key(spec))
+        pb = ResultCache(b).path_for(spec_key(spec))
+        assert pa.read_bytes() == pb.read_bytes()  # the entry holds the series
 
 
 class TestObsWiring:

@@ -12,6 +12,8 @@ The two contracts the whole subsystem stands on:
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.config import MachineSpec, TickMode
@@ -26,6 +28,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.runner import run_workload
 from repro.obs import ObsConfig, Observability
+from repro.resilience.integrity import attach_footer, read_verified
 from repro.sim.trace import NullTracer
 from repro.workloads.micro import PingPongWorkload
 
@@ -109,19 +112,22 @@ class TestParallelProfileArtifacts:
         art = grid.artifacts[spec]
         assert art["profile"]["total_samples"] > 0
         assert "latency" in art and "steal" in art
-        cache = ResultCache(tmp_path)
-        assert cache.artifact_path_for(spec_key(spec)).exists()
+        entry, _ = read_verified(ResultCache(tmp_path).path_for(spec_key(spec)))
+        assert entry["obs"] == art  # inline in the spec's one entry file
         # Second pass: both result and artifact served from cache.
         again = run_grid([spec], cache_dir=tmp_path)
         assert again.cache_hits == 1 and again.executed == 0
         assert again.artifacts[spec] == art
 
     def test_missing_artifact_forces_rerun(self, tmp_path):
-        """A cached result without its profile sibling is a miss — the
-        grid must not return a profiled spec without its artifact."""
+        """A cached entry without its profile is a miss — the grid must
+        not return a profiled spec without its artifact."""
         spec = self.spec(profile=True)
         run_grid([spec], cache_dir=tmp_path)
-        ResultCache(tmp_path).artifact_path_for(spec_key(spec)).unlink()
+        path = ResultCache(tmp_path).path_for(spec_key(spec))
+        entry, _ = read_verified(path)
+        del entry["obs"]
+        path.write_text(attach_footer(json.dumps(entry, sort_keys=True)))
         again = run_grid([spec], cache_dir=tmp_path)
         assert again.executed == 1
         assert spec in again.artifacts
@@ -130,7 +136,8 @@ class TestParallelProfileArtifacts:
         spec = self.spec()
         grid = run_grid([spec], cache_dir=tmp_path)
         assert grid.artifacts == {}
-        assert not ResultCache(tmp_path).artifact_path_for(spec_key(spec)).exists()
+        entry, _ = read_verified(ResultCache(tmp_path).path_for(spec_key(spec)))
+        assert "obs" not in entry and "series" not in entry
 
     def test_profiled_worker_matches_unprofiled(self, tmp_path):
         """Profiling inside pool workers does not perturb results."""

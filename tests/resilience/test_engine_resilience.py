@@ -250,46 +250,68 @@ class TestJournalResume:
 
 
 class TestAtomicMultiFileEntries:
+    """A profiled + series entry (result and both artifacts) is one file
+    published by one rename: it lands whole or not at all."""
+
     def test_failed_result_publish_leaves_a_cold_miss(self, tmp_path):
-        spec = make_spec(profile=True)
+        spec = make_spec(profile=True, series=True)
         cache_dir = tmp_path / "cache"
-        # Replace order for a profiled entry is [obs, result]; failing
-        # replace #1 interrupts the publish after the artifact landed.
         with pytest.warns(RuntimeWarning, match="result cache disabled"):
             run_grid([spec], jobs=None, cache_dir=cache_dir,
-                     cache_fs=FaultyFS(fail_replaces=(1,))).raise_if_failed()
+                     cache_fs=FaultyFS(fail_replaces=(0,))).raise_if_failed()
         cache = ResultCache(cache_dir)
-        key = spec_key(spec)
-        assert not cache.path_for(key).exists()  # result published last
-        assert cache.artifact_path_for(key).exists()  # obs landed first
-        assert cache.load(spec) is None
-        # No staging debris survives the interrupted publish.
-        assert not list(cache_dir.rglob(".stage-*"))
+        assert not cache.path_for(spec_key(spec)).exists()
+        assert cache.load(spec) == (None, None, None)
+        # No tmp debris survives the interrupted publish.
+        assert not [p for p in cache_dir.rglob("*") if p.is_file()]
         # The next run sees a cold miss and repairs the entry whole.
         repaired = run_grid([spec], jobs=None, cache_dir=cache_dir).raise_if_failed()
         assert repaired.executed == 1 and repaired.cache_hits == 0
         warm = run_grid([spec], jobs=None, cache_dir=cache_dir).raise_if_failed()
-        assert warm.cache_hits == 1 and spec in warm.artifacts
+        assert warm.cache_hits == 1
+        assert warm.artifacts[spec] == repaired.artifacts[spec]
+        assert warm.series[spec] == repaired.series[spec]
 
     def test_failed_artifact_publish_keeps_the_unit_cold(self, tmp_path):
-        spec = make_spec(profile=True)
-        cache = ResultCache(tmp_path / "cache", fs=FaultyFS(fail_replaces=(0,)))
+        spec = make_spec(profile=True, series=True)
+        cache_dir = tmp_path / "cache"
         grid = run_grid([spec], jobs=None, use_cache=False).raise_if_failed()
+        cache = ResultCache(cache_dir, fs=FaultyFS(fail_writes=(0,)))
         with pytest.raises(OSError):
-            cache.store_entry(spec, encode_result(grid.results[spec]),
-                              obs=grid.artifacts[spec])
-        key = spec_key(spec)
-        assert not cache.path_for(key).exists()
-        assert not cache.artifact_path_for(key).exists()
+            cache.store(spec, encode_result(grid.results[spec]),
+                        obs=grid.artifacts[spec], series=grid.series[spec])
+        assert not [p for p in cache_dir.rglob("*") if p.is_file()]
+        repaired = run_grid([spec], jobs=None, cache_dir=cache_dir).raise_if_failed()
+        assert repaired.executed == 1 and spec in repaired.series
+
+    def test_profiled_series_entry_is_one_file(self, tmp_path):
+        spec = make_spec(profile=True, series=True)
+        cache_dir = tmp_path / "cache"
+        cold = run_grid([spec], jobs=None, cache_dir=cache_dir).raise_if_failed()
+        entry = ResultCache(cache_dir).path_for(spec_key(spec))
+        assert [p for p in cache_dir.rglob("*") if p.is_file()] == [entry]
+        doc = json.loads(split_verified(entry.read_text())[0])
+        assert set(doc) == {"version", "key", "spec", "result", "obs", "series"}
+        warm = run_grid([spec], jobs=None, cache_dir=cache_dir).raise_if_failed()
+        assert warm.cache_hits == 1
+        assert warm.artifacts[spec] == cold.artifacts[spec] == doc["obs"]
+        assert warm.series[spec] == cold.series[spec] == doc["series"]
 
     def test_result_without_artifacts_reads_as_miss(self, tmp_path):
-        spec = make_spec(profile=True)
+        spec = make_spec(profile=True, series=True)
         cache_dir = tmp_path / "cache"
         run_grid([spec], jobs=None, cache_dir=cache_dir).raise_if_failed()
-        ResultCache(cache_dir).artifact_path_for(spec_key(spec)).unlink()
-        grid = run_grid([spec], jobs=None, cache_dir=cache_dir).raise_if_failed()
-        assert grid.cache_hits == 0 and grid.executed == 1
-        assert spec in grid.artifacts  # the re-run restored the profile
+        path = ResultCache(cache_dir).path_for(spec_key(spec))
+        doc = json.loads(split_verified(path.read_text())[0])
+        for artifact in ("obs", "series"):
+            # Rewritten without one artifact, under a valid footer: a
+            # structural miss, discarded like a stale version.
+            path.write_text(attach_footer(json.dumps(
+                {k: v for k, v in doc.items() if k != artifact}, sort_keys=True)))
+            grid = run_grid([spec], jobs=None, cache_dir=cache_dir).raise_if_failed()
+            assert grid.cache_hits == 0 and grid.executed == 1
+            assert grid.report.quarantined == 0
+            assert spec in grid.artifacts and spec in grid.series  # the re-run restored them
 
 
 class TestCorruptionDemotion:
@@ -307,3 +329,18 @@ class TestCorruptionDemotion:
         _assert_bytes_identical(grid, golden)
         quarantined = list((cache_dir / QUARANTINE_DIR).iterdir())
         assert len(quarantined) == 1
+
+    def test_high_bit_flip_is_quarantined_and_rerun(self, tmp_path, specs):
+        golden = _golden(specs)
+        cache_dir = tmp_path / "cache"
+        run_grid(specs, jobs=None, cache_dir=cache_dir).raise_if_failed()
+        victim = ResultCache(cache_dir).path_for(spec_key(specs[1]))
+        data = bytearray(victim.read_bytes())
+        data[len(data) // 2] |= 0x80  # no longer valid UTF-8
+        victim.write_bytes(bytes(data))
+
+        grid = run_grid(specs, jobs=None, cache_dir=cache_dir).raise_if_failed()
+        assert grid.report.quarantined == 1
+        assert grid.report.cache_hits == len(specs) - 1 and grid.report.executed == 1
+        _assert_bytes_identical(grid, golden)
+        assert [p.name for p in (cache_dir / QUARANTINE_DIR).iterdir()] == [victim.name]

@@ -1,17 +1,16 @@
 """Cache-integrity unit tests: footers, quarantine, verify and gc.
 
 A cache file is one line of JSON plus a ``#sha256=`` footer; these
-tests pin the footer round trip, the legacy (footer-less) upgrade
-path, and the two maintenance walks behind ``python -m repro cache
-verify|gc``.
+tests pin the footer round trip, the one verifying reader (every file
+it cannot verify is corrupt, footer-less ones included), and the two
+maintenance walks behind ``python -m repro cache verify|gc``.
 """
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
+from repro.cli import main
 from repro.resilience.integrity import (
     QUARANTINE_DIR,
     CacheAudit,
@@ -21,6 +20,7 @@ from repro.resilience.integrity import (
     gc_cache,
     quarantine_file,
     quarantine_path,
+    read_verified,
     split_verified,
     verify_cache,
 )
@@ -35,8 +35,8 @@ class TestFooter:
         assert text.endswith(body_digest(BODY) + "\n")
         assert split_verified(text) == (BODY, "ok")
 
-    def test_footerless_is_legacy(self):
-        assert split_verified(BODY) == (BODY, "legacy")
+    def test_footerless_is_corrupt(self):
+        assert split_verified(BODY) == (None, "corrupt")
 
     def test_tampered_body_is_corrupt(self):
         text = attach_footer(BODY).replace('"value": 1', '"value": 2')
@@ -45,15 +45,29 @@ class TestFooter:
         assert body is None
 
     def test_truncated_file_is_corrupt_or_legacy_unparseable(self):
+        # Truncation cuts the footer off or leaves a mismatching one;
+        # either way the body is never served.
         text = attach_footer(BODY)
-        body, status = split_verified(text[: len(text) // 2])
-        # Truncation may cut the footer off entirely (legacy garbage
-        # that fails the JSON parse downstream) or leave a mismatching
-        # footer; either way the body is never served verified.
-        assert status in ("corrupt", "legacy")
-        if status == "legacy":
-            with pytest.raises(ValueError):
-                json.loads(body)
+        for cut in (len(text) // 2, len(text) - 3):
+            assert split_verified(text[:cut]) == (None, "corrupt")
+
+
+class TestReadVerified:
+    def test_ok_missing_and_every_corrupt_kind(self, tmp_path):
+        ok = _entry(tmp_path, "aa11", attach_footer(BODY))
+        assert read_verified(ok) == (json.loads(BODY), "ok")
+        assert read_verified(tmp_path / "nope.json") == (None, "missing")
+        flipped = bytearray(attach_footer(BODY).encode())
+        flipped[5] |= 0x80  # no longer valid UTF-8
+        undecodable = _entry(tmp_path, "bb22", "")
+        undecodable.write_bytes(bytes(flipped))
+        unreadable = tmp_path / "cc" / "cc33.json"
+        unreadable.mkdir(parents=True)
+        for path in (_entry(tmp_path, "dd44", BODY),  # footer-less
+                     _entry(tmp_path, "ee55", attach_footer(BODY)[:-5] + "0000\n"),
+                     _entry(tmp_path, "ff66", attach_footer("{not json")),
+                     undecodable, unreadable):
+            assert read_verified(path) == (None, "corrupt"), path
 
 
 def _entry(root, name: str, text: str) -> "object":
@@ -69,15 +83,14 @@ class TestVerify:
         assert isinstance(audit, CacheAudit)
         assert audit.clean and audit.scanned == 0
 
-    def test_ok_legacy_and_corrupt_are_distinguished(self, tmp_path):
+    def test_ok_and_corrupt_are_distinguished(self, tmp_path):
         _entry(tmp_path, "aa11", attach_footer(BODY))
-        _entry(tmp_path, "bb22", BODY)  # pre-integrity file, parses
         corrupt = _entry(tmp_path, "cc33", attach_footer(BODY)[:-9] + "deadbeef\n")
-        audit = verify_cache(tmp_path)
-        assert (audit.scanned, audit.ok, audit.legacy) == (3, 1, 1)
+        audit = verify_cache(tmp_path, quarantine=False)
+        assert (audit.scanned, audit.ok) == (2, 1)
         assert audit.corrupt == [str(corrupt)]
         assert not audit.clean
-        assert "1 corrupt" in audit.summary()
+        assert audit.summary() == "2 file(s) scanned, 1 ok, 1 corrupt"
 
     def test_corrupt_file_moves_to_quarantine(self, tmp_path):
         victim = _entry(tmp_path, "cc33", attach_footer(BODY) + "trailing junk")
@@ -96,20 +109,30 @@ class TestVerify:
         assert victim.exists()
 
     def test_legacy_that_fails_to_parse_is_corrupt(self, tmp_path):
-        _entry(tmp_path, "dd44", "{not json at all")
+        # Footer-less files are corrupt whether or not their body parses.
+        garbage = _entry(tmp_path, "dd44", "{not json at all")
+        footerless = _entry(tmp_path, "ee55", BODY)
         audit = verify_cache(tmp_path)
-        assert audit.legacy == 0 and len(audit.corrupt) == 1
+        assert audit.ok == 0 and audit.corrupt == [str(garbage), str(footerless)]
+        assert len(audit.quarantined) == 2
+        assert not garbage.exists() and not footerless.exists()
+
+    def test_high_bit_flip_is_corrupt(self, tmp_path):
+        victim = _entry(tmp_path, "aa11", attach_footer(BODY))
+        data = bytearray(victim.read_bytes())
+        data[len(data) // 3] |= 0x80
+        victim.write_bytes(bytes(data))
+        audit = verify_cache(tmp_path)
+        assert audit.corrupt == [str(victim)]
+        assert audit.quarantined == [str(quarantine_path(tmp_path, victim))]
 
     def test_tmp_orphans_are_reported_not_verified(self, tmp_path):
         _entry(tmp_path, "aa11", attach_footer(BODY))
         tmp = tmp_path / "aa" / "aa11.json.tmp12345"
         tmp.write_text("half a wri")
-        stage = tmp_path / "aa" / ".stage-1-aa11"
-        stage.mkdir()
-        (stage / "aa11.json").write_text("staged")
         audit = verify_cache(tmp_path)
         assert audit.clean and audit.ok == 1
-        assert len(audit.tmp_orphans) == 2
+        assert audit.tmp_orphans == [str(tmp)]
 
 
 class TestQuarantineFile:
@@ -129,11 +152,13 @@ class TestGc:
         keep = _entry(tmp_path, "aa11", attach_footer(BODY))
         stale = _entry(tmp_path, "bb22", attach_footer(
             json.dumps({"version": 2, "result": {}})))
+        # Artifact files of the old three-file entry layout carry no
+        # ``"version": 3``, so the stale-version pass removes them too.
         stale_obs = tmp_path / "bb" / "bb22.obs.json"
         stale_obs.write_text(attach_footer("{}"))
         orphan = tmp_path / "ee" / "ee55.series.json"
         orphan.parent.mkdir(parents=True)
-        orphan.write_text(attach_footer("{}"))
+        orphan.write_text(attach_footer(json.dumps({"version": 1, "windows": []})))
         tmp = tmp_path / "aa" / "aa11.json.tmp99"
         tmp.write_text("torn")
 
@@ -142,10 +167,9 @@ class TestGc:
         for victim in (stale, stale_obs, orphan, tmp):
             assert not victim.exists()
         assert stats.removed_tmp == 1
-        assert stats.removed_stale == 2
-        assert stats.removed_orphan_artifacts == 1
+        assert stats.removed_stale == 3
         assert stats.bytes_freed > 0
-        assert "1 tmp" in stats.summary()
+        assert stats.summary().startswith("1 tmp, 3 stale-version, 0 quarantined")
 
     def test_gc_leaves_quarantine_unless_purged(self, tmp_path):
         qdir = tmp_path / QUARANTINE_DIR
@@ -163,3 +187,13 @@ class TestGc:
         stats = gc_cache(tmp_path, current_version=3)
         assert stats.removed_stale == 0
         assert bad.exists()  # verify's job, not gc's
+
+    def test_cli_gc_leaves_an_unreadable_entry_path_to_verify(self, tmp_path, capsys):
+        keep = _entry(tmp_path, "bb22", attach_footer(BODY))
+        unreadable = tmp_path / "aa" / "aa11.json"
+        unreadable.mkdir(parents=True)
+        assert main(["--cache-dir", str(tmp_path), "cache", "gc"]) == 0
+        assert "0 stale-version" in capsys.readouterr().out
+        assert unreadable.is_dir() and keep.exists()
+        assert main(["--cache-dir", str(tmp_path), "cache", "verify"]) == 1
+        assert f"corrupt: {unreadable}" in capsys.readouterr().out
