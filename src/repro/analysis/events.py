@@ -12,8 +12,7 @@ Sources follow a small naming convention:
 * ``<vm>/vcpu<N>`` — the vCPU executor, the guest kernel and the
   per-vCPU timers (preemption timer, host deadline stand-in);
 * ``<vm>/vcpu<N>/vlapic`` — KVM's emulation of the virtual LAPIC in
-  periodic mode;
-* free-form names for bare hardware models (``lapic``, ``msr``).
+  periodic mode.
 """
 
 from __future__ import annotations
@@ -38,15 +37,13 @@ EVENT_SCHEMA: dict[str, str] = {
     "ptimer_start": "abs ns — countdown started at VM entry",
     "ptimer_stop": "None — countdown paused at VM exit",
     "ptimer_fire": "None — preemption timer expired in guest mode",
-    # LAPIC timer hardware model / KVM's periodic vLAPIC emulation
+    # KVM's periodic vLAPIC emulation (repro.hw.lapic)
     "lapic_arm": "(mode_value, expiry_abs_ns) — timer programmed",
     "lapic_disarm": "None — pending expiry cancelled",
     "lapic_fire": "(mode_value, vector_int) — timer expired",
     # Host scheduler (repro.host.kvm dispatch/preempt, overcommit only)
     "sched_dispatch": "(pcpu_index, stolen_ns) — READY wait ended; vCPU got its pCPU",
     "sched_preempt": "pcpu_index — host-tick boundary requeued this vCPU",
-    # Raw MSR traffic (repro.hw.msr, native path)
-    "msr_write": "(index, value)",
     # ARM generic timer (repro.hw.arm: KVM's vtimer emulation)
     "cntv_cval": "abs ns — CNTV_CVAL latched (host-time translated expiry)",
     "cntv_ctl": "0|1 — CNTV_CTL ENABLE bit written",
@@ -162,13 +159,6 @@ def _validate_ctl_bit(d: Any) -> Optional[str]:
     return None
 
 
-def _validate_msr_write(d: Any) -> Optional[str]:
-    p = _pair(d)
-    if p is None or not all(isinstance(x, int) and x >= 0 for x in p):
-        return f"expected (index, value) non-negative ints, got {d!r}"
-    return None
-
-
 _VALIDATORS: dict[str, Callable[[Any], Optional[str]]] = {
     "vmexit": _validate_vmexit,
     "inject": _validate_inject,
@@ -187,7 +177,6 @@ _VALIDATORS: dict[str, Callable[[Any], Optional[str]]] = {
     "lapic_fire": _validate_lapic_fire,
     "sched_dispatch": _validate_sched_dispatch,
     "sched_preempt": _validate_abs_ns,
-    "msr_write": _validate_msr_write,
     "cntv_cval": _validate_abs_ns,
     "cntv_ctl": _validate_ctl_bit,
     "idle_enter": _validate_none,

@@ -23,6 +23,7 @@ import argparse
 import sys
 
 from repro.config import TickMode
+from repro.errors import ReproError
 from repro.experiments import runner
 from repro.experiments.scenarios import VM_SIZES
 from repro.metrics.report import format_table
@@ -746,6 +747,17 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and periods that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="paratick-repro", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -819,7 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
     fz = sub.add_parser(
         "fuzz", help="differential fuzz: 3 tick modes x {solo, overcommit} per seed"
     )
-    fz.add_argument("--runs", type=int, default=20,
+    fz.add_argument("--runs", type=_positive_int, default=20,
                     help="number of consecutive seeds starting at --seed")
     fz.add_argument("--seed-list", nargs="+", metavar="N",
                     help="fuzz exactly these seeds (replay failures)")
@@ -945,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--threads", type=int, default=2)
     pf.add_argument("--mode", choices=[m.value for m in TickMode], default="tickless")
     pf.add_argument("--target-mcycles", type=int, default=300)
-    pf.add_argument("--sample-us", type=int, default=10,
+    pf.add_argument("--sample-us", type=_positive_int, default=10,
                     help="busy-time sampling period in microseconds")
     pf.add_argument("--top", type=int, default=15,
                     help="collapsed stacks to print (most samples first)")
@@ -971,6 +983,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; its return value is the exit status.
+
+    Bad input surfaces as a :class:`~repro.errors.ReproError` and is
+    printed as one ``error: <message>`` line on stderr with exit status
+    2 (argparse's status for a bad command line). Any other exception
+    is a programming error and propagates with its traceback.
+    """
     args = build_parser().parse_args(argv)
     tel = None
     if getattr(args, "telemetry_out", None):
@@ -978,7 +997,11 @@ def main(argv: list[str] | None = None) -> int:
 
         tel = HarnessTelemetry()
     args.telemetry = tel
-    rc = args.fn(args)
+    try:
+        rc = args.fn(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if tel is not None:
         paths = tel.write_outputs(args.telemetry_out)
         for kind in sorted(paths):

@@ -15,8 +15,8 @@ class ReproError(Exception):
 class SimulationError(ReproError):
     """The discrete-event engine was used incorrectly.
 
-    Examples: scheduling an event in the past, running a simulator that
-    has already been torn down, re-firing a one-shot signal.
+    Examples: scheduling or re-arming an event in the past, running the
+    event loop re-entrantly from inside a callback.
     """
 
 

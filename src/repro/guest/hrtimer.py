@@ -41,9 +41,6 @@ class Hrtimer:
         self._seq = seq
         self._active = True
 
-    def __lt__(self, other: "Hrtimer") -> bool:
-        return (self.expires_ns, self._seq) < (other.expires_ns, other._seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "" if self._active else " cancelled"
         return f"<Hrtimer {self.name} @{self.expires_ns}{state}>"

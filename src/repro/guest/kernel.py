@@ -27,7 +27,6 @@ from repro.guest.rcu import Rcu
 from repro.guest.sched import GuestScheduler
 from repro.guest.task import Task
 from repro.guest.timerwheel import TimerWheel
-from repro.host.exitreasons import ExitTag
 from repro.hw.cpu import CycleDomain
 from repro.hw.interrupts import Vector
 from repro.hw.iodev import IoRequest
@@ -93,7 +92,6 @@ class GuestKernel:
         self._active_vidx: Optional[int] = None
         self._push_sink: Optional[list] = None
         self._io_seq: dict[tuple[int, str], int] = {}
-        self._stopped = False
         #: Called with each finishing task (workloads hook this).
         self.task_done_callbacks: list[Callable[[Task], None]] = []
         if vm.spec.cpuidle:
@@ -130,16 +128,6 @@ class GuestKernel:
     def add_task(self, task: Task) -> None:
         """Register a task (normally before the VM starts)."""
         self.sched.add_task(task)
-
-    def spawn_external(self, task: Task) -> None:
-        """Add a task to a running VM, poking its vCPU if halted."""
-        self.sched.add_task(task)
-        vcpu = self.vm.vcpus[task.affinity]
-        vcpu.exec.deliver(Vector.RESCHEDULE, ExitTag.IPI)
-
-    def stop(self) -> None:
-        """Shut the VM down: executors stop at their next op fetch."""
-        self._stopped = True
 
     # ----------------------------------------------------- perturbations
 
@@ -250,8 +238,6 @@ class GuestKernel:
                         # runnable work (would be a lost wakeup).
                         continue
                     return op
-                if self._stopped:
-                    return None
                 cur = self.sched.current(vidx)
                 if cur is not None:
                     if ctx.need_resched and self.sched.runnable_waiting(vidx) > 0:
@@ -477,11 +463,6 @@ class GuestKernel:
         elif isinstance(top, tsk.PageFault):
             for _ in range(top.count):
                 self.push(vidx, gops.Fault())
-        elif isinstance(top, tsk.YieldCpu):
-            def do_yield() -> None:
-                self._ctx[vidx].need_resched = True
-
-            self.push(vidx, gops.Compute(c.guest_syscall, K, on_done=do_yield))
         else:
             raise GuestError(f"task {task.name} yielded unknown op {top!r}")
 

@@ -205,9 +205,3 @@ class PageFault(TaskOp):
         if count <= 0:
             raise GuestError("fault count must be positive")
         self.count = count
-
-
-class YieldCpu(TaskOp):
-    """sched_yield: go to the back of the run queue."""
-
-    __slots__ = ()

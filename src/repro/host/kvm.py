@@ -691,9 +691,6 @@ class _VcpuExec:
         while True:
             op = kernel.next_op(vidx)
             if type(op) is not _Compute:
-                if op is None:
-                    self.shutdown()
-                    return
                 if isinstance(op, gops.Pause) and not self._ple:
                     # Without pause-loop exiting, spinning is just compute.
                     op = _Compute(op.cycles, _GUEST_KERNEL)
@@ -846,7 +843,6 @@ class _VcpuExec:
         if self._vlapic is None:
             self._vlapic = LapicTimer(
                 self.sim,
-                self.hv.tsc,
                 self._vlapic_deliver,
                 name=f"{self.vm.name}/vcpu{self.vcpu.index}/vlapic",
             )

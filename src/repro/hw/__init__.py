@@ -1,15 +1,16 @@
 """Simulated hardware: CPUs, timers, interrupt plumbing and I/O devices.
 
 This layer models the x86 timer hardware the paper's mechanism touches —
-the TSC, the ``TSC_DEADLINE`` MSR, the per-CPU LAPIC timer and the VMX
-preemption timer — plus physical CPUs with per-domain cycle accounting
-and storage/network devices with latency models.
+the TSC, the MSR indices a guest writes (``TSC_DEADLINE``, the x2APIC
+registers), the periodic-mode vLAPIC timer and the VMX preemption timer —
+plus physical CPUs with per-domain cycle accounting and storage/network
+devices with latency models.
 """
 
 from repro.hw.cpu import CycleDomain, Machine, PhysicalCPU
 from repro.hw.interrupts import Vector
-from repro.hw.lapic import LapicTimer, TimerMode
-from repro.hw.msr import Msr, MsrFile
+from repro.hw.lapic import LapicTimer
+from repro.hw.msr import Msr
 from repro.hw.preemption import PreemptionTimer
 from repro.hw.tsc import Tsc
 
@@ -19,9 +20,7 @@ __all__ = [
     "PhysicalCPU",
     "Vector",
     "LapicTimer",
-    "TimerMode",
     "Msr",
-    "MsrFile",
     "PreemptionTimer",
     "Tsc",
 ]

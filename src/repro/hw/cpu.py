@@ -97,12 +97,6 @@ class PhysicalCPU:
         if self.observer is not None:
             self.observer.on_account(self, domain, ns)
 
-    def account_cycles(self, domain: CycleDomain, cycles: int) -> int:
-        """Record busy time for ``cycles`` CPU cycles; returns the ns used."""
-        ns = self.clock.cycles_to_ns(cycles)
-        self.account(domain, ns)
-        return ns
-
     # ------------------------------------------------------------- readouts
 
     def busy_ns(self, domain: Optional[CycleDomain] = None) -> int:

@@ -29,11 +29,6 @@ class Vector(enum.IntEnum):
     #: Host-side scheduler tick on the physical LAPIC.
     HOST_TIMER = 239
 
-    @property
-    def is_timer(self) -> bool:
-        """True for vectors that drive scheduler-tick work."""
-        return self in (Vector.LOCAL_TIMER, Vector.PARATICK_VIRTUAL_TICK)
-
 
 #: Vectors a guest may receive (injected by the hypervisor).
 GUEST_VECTORS = frozenset(

@@ -1,12 +1,10 @@
-"""Local APIC timer model.
+"""Local APIC timer model, periodic mode.
 
-One LAPIC timer per CPU, supporting the three architectural modes:
-
-* **oneshot** — fire once after a programmed delay;
-* **periodic** — fire repeatedly at a programmed period (the classic
-  periodic scheduler tick of §3.1);
-* **TSC-deadline** — fire when the TSC reaches an absolute count written
-  to ``IA32_TSC_DEADLINE`` (the mode tickless Linux uses, §3).
+KVM drives this model only as the vLAPIC of a guest that programs its
+LAPIC timer in **periodic** mode (the classic periodic scheduler tick of
+§3.1): it fires repeatedly at the programmed period without being
+re-written. A guest's ``TSC_DEADLINE`` writes never reach it — KVM
+handles those with the preemption timer (:mod:`repro.hw.preemption`).
 
 Expiry calls the delivery callback with the configured vector. Whether
 delivery means "interrupt the host kernel" or "force a VM exit and inject
@@ -16,12 +14,10 @@ is identical either way.
 
 from __future__ import annotations
 
-import enum
 from typing import Callable, Optional
 
 from repro.errors import HardwareError
 from repro.hw.interrupts import Vector
-from repro.hw.tsc import Tsc
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
 
@@ -29,36 +25,31 @@ from repro.sim.events import Event
 #: fn(vector) -> None, called at expiry time.
 DeliveryFn = Callable[[Vector], None]
 
-
-class TimerMode(enum.Enum):
-    ONESHOT = "oneshot"
-    PERIODIC = "periodic"
-    TSC_DEADLINE = "tsc-deadline"
+#: Mode string of every ``lapic_arm``/``lapic_fire`` trace record.
+_PERIODIC = "periodic"
 
 
 class LapicTimer:
-    """A single LAPIC timer instance."""
+    """A single LAPIC timer instance in periodic mode."""
 
-    __slots__ = ("_sim", "_tsc", "name", "vector", "_deliver", "mode", "_event", "_period_ns", "arm_count", "fire_count")
+    __slots__ = ("_sim", "name", "vector", "_deliver", "_event", "_period_ns", "arm_count", "fire_count")
 
     def __init__(
         self,
         sim: Simulator,
-        tsc: Tsc,
         deliver: DeliveryFn,
         *,
         vector: Vector = Vector.LOCAL_TIMER,
         name: str = "lapic",
     ):
         self._sim = sim
-        self._tsc = tsc
         self._deliver = deliver
         self.vector = vector
         self.name = name
-        self.mode: Optional[TimerMode] = None
         self._event: Optional[Event] = None
+        #: Programmed period; 0 while disarmed.
         self._period_ns = 0
-        #: Programming operations performed (each is an MSR write on real hw).
+        #: Programming operations performed (each is a register write on real hw).
         self.arm_count = 0
         #: Interrupts delivered.
         self.fire_count = 0
@@ -70,55 +61,23 @@ class LapicTimer:
         """True if an expiry is pending."""
         return self._event is not None and self._event.pending
 
-    @property
-    def expiry_ns(self) -> Optional[int]:
-        """Absolute sim time of the pending expiry, or None."""
-        return self._event.time if self.armed else None  # type: ignore[union-attr]
-
     # ------------------------------------------------------------- arming
-
-    def arm_oneshot_ns(self, delay_ns: int) -> None:
-        """Program a one-shot expiry ``delay_ns`` from now."""
-        if delay_ns < 0:
-            raise HardwareError(f"{self.name}: negative delay {delay_ns}")
-        self._disarm_event()
-        self.mode = TimerMode.ONESHOT
-        self.arm_count += 1
-        self._arm_at(self._sim.now + delay_ns)
-        self._trace_arm(self._sim.now + delay_ns)
 
     def arm_periodic_ns(self, period_ns: int, *, first_after_ns: Optional[int] = None) -> None:
         """Program periodic expiry every ``period_ns``."""
         if period_ns <= 0:
             raise HardwareError(f"{self.name}: period must be positive, got {period_ns}")
         self._disarm_event()
-        self.mode = TimerMode.PERIODIC
         self._period_ns = period_ns
         self.arm_count += 1
         first = period_ns if first_after_ns is None else first_after_ns
         self._arm_at(self._sim.now + first)
         self._trace_arm(self._sim.now + first)
 
-    def arm_tsc_deadline(self, tsc_deadline: int) -> None:
-        """Program expiry at an absolute TSC count (deadline mode).
-
-        Writing 0 disarms the timer, exactly like the real MSR.
-        """
-        self._disarm_event()
-        if tsc_deadline == 0:
-            self.mode = None
-            self.arm_count += 1  # the disarming write is still a write
-            return
-        self.mode = TimerMode.TSC_DEADLINE
-        self.arm_count += 1
-        when = self._tsc.deadline_to_ns(tsc_deadline)
-        self._arm_at(when)
-        self._trace_arm(when)
-
     def disarm(self) -> None:
         """Cancel any pending expiry."""
         self._disarm_event()
-        self.mode = None
+        self._period_ns = 0
 
     # ----------------------------------------------------- suspend support
 
@@ -127,8 +86,8 @@ class LapicTimer:
 
         Returns the nanoseconds that remained until expiry (to hand to
         :meth:`resume`), or None if nothing was pending. The programmed
-        mode and period survive, exactly like a LAPIC whose core clock
-        is gated during a VM-wide suspend.
+        period survives, exactly like a LAPIC whose core clock is gated
+        during a VM-wide suspend.
         """
         if not self.armed:
             return None
@@ -137,7 +96,7 @@ class LapicTimer:
         return remaining
 
     def resume(self, remaining_ns: int) -> None:
-        """Re-arm a paused timer ``remaining_ns`` from now, same mode.
+        """Re-arm a paused timer ``remaining_ns`` from now, same period.
 
         The suspended span is host time the guest never sees: the timer
         picks up where :meth:`pause` left it rather than replaying the
@@ -145,8 +104,8 @@ class LapicTimer:
         """
         if remaining_ns < 0:
             raise HardwareError(f"{self.name}: negative resume remainder {remaining_ns}")
-        if self.mode is None:
-            raise HardwareError(f"{self.name}: resume but no mode was paused")
+        if not self._period_ns:
+            raise HardwareError(f"{self.name}: resume but no period was paused")
         self._arm_at(self._sim.now + remaining_ns)
         self._trace_arm(self._sim.now + remaining_ns)
 
@@ -169,7 +128,7 @@ class LapicTimer:
     def _trace_arm(self, expiry_ns: int) -> None:
         if self._sim.trace.enabled:
             self._sim.trace.emit(
-                self._sim.now, self.name, "lapic_arm", (self.mode.value, expiry_ns)
+                self._sim.now, self.name, "lapic_arm", (_PERIODIC, expiry_ns)
             )
 
     # -------------------------------------------------------------- expiry
@@ -178,13 +137,10 @@ class LapicTimer:
         self.fire_count += 1
         if self._sim.trace.enabled:
             self._sim.trace.emit(
-                self._sim.now, self.name, "lapic_fire", (self.mode.value, int(self.vector))
+                self._sim.now, self.name, "lapic_fire", (_PERIODIC, int(self.vector))
             )
-        if self.mode is TimerMode.PERIODIC:
-            # Re-arm before delivery so the handler observes a live timer
-            # (periodic mode needs no reprogramming — that is exactly why
-            # classic ticks cost only the delivery, not an extra write).
-            self._sim.rearm(self._event, self._sim.now + self._period_ns)
-        else:
-            self.mode = None
+        # Re-arm before delivery so the handler observes a live timer
+        # (periodic mode needs no reprogramming — that is exactly why
+        # classic ticks cost only the delivery, not an extra write).
+        self._sim.rearm(self._event, self._sim.now + self._period_ns)
         self._deliver(self.vector)

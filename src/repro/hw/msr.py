@@ -10,9 +10,6 @@ paper sets out to eliminate.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional
-
-from repro.errors import HardwareError
 
 
 class Msr(enum.IntEnum):
@@ -29,49 +26,3 @@ class Msr(enum.IntEnum):
     X2APIC_LVT_TIMER = 0x832
     #: x2APIC initial-count register (oneshot/periodic mode arming).
     X2APIC_TMICT = 0x838
-
-
-#: Handler invoked on a write: fn(index, value) -> None.
-WriteHook = Callable[[int, int], None]
-
-
-class MsrFile:
-    """A CPU's MSR state with optional per-register write hooks.
-
-    The hypervisor installs hooks on the intercepted registers; the
-    hook abstraction is also how the native (non-virtualized) LAPIC
-    wires ``TSC_DEADLINE`` writes to its timer model.
-
-    When constructed with a simulator, every write additionally emits a
-    structured ``msr_write`` trace event so the analysis layer can see
-    the raw register traffic behind the timer path.
-    """
-
-    __slots__ = ("_values", "_write_hooks", "_sim", "name")
-
-    def __init__(self, sim=None, *, name: str = "msr") -> None:
-        self._values: dict[int, int] = {}
-        self._write_hooks: dict[int, WriteHook] = {}
-        self._sim = sim
-        self.name = name
-
-    def install_write_hook(self, index: int, hook: WriteHook) -> None:
-        """Register ``hook`` to run on every write to MSR ``index``."""
-        if index in self._write_hooks:
-            raise HardwareError(f"write hook already installed for MSR {index:#x}")
-        self._write_hooks[index] = hook
-
-    def write(self, index: int, value: int) -> None:
-        """WRMSR: store the value and fire the hook, if any."""
-        if value < 0:
-            raise HardwareError(f"MSR {index:#x}: negative value {value}")
-        self._values[index] = value
-        if self._sim is not None and self._sim.trace.enabled:
-            self._sim.trace.emit(self._sim.now, self.name, "msr_write", (int(index), int(value)))
-        hook = self._write_hooks.get(index)
-        if hook is not None:
-            hook(index, value)
-
-    def read(self, index: int) -> int:
-        """RDMSR: last written value, or 0 (reset state)."""
-        return self._values.get(index, 0)

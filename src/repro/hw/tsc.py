@@ -47,9 +47,3 @@ class Tsc:
     def ns_of_tsc(self, tsc_value: int) -> int:
         """Convert an absolute TSC count to absolute sim-time ns (ceil)."""
         return -(-tsc_value * 1_000_000_000 // self.clock.freq_hz)
-
-    def after_ns(self, delta_ns: int) -> int:
-        """TSC value ``delta_ns`` nanoseconds from now (for arming deadlines)."""
-        if delta_ns < 0:
-            raise HardwareError(f"negative delta: {delta_ns}")
-        return self.clock.ns_to_cycles(self._sim.now + delta_ns)

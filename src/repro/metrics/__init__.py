@@ -8,10 +8,9 @@ application execution time.
 from repro.metrics.counters import ExitCounters, ExitRecordKey
 from repro.metrics.perf import RunMetrics, collect_metrics
 from repro.metrics.report import Comparison, compare_runs, format_table
-from repro.metrics.aggregate import aggregate_improvements, merge_run_metrics
+from repro.metrics.aggregate import aggregate_improvements
 
 __all__ = [
-    "merge_run_metrics",
     "ExitCounters",
     "ExitRecordKey",
     "collect_metrics",

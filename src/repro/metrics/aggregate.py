@@ -1,27 +1,18 @@
-"""Aggregation across runs: ratio summaries and integer-exact merges.
+"""Aggregation across runs: the paper's ratio summaries.
 
-Two layers with very different numeric rules:
-
-* :func:`aggregate_improvements` — the paper's summary tables (2, 3, 4)
-  report the *average* improvement across a benchmark suite. Averaging
-  ratios is done on the geometric mean of the ratio factors (the
-  standard for normalized benchmark results), then converted back to a
-  percentage change. Ratios are floats by nature; that is fine.
-
-* :func:`merge_run_metrics` — combining *measurements* (nanoseconds,
-  cycles, exit counts) must never route an integer through a float:
-  above 2**53 a float silently rounds, so ``float(2**60 + 1)`` loses
-  the ``+ 1`` and conservation breaks. Every counter here is merged
-  with Python integer arithmetic only; the fleet aggregator
-  (:mod:`repro.fleet.aggregate`) builds on the same rule.
+The paper's summary tables (2, 3, 4) report the *average* improvement
+across a benchmark suite. Averaging ratios is done on the geometric mean
+of the ratio factors (the standard for normalized benchmark results),
+then converted back to a percentage change. Ratios are floats by nature;
+that is fine. Measurements (nanoseconds, cycles, exit counts) are merged
+with integer arithmetic only, by the fleet aggregator
+(:mod:`repro.fleet.aggregate`).
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.metrics.counters import ExitCounters
-from repro.metrics.perf import RunMetrics
 from repro.metrics.report import Comparison
 from repro.sim.stats import geomean
 
@@ -37,71 +28,3 @@ def aggregate_improvements(comparisons: Iterable[Comparison], label: str = "aver
         throughput=geomean([1.0 + c.throughput for c in comps]) - 1.0,
         exec_time=geomean([1.0 + c.exec_time for c in comps]) - 1.0,
     )
-
-
-def _merge_extra_value(acc, val):
-    """Sum two extra values without ever promoting an int to float.
-
-    ``int + int`` stays an exact int at any magnitude. A float only
-    appears when one of the inputs already is one (a genuine rate or
-    ratio extra), never as an intermediate for integer inputs.
-    """
-    if isinstance(acc, bool) or isinstance(val, bool):
-        raise ValueError("boolean extras cannot be summed")
-    return acc + val
-
-
-def merge_run_metrics(
-    metrics: Iterable[RunMetrics], *, label: str = "merged"
-) -> RunMetrics:
-    """Integer-exact merge of several runs into one :class:`RunMetrics`.
-
-    The merge treats the inputs as parallel shards of one larger
-    measurement (the fleet layer's per-host results, a sweep's
-    repetitions):
-
-    * ``exec_time_ns`` — the **makespan**: ``max`` over inputs;
-    * cycle counters, ledger nanoseconds — key-wise integer sums;
-    * ``exits`` — :meth:`ExitCounters.merge` (counter addition);
-    * ``extra`` — key-wise sums; integer extras are added with integer
-      arithmetic only, so nanosecond totals survive past 2**53 exactly.
-      Non-numeric extras (strings) must agree across inputs or the
-      merge refuses rather than silently picking one.
-
-    Raises :class:`ValueError` on an empty input.
-    """
-    merged = None
-    for m in metrics:
-        if merged is None:
-            merged = RunMetrics(
-                label=label,
-                exec_time_ns=int(m.exec_time_ns),
-                total_cycles=int(m.total_cycles),
-                useful_cycles=int(m.useful_cycles),
-                overhead_cycles=int(m.overhead_cycles),
-                exits=ExitCounters().merge(m.exits),
-                ledger=dict(m.ledger),
-                extra=dict(m.extra),
-            )
-            continue
-        merged.exec_time_ns = max(merged.exec_time_ns, int(m.exec_time_ns))
-        merged.total_cycles += int(m.total_cycles)
-        merged.useful_cycles += int(m.useful_cycles)
-        merged.overhead_cycles += int(m.overhead_cycles)
-        merged.exits = merged.exits.merge(m.exits)
-        for domain, ns in m.ledger.items():
-            merged.ledger[domain] = merged.ledger.get(domain, 0) + int(ns)
-        for key, val in m.extra.items():
-            if key not in merged.extra:
-                merged.extra[key] = val
-            elif isinstance(val, str) or isinstance(merged.extra[key], str):
-                if merged.extra[key] != val:
-                    raise ValueError(
-                        f"extra {key!r} disagrees across runs "
-                        f"({merged.extra[key]!r} vs {val!r}) and cannot be summed"
-                    )
-            else:
-                merged.extra[key] = _merge_extra_value(merged.extra[key], val)
-    if merged is None:
-        raise ValueError("nothing to merge")
-    return merged

@@ -35,8 +35,8 @@ class RunMetrics:
     ledger: dict[CycleDomain, int] = field(default_factory=dict)
     #: Free-form extras (per-workload throughput units, iteration
     #: counts). Nanosecond and count extras are exact ints and must stay
-    #: ints through any merge (see :func:`repro.metrics.aggregate.merge_run_metrics`);
-    #: floats are reserved for genuine rates/ratios.
+    #: ints through any merge (see :mod:`repro.fleet.aggregate`); floats
+    #: are reserved for genuine rates/ratios.
     extra: dict[str, "int | float | str"] = field(default_factory=dict)
 
     @property

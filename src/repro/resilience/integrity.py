@@ -142,7 +142,8 @@ class CacheFS:
 
 
 def quarantine_path(root: os.PathLike | str, path: os.PathLike | str) -> Path:
-    """Where ``path`` lands when quarantined under cache ``root``."""
+    """Where ``path`` lands when quarantined under cache ``root``, unless
+    an earlier corpse already holds that name (see :func:`quarantine_file`)."""
     return Path(root) / QUARANTINE_DIR / Path(path).name
 
 
@@ -151,12 +152,22 @@ def quarantine_file(
 ) -> Optional[Path]:
     """Move a corrupt cache file into the quarantine directory.
 
+    The corpse keeps its file name unless an earlier corpse holds it;
+    then it takes the first free ``<stem>.<n><suffix>``, so no corpse is
+    overwritten and a directory at an entry path always has a free name
+    to move to (``os.replace`` cannot move a directory onto a file).
+
     Returns the new location, or None when the move itself failed (the
     file is unlinked as a last resort — a corrupt entry must never stay
     where the cache would re-read it).
     """
     fs = fs or CacheFS()
     target = quarantine_path(root, path)
+    stem, suffix = target.stem, target.suffix
+    n = 1
+    while os.path.lexists(target):
+        target = target.with_name(f"{stem}.{n}{suffix}")
+        n += 1
     try:
         fs.mkdir(target.parent)
         fs.move(path, target)

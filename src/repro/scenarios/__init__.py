@@ -6,7 +6,7 @@ See :mod:`repro.scenarios.matrix` for the file format,
 grid execution. CLI: ``python -m repro matrix {expand,check,run} FILE``.
 """
 
-from repro.scenarios.fuzzbridge import fuzz_cells, fuzz_matrix_cells, workload_spec_for
+from repro.scenarios.fuzzbridge import fuzz_cells, workload_spec_for
 from repro.scenarios.matrix import AXES, Cell, Matrix, load_matrix, parse_matrix
 from repro.scenarios.runcheck import (
     CellCheck,
@@ -24,7 +24,6 @@ __all__ = [
     "check_cell",
     "check_cells",
     "fuzz_cells",
-    "fuzz_matrix_cells",
     "identity_problems",
     "load_matrix",
     "parse_matrix",

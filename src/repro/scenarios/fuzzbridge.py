@@ -10,8 +10,6 @@ cache key and one check/run path (:mod:`repro.scenarios.runcheck`).
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.analysis.fuzz import (
     OVERCOMMIT,
     SOLO,
@@ -110,19 +108,6 @@ def fuzz_cells(
                 spec=spec,
             ))
     return cells
-
-
-def fuzz_matrix_cells(
-    seeds: Iterable[int],
-    *,
-    placements: tuple[str, ...] = (SOLO, OVERCOMMIT),
-    perturb: bool = False,
-) -> list[Cell]:
-    """Expand a seed range into one flat, deterministic cell list."""
-    out: list[Cell] = []
-    for seed in seeds:
-        out.extend(fuzz_cells(int(seed), placements=placements, perturb=perturb))
-    return out
 
 
 def _stress_name(scenario: FuzzScenario) -> str:

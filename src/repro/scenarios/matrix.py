@@ -472,10 +472,19 @@ def parse_matrix(text: str, fmt: str = "toml", *, origin: str = "<matrix>") -> M
 
 
 def load_matrix(path: str | Path) -> Matrix:
-    """Load a matrix file; the format follows the extension."""
+    """Load a matrix file; the format follows the extension.
+
+    A missing or unreadable file is a :class:`ConfigError`, like any
+    other bad matrix.
+    """
     path = Path(path)
     suffix = path.suffix.lower()
     fmt = {".toml": "toml", ".yaml": "yaml", ".yml": "yaml"}.get(suffix)
     if fmt is None:
         raise ConfigError(f"{path}: unknown matrix extension {suffix!r} (.toml/.yaml/.yml)")
-    return parse_matrix(path.read_text(), fmt, origin=str(path))
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{path}: cannot read matrix file: {reason}") from None
+    return parse_matrix(text, fmt, origin=str(path))

@@ -1,14 +1,13 @@
 """Discrete-event simulation substrate.
 
-Integer-nanosecond event engine with deterministic RNG streams,
-generator-based processes, tracing and online statistics. This layer is
+Integer-nanosecond event engine with deterministic RNG streams, tracing
+and online statistics. This layer is
 domain-agnostic: the virtualization model (:mod:`repro.hw`,
 :mod:`repro.host`, :mod:`repro.guest`) is built entirely on top of it.
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventQueue
-from repro.sim.process import Delay, Process, Signal, WaitSignal
+from repro.sim.events import Event
 from repro.sim.rng import RngStreams
 from repro.sim.stats import OnlineStats
 from repro.sim.timebase import (
@@ -25,11 +24,6 @@ from repro.sim.trace import NullTracer, RingTracer, TraceRecord, Tracer
 __all__ = [
     "Simulator",
     "Event",
-    "EventQueue",
-    "Process",
-    "Delay",
-    "Signal",
-    "WaitSignal",
     "RngStreams",
     "OnlineStats",
     "NSEC",

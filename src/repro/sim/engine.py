@@ -6,27 +6,56 @@ simulated components receive the simulator instance and schedule their
 behaviour through it; nothing in the model reads wall-clock time or global
 random state, which keeps every run bit-reproducible from its seed.
 
+The queue is a binary heap of ``(time, seq, event)`` entries: ties at the
+same instant fire in scheduling order, which keeps runs deterministic,
+and the unique ``seq`` means tuple comparison never reaches the event
+object. Cancellation is lazy — it flips a flag and the drain discards
+the dead entry — so the arm/cancel/re-arm pattern of timer hardware
+stays cheap. Three mechanisms ride on top, all invisible to behaviour
+(the golden battery in :mod:`repro.analysis.golden` pins bit-identical
+runs):
+
+* **Free-list reuse** — dispatched and drained-cancelled events are
+  recycled by :meth:`Simulator.at`/``schedule`` instead of re-allocated,
+  but *only* when a ``sys.getrefcount`` check proves the engine holds the
+  sole reference. A component that keeps a handle (a LAPIC, a preemption
+  timer) therefore keeps the documented contract — cancelling a dead
+  handle stays a no-op forever — while the fire-and-forget majority of
+  events allocate nothing in steady state.
+* **Sequence numbers as generations** — a heap entry is live only while
+  ``event.seq`` still equals the seq recorded in the entry.
+  :meth:`Simulator.rearm` re-schedules a handle by assigning it a fresh
+  ``(time, seq)`` and pushing a new entry; the old entry's seq no longer
+  matches, so it is discarded on drain exactly like a cancelled one.
+* **Amortized compaction** — cancellations and re-arms leave dead
+  entries behind; when they outnumber the live ones (beyond a small
+  floor) the heap is rebuilt in place, so arm/cancel churn cannot grow
+  the heap unboundedly.
+
 The dispatch loop in :meth:`Simulator.run` is the hottest code in the
 repository — every guest tick, VM exit and I/O completion in every paper
-experiment flows through it. It is deliberately monomorphic: the queue's
-heap, free list and the heap primitives are cached in locals, the
-peek/pop pair of the naive loop is fused into one drain, and dispatched
-events are recycled through the queue's free list (see
-:mod:`repro.sim.events` for the safety argument). Behaviour is pinned
-bit-identical to the straightforward loop by the golden battery
-(:mod:`repro.analysis.golden`).
+experiment flows through it. It is deliberately monomorphic: the heap,
+free list and the heap primitives are cached in locals and the peek/pop
+pair of the naive loop is fused into one drain.
 """
 
 from __future__ import annotations
 
-from heapq import heappop as _heappop, heappush as _heappush
+from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
 from sys import getrefcount as _getrefcount
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import _FREE_CAP, Event, EventQueue
+from repro.sim.events import Event
 from repro.sim.rng import RngStreams
 from repro.sim.trace import NullTracer, Tracer
+
+#: Free-list bound: enough to absorb timer churn bursts, small enough
+#: that an idle queue does not pin memory.
+_FREE_CAP = 256
+
+#: Compaction floor: below this many dead entries a rebuild cannot win.
+_COMPACT_MIN_DEAD = 64
 
 
 class Simulator:
@@ -43,7 +72,15 @@ class Simulator:
 
     def __init__(self, seed: int = 0, tracer: Optional[Tracer] = None):
         self._now: int = 0
-        self._queue = EventQueue()
+        # The pending-event queue (see the module docstring). An entry
+        # is live iff ``event.seq == seq and not event._cancelled``.
+        self._heap: list[tuple[int, int, Event]] = []
+        self._seq = 0
+        #: Live (pending) events.
+        self._live = 0
+        #: Dead entries (cancelled or orphaned by re-arm) still in the heap.
+        self._dead = 0
+        self._free: list[Event] = []
         self._running = False
         self._stopped = False
         self.rng = RngStreams(seed)
@@ -71,13 +108,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} (now is {self._now}): time travel"
             )
-        # Inlined EventQueue.push (also below in schedule): at/schedule
-        # run once per dispatched event in every simulation, and the
-        # extra call frame is measurable there. Keep the three copies in
-        # sync with EventQueue.push.
-        queue = self._queue
-        seq = queue._seq
-        free = queue._free
+        # The push is written out here and in schedule: at/schedule run
+        # once per dispatched event in every simulation, and a shared
+        # helper's call frame is measurable there.
+        seq = self._seq
+        free = self._free
         if free:
             ev = free.pop()
             ev.time = time
@@ -88,19 +123,18 @@ class Simulator:
             ev._fired = False
         else:
             ev = Event(time, seq, fn, args)
-        _heappush(queue._heap, (time, seq, ev))
-        queue._seq = seq + 1
-        queue._live += 1
+        _heappush(self._heap, (time, seq, ev))
+        self._seq = seq + 1
+        self._live += 1
         return ev
 
     def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` after ``delay`` ns (delay >= 0)."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        queue = self._queue
         time = self._now + delay
-        seq = queue._seq
-        free = queue._free
+        seq = self._seq
+        free = self._free
         if free:
             ev = free.pop()
             ev.time = time
@@ -111,9 +145,9 @@ class Simulator:
             ev._fired = False
         else:
             ev = Event(time, seq, fn, args)
-        _heappush(queue._heap, (time, seq, ev))
-        queue._seq = seq + 1
-        queue._live += 1
+        _heappush(self._heap, (time, seq, ev))
+        self._seq = seq + 1
+        self._live += 1
         return ev
 
     def rearm(self, event: Event, time: int) -> Event:
@@ -127,7 +161,8 @@ class Simulator:
         cancelled ones (re-arm after disarm); the handle stays valid
         and is returned. Same-time re-arms queue behind events already
         scheduled for that instant, exactly like a cancel+schedule
-        pair.
+        pair. A pending event's old heap entry is orphaned (its seq no
+        longer matches) and cleaned up lazily, like a cancelled one.
         """
         if event is None:
             raise SimulationError("cannot rearm None")
@@ -135,13 +170,62 @@ class Simulator:
             raise SimulationError(
                 f"cannot rearm at t={time} (now is {self._now}): time travel"
             )
-        return self._queue.rearm(event, time)
+        seq = self._seq
+        if event._cancelled or event._fired:
+            event._cancelled = False
+            event._fired = False
+            self._live += 1
+        else:
+            # Pending: the event moves; its old entry becomes garbage.
+            self._dead += 1
+        event.time = time
+        event.seq = seq
+        _heappush(self._heap, (time, seq, event))
+        self._seq = seq + 1
+        if self._dead > _COMPACT_MIN_DEAD and self._dead * 2 > len(self._heap):
+            self._compact()
+        return event
 
     def cancel(self, event: Optional[Event]) -> None:
-        """Cancel a pending event. None and already-dead events are no-ops."""
+        """Cancel a pending event. None and already-dead events are no-ops.
+
+        Cancelling an event that already fired is a no-op, matching how
+        hardware timer disarm races with expiry: the losing side simply
+        has no effect.
+        """
         if event is not None and not (event._cancelled or event._fired):
             event._cancelled = True
-            self._queue.notify_cancelled()
+            self._live -= 1
+            self._dead += 1
+            if self._dead > _COMPACT_MIN_DEAD and self._dead * 2 > len(self._heap):
+                self._compact()
+
+    def _compact(self) -> None:
+        """Drop dead entries eagerly and rebuild the heap **in place**.
+
+        In place matters: :meth:`run` holds a local alias of the heap
+        list across callbacks, and a callback may trigger this via
+        cancel/re-arm bookkeeping. The rebuild is charged against the
+        cancellations that created the debt: amortized O(log n) each.
+        """
+        heap = self._heap
+        free = self._free
+        live_entries = []
+        for entry in heap:
+            ev = entry[2]
+            if ev.seq == entry[1]:
+                if not ev._cancelled:
+                    live_entries.append(entry)
+                    continue
+                # Cancelled, current entry: refs are the heap entry (kept
+                # alive by `entry`/`heap`), the local and the argument.
+                if len(free) < _FREE_CAP and _getrefcount(ev) == 3:
+                    ev.fn = None
+                    ev.args = ()
+                    free.append(ev)
+        heap[:] = live_entries
+        _heapify(heap)
+        self._dead = 0
 
     # ------------------------------------------------------------------- run
 
@@ -162,12 +246,11 @@ class Simulator:
             raise SimulationError(f"run until t={until} is in the past (now {self._now})")
         self._running = True
         self._stopped = False
-        # Hot-loop locals. `heap`/`free` alias list objects the queue
-        # mutates only in place (compact() rebuilds with a slice
-        # assignment), so the aliases stay valid across callbacks.
-        queue = self._queue
-        heap = queue._heap
-        free = queue._free
+        # Hot-loop locals. `heap`/`free` alias lists that are mutated
+        # only in place (_compact() rebuilds with a slice assignment),
+        # so the aliases stay valid across callbacks.
+        heap = self._heap
+        free = self._free
         heappop = _heappop
         refcount = _getrefcount
         free_cap = _FREE_CAP
@@ -186,7 +269,7 @@ class Simulator:
                     # entry tuple, so local + argument = 2 refs means
                     # the handle is gone and the object is reusable.
                     heappop(heap)
-                    queue._dead -= 1
+                    self._dead -= 1
                     if ev.seq == entry_seq and len(free) < free_cap and refcount(ev) == 2:
                         ev.fn = None
                         ev.args = ()
@@ -195,7 +278,7 @@ class Simulator:
                 if t > horizon:
                     break
                 heappop(heap)
-                queue._live -= 1
+                self._live -= 1
                 self._now = t
                 ev._fired = True
                 dispatched += 1
@@ -203,7 +286,7 @@ class Simulator:
                 # Steady-state allocation killer: a fired, unreferenced
                 # event (local + argument = 2 refs) feeds the next push.
                 # A re-arm inside the callback clears _fired and skips
-                # this. fn/args are left in place — push overwrites both
+                # this. fn/args are left in place — at/schedule overwrite both
                 # before reuse, and an engine-owned event has no other
                 # observer.
                 if ev._fired and len(free) < free_cap and refcount(ev) == 2:
@@ -225,7 +308,7 @@ class Simulator:
 
     def pending_events(self) -> int:
         """Number of live events still queued."""
-        return len(self._queue)
+        return self._live
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Simulator t={self._now} pending={len(self._queue)}>"
+        return f"<Simulator t={self._now} pending={self._live}>"

@@ -2,9 +2,7 @@
 
 :class:`OnlineStats` implements Welford's single-pass algorithm so that
 million-sample latency streams (one entry per I/O op or sync event) cost
-O(1) memory. :class:`Histogram` provides fixed-bucket log2 histograms for
-idle-period distributions, which is how we verify workload generators
-against their configured idle-period targets.
+O(1) memory; :func:`geomean` is the summary tables' aggregation.
 """
 
 from __future__ import annotations
@@ -38,10 +36,6 @@ class OnlineStats:
         if self.max is None or x > self.max:
             self.max = x
 
-    def add_many(self, xs: Iterable[float]) -> None:
-        for x in xs:
-            self.add(x)
-
     @property
     def mean(self) -> float:
         return self._mean if self.n else math.nan
@@ -56,73 +50,8 @@ class OnlineStats:
         v = self.variance
         return math.sqrt(v) if v == v else math.nan  # NaN-propagating
 
-    def merge(self, other: "OnlineStats") -> "OnlineStats":
-        """Combine two accumulators (Chan's parallel variance formula)."""
-        out = OnlineStats()
-        if self.n == 0:
-            src = other
-        elif other.n == 0:
-            src = self
-        else:
-            out.n = self.n + other.n
-            delta = other._mean - self._mean
-            out._mean = self._mean + delta * other.n / out.n
-            out._m2 = self._m2 + other._m2 + delta * delta * self.n * other.n / out.n
-            out.total = self.total + other.total
-            out.min = min(self.min, other.min)  # type: ignore[arg-type]
-            out.max = max(self.max, other.max)  # type: ignore[arg-type]
-            return out
-        out.n = src.n
-        out._mean = src._mean
-        out._m2 = src._m2
-        out.total = src.total
-        out.min = src.min
-        out.max = src.max
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<OnlineStats n={self.n} mean={self.mean:.3g} sd={self.stdev:.3g}>"
-
-
-class Histogram:
-    """Power-of-two bucketed histogram for positive integer samples.
-
-    Bucket ``i`` counts samples ``x`` with ``2**i <= x < 2**(i+1)``;
-    bucket 0 additionally holds ``x in {0, 1}``.
-    """
-
-    __slots__ = ("buckets", "n")
-
-    #: Number of buckets: covers values up to 2**63.
-    NBUCKETS = 64
-
-    def __init__(self) -> None:
-        self.buckets = [0] * self.NBUCKETS
-        self.n = 0
-
-    def add(self, x: int) -> None:
-        if x < 0:
-            raise ValueError(f"histogram samples must be >= 0, got {x}")
-        self.buckets[x.bit_length() - 1 if x > 1 else 0] += 1
-        self.n += 1
-
-    def quantile(self, q: float) -> int:
-        """Upper bound of the bucket containing quantile ``q`` (0..1)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0,1], got {q}")
-        if self.n == 0:
-            return 0
-        target = q * self.n
-        seen = 0
-        for i, c in enumerate(self.buckets):
-            seen += c
-            if seen >= target and c:
-                return 2 ** (i + 1) - 1
-        return 2**self.NBUCKETS - 1
-
-    def nonzero(self) -> list[tuple[int, int]]:
-        """List of (bucket_floor, count) for occupied buckets."""
-        return [(2**i if i else 0, c) for i, c in enumerate(self.buckets) if c]
 
 
 def geomean(xs: Iterable[float]) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -92,18 +92,6 @@ class RingTracer(Tracer):
         for r in self.records:
             out[r.kind] = out.get(r.kind, 0) + 1
         return out
-
-
-class CallbackTracer(Tracer):
-    """Forwards every record to a callable (used by the CLI ``--trace``)."""
-
-    enabled = True
-
-    def __init__(self, fn: Callable[[TraceRecord], None]):
-        self._fn = fn
-
-    def emit(self, time: int, source: str, kind: str, detail: Any = None) -> None:
-        self._fn(TraceRecord(time, source, kind, detail))
 
 
 class TeeTracer(Tracer):

@@ -82,39 +82,6 @@ class TestKernelWiring:
         with pytest.raises(GuestError):
             sim.run(until=SEC)
 
-    def test_stop_shuts_executors_down(self):
-        from repro.host.vcpu import VcpuState
-
-        sim, machine, hv, vm, kernel = build_stack()
-
-        def body():
-            while True:
-                yield Run(1_000_000)
-
-        kernel.add_task(Task("t", body(), affinity=0))
-        hv.start()
-        sim.schedule(10 * MSEC, kernel.stop)
-        sim.run(until=SEC)
-        assert vm.vcpus[0].state is VcpuState.OFF
-        # Once off, time passes without any further busy accounting.
-        busy = machine.cpu(0).busy_ns()
-        assert busy <= 30 * MSEC
-
-    def test_spawn_external_wakes_halted_vcpu(self):
-        sim, machine, hv, vm, kernel = build_stack()
-        done = []
-        hv.start()
-        sim.run(until=100 * MSEC)  # VM is idle/halted now
-
-        def body():
-            yield Run(1_000_000)
-
-        t = Task("late", body(), affinity=0)
-        kernel.task_done_callbacks.append(lambda task: done.append(sim.now))
-        kernel.spawn_external(t)
-        sim.run(until=SEC)
-        assert done and done[0] < 200 * MSEC
-
 
 class TestPreemptionAccounting:
     def test_interrupted_compute_accounts_exactly_once(self):

@@ -1,4 +1,4 @@
-"""Tests for TSC, MSR file, LAPIC timer and the VMX preemption timer."""
+"""Tests for the TSC, the periodic vLAPIC timer and the VMX preemption timer."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import HardwareError
 from repro.hw.interrupts import GUEST_VECTORS, Vector
-from repro.hw.lapic import LapicTimer, TimerMode
-from repro.hw.msr import Msr, MsrFile
+from repro.hw.lapic import LapicTimer
 from repro.hw.preemption import PreemptionTimer
 from repro.hw.tsc import Tsc
 from repro.sim.engine import Simulator
@@ -25,12 +24,6 @@ class TestVectors:
 
     def test_local_timer_matches_linux(self):
         assert Vector.LOCAL_TIMER == 236
-
-    def test_timer_classification(self):
-        assert Vector.LOCAL_TIMER.is_timer
-        assert Vector.PARATICK_VIRTUAL_TICK.is_timer
-        assert not Vector.RESCHEDULE.is_timer
-        assert not Vector.BLOCK_IO.is_timer
 
     def test_guest_vectors_exclude_host_timer(self):
         assert Vector.HOST_TIMER not in GUEST_VECTORS
@@ -62,132 +55,58 @@ class TestTsc:
         with pytest.raises(HardwareError):
             Tsc(Simulator(), GHZ2).deadline_to_ns(-1)
 
-    def test_after_ns(self):
-        sim = Simulator()
-        tsc = Tsc(sim, GHZ2)
-        assert tsc.after_ns(4 * MSEC) == 2 * 4 * MSEC  # cycles
-
     @given(delta=st.integers(min_value=1, max_value=10**9))
     @settings(max_examples=50)
     def test_property_after_roundtrip(self, delta):
         sim = Simulator()
         tsc = Tsc(sim, GHZ2)
-        deadline = tsc.after_ns(delta)
+        deadline = GHZ2.ns_to_cycles(delta)
         assert tsc.deadline_to_ns(deadline) == delta
-
-
-class TestMsrFile:
-    def test_read_default_zero(self):
-        assert MsrFile().read(Msr.TSC_DEADLINE) == 0
-
-    def test_write_read(self):
-        f = MsrFile()
-        f.write(Msr.TSC_DEADLINE, 12345)
-        assert f.read(Msr.TSC_DEADLINE) == 12345
-
-    def test_write_hook_fires(self):
-        f = MsrFile()
-        calls = []
-        f.install_write_hook(Msr.TSC_DEADLINE, lambda i, v: calls.append((i, v)))
-        f.write(Msr.TSC_DEADLINE, 7)
-        f.write(Msr.X2APIC_ICR, 9)  # no hook -> no call
-        assert calls == [(Msr.TSC_DEADLINE, 7)]
-
-    def test_double_hook_rejected(self):
-        f = MsrFile()
-        f.install_write_hook(Msr.TSC_DEADLINE, lambda i, v: None)
-        with pytest.raises(HardwareError):
-            f.install_write_hook(Msr.TSC_DEADLINE, lambda i, v: None)
-
-    def test_negative_value_rejected(self):
-        with pytest.raises(HardwareError):
-            MsrFile().write(Msr.TSC_DEADLINE, -1)
 
 
 def make_lapic(sim):
     fired = []
-    tsc = Tsc(sim, GHZ2)
-    t = LapicTimer(sim, tsc, lambda v: fired.append((sim.now, v)), name="t0")
-    return t, tsc, fired
-
-
-class TestLapicOneshot:
-    def test_fires_once(self):
-        sim = Simulator()
-        t, _, fired = make_lapic(sim)
-        t.arm_oneshot_ns(100)
-        assert t.armed and t.expiry_ns == 100
-        sim.run()
-        assert fired == [(100, Vector.LOCAL_TIMER)]
-        assert not t.armed and t.mode is None
-
-    def test_rearm_replaces(self):
-        sim = Simulator()
-        t, _, fired = make_lapic(sim)
-        t.arm_oneshot_ns(100)
-        t.arm_oneshot_ns(300)
-        sim.run()
-        assert [f[0] for f in fired] == [300]
-        assert t.arm_count == 2
-
-    def test_negative_delay_rejected(self):
-        sim = Simulator()
-        t, _, _ = make_lapic(sim)
-        with pytest.raises(HardwareError):
-            t.arm_oneshot_ns(-1)
+    t = LapicTimer(sim, lambda v: fired.append((sim.now, v)), name="t0")
+    return t, fired
 
 
 class TestLapicPeriodic:
     def test_fires_repeatedly_without_rearming(self):
         sim = Simulator()
-        t, _, fired = make_lapic(sim)
+        t, fired = make_lapic(sim)
         t.arm_periodic_ns(4 * MSEC)
         sim.run(until=20 * MSEC)
         assert [f[0] for f in fired] == [4 * MSEC, 8 * MSEC, 12 * MSEC, 16 * MSEC, 20 * MSEC]
         # Only the initial programming counts as an arm (key property of
         # periodic mode vs deadline mode).
         assert t.arm_count == 1
-        assert t.mode is TimerMode.PERIODIC
+        assert t.armed
 
     def test_first_after_override(self):
         sim = Simulator()
-        t, _, fired = make_lapic(sim)
+        t, fired = make_lapic(sim)
         t.arm_periodic_ns(100, first_after_ns=10)
         sim.run(until=250)
         assert [f[0] for f in fired] == [10, 110, 210]
 
+    def test_reprogram_replaces_period(self):
+        sim = Simulator()
+        t, fired = make_lapic(sim)
+        t.arm_periodic_ns(100)
+        t.arm_periodic_ns(300)
+        sim.run(until=700)
+        assert [f[0] for f in fired] == [300, 600]
+        assert t.arm_count == 2
+        with pytest.raises(HardwareError):
+            t.arm_periodic_ns(0)
+
     def test_disarm_stops(self):
         sim = Simulator()
-        t, _, fired = make_lapic(sim)
+        t, fired = make_lapic(sim)
         t.arm_periodic_ns(100)
         sim.schedule(250, t.disarm)
         sim.run(until=1000)
         assert [f[0] for f in fired] == [100, 200]
-
-
-class TestLapicDeadline:
-    def test_fires_at_tsc_deadline(self):
-        sim = Simulator()
-        t, tsc, fired = make_lapic(sim)
-        t.arm_tsc_deadline(tsc.after_ns(500))
-        sim.run()
-        assert fired == [(500, Vector.LOCAL_TIMER)]
-
-    def test_write_zero_disarms(self):
-        sim = Simulator()
-        t, tsc, fired = make_lapic(sim)
-        t.arm_tsc_deadline(tsc.after_ns(500))
-        t.arm_tsc_deadline(0)
-        sim.run()
-        assert fired == []
-        assert t.arm_count == 2  # the disarming write still counts
-
-    def test_past_deadline_fires_immediately(self):
-        sim = Simulator()
-        t, tsc, fired = make_lapic(sim)
-        sim.schedule(100, lambda: t.arm_tsc_deadline(1))  # tsc 1 << now
-        sim.run()
-        assert fired == [(100, Vector.LOCAL_TIMER)]
 
 
 class TestPreemptionTimer:

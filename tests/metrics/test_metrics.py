@@ -199,120 +199,3 @@ class TestFormatTable:
     def test_row_width_mismatch_rejected(self):
         with pytest.raises(ReproError):
             format_table(["a"], [("1", "2")])
-
-
-class TestMergeRunMetrics:
-    """Integer-exact merging (the fleet layer's conservation substrate)."""
-
-    @staticmethod
-    def metrics(label, *, exec_ns, cycles, steal_ns, ledger_ns=0, extra=None):
-        from repro.hw.cpu import CycleDomain
-
-        base = {"steal_ns": steal_ns}
-        base.update(extra or {})
-        return RunMetrics(
-            label=label,
-            exec_time_ns=exec_ns,
-            total_cycles=cycles,
-            useful_cycles=cycles // 2,
-            overhead_cycles=cycles // 4,
-            exits=counters_with([(0, ExitReason.HLT, ExitTag.IDLE)]),
-            ledger={CycleDomain.GUEST_USER: ledger_ns},
-            extra=base,
-        )
-
-    def test_sums_makespan_and_exits(self):
-        from repro.metrics.aggregate import merge_run_metrics
-
-        m = merge_run_metrics([
-            self.metrics("a", exec_ns=10, cycles=100, steal_ns=7, ledger_ns=50),
-            self.metrics("b", exec_ns=25, cycles=40, steal_ns=3, ledger_ns=8),
-        ], label="both")
-        assert m.label == "both"
-        assert m.exec_time_ns == 25  # makespan, not a sum
-        assert m.total_cycles == 140
-        assert m.exits.total == 2
-        from repro.hw.cpu import CycleDomain
-
-        assert m.ledger[CycleDomain.GUEST_USER] == 58
-        assert m.extra["steal_ns"] == 10
-
-    def test_integer_precision_beyond_2_53(self):
-        """Nanosecond totals above 2**53 must merge without float loss.
-
-        ``float(2**60 + 1)`` rounds to ``2**60`` — a float intermediate
-        anywhere in the merge silently drops the low bits. The merged
-        value must be the exact integer sum.
-        """
-        from repro.metrics.aggregate import merge_run_metrics
-
-        big, small = 2**60 + 1, 3
-        assert float(big) + small != big + small  # the failure this guards
-        m = merge_run_metrics([
-            self.metrics("a", exec_ns=big, cycles=big, steal_ns=big,
-                         ledger_ns=big),
-            self.metrics("b", exec_ns=small, cycles=small, steal_ns=small,
-                         ledger_ns=small),
-        ])
-        assert m.total_cycles == big + small
-        assert m.extra["steal_ns"] == big + small
-        assert isinstance(m.extra["steal_ns"], int)
-        from repro.hw.cpu import CycleDomain
-
-        assert m.ledger[CycleDomain.GUEST_USER] == big + small
-        assert m.exec_time_ns == big  # max keeps the exact value
-
-    def test_disjoint_and_string_extras(self):
-        from repro.metrics.aggregate import merge_run_metrics
-
-        a = self.metrics("a", exec_ns=1, cycles=1, steal_ns=0,
-                         extra={"mode": "paratick", "only_a": 5})
-        b = self.metrics("b", exec_ns=1, cycles=1, steal_ns=0,
-                         extra={"mode": "paratick", "only_b": 7})
-        m = merge_run_metrics([a, b])
-        assert m.extra["mode"] == "paratick"
-        assert m.extra["only_a"] == 5 and m.extra["only_b"] == 7
-
-    def test_conflicting_string_extras_rejected(self):
-        from repro.metrics.aggregate import merge_run_metrics
-
-        a = self.metrics("a", exec_ns=1, cycles=1, steal_ns=0,
-                         extra={"mode": "paratick"})
-        b = self.metrics("b", exec_ns=1, cycles=1, steal_ns=0,
-                         extra={"mode": "periodic"})
-        with pytest.raises(ValueError, match="disagrees"):
-            merge_run_metrics([a, b])
-
-    def test_empty_rejected(self):
-        from repro.metrics.aggregate import merge_run_metrics
-
-        with pytest.raises(ValueError):
-            merge_run_metrics([])
-
-    def test_inputs_not_mutated(self):
-        from repro.metrics.aggregate import merge_run_metrics
-
-        a = self.metrics("a", exec_ns=1, cycles=10, steal_ns=4)
-        b = self.metrics("b", exec_ns=2, cycles=20, steal_ns=6)
-        merge_run_metrics([a, b])
-        assert a.total_cycles == 10 and a.extra["steal_ns"] == 4
-        assert b.exits.total == 1
-
-    @given(
-        values=st.lists(
-            st.integers(min_value=0, max_value=2**64), min_size=1, max_size=12
-        )
-    )
-    @settings(max_examples=60)
-    def test_property_conservation_at_any_scale(self, values):
-        from repro.metrics.aggregate import merge_run_metrics
-
-        runs = [
-            self.metrics(str(i), exec_ns=v, cycles=v, steal_ns=v, ledger_ns=v)
-            for i, v in enumerate(values)
-        ]
-        m = merge_run_metrics(runs)
-        assert m.total_cycles == sum(values)
-        assert m.extra["steal_ns"] == sum(values)
-        assert m.exec_time_ns == max(values)
-        assert isinstance(m.extra["steal_ns"], int)

@@ -146,6 +146,29 @@ class TestQuarantineFile:
         # Last resort: the corrupt file must not stay readable in place.
         assert not victim.exists()
 
+    def test_second_quarantine_of_a_name_keeps_both_corpses(self, tmp_path):
+        first = _entry(tmp_path, "aa11", "first corpse")
+        a = quarantine_file(tmp_path, first)
+        second = _entry(tmp_path, "aa11", "second corpse")
+        b = quarantine_file(tmp_path, second)
+        assert a == tmp_path / QUARANTINE_DIR / "aa11.json"
+        assert b == tmp_path / QUARANTINE_DIR / "aa11.1.json"
+        assert a.read_text() == "first corpse" and b.read_text() == "second corpse"
+
+    def test_directory_at_entry_path_verifies_dirty_once_then_clean(self, tmp_path):
+        # An earlier corpse holds quarantine/aa11.json, and a directory
+        # sits where the entry file belongs: os.replace cannot move a
+        # directory onto that file and unlink cannot remove a directory.
+        (tmp_path / QUARANTINE_DIR).mkdir()
+        (tmp_path / QUARANTINE_DIR / "aa11.json").write_text("old corpse")
+        (tmp_path / "aa" / "aa11.json").mkdir(parents=True)
+        first = verify_cache(tmp_path)
+        assert not first.clean
+        assert first.quarantined == [str(tmp_path / QUARANTINE_DIR / "aa11.1.json")]
+        assert (tmp_path / QUARANTINE_DIR / "aa11.json").read_text() == "old corpse"
+        assert not (tmp_path / "aa" / "aa11.json").exists()
+        assert verify_cache(tmp_path).clean
+
 
 class TestGc:
     def test_gc_removes_tmp_stale_and_orphans(self, tmp_path):

@@ -26,7 +26,6 @@ from repro.experiments.parallel import WORKLOAD_FACTORIES, spec_key
 from repro.scenarios.fuzzbridge import (
     _KIND_MAP,
     fuzz_cells,
-    fuzz_matrix_cells,
     workload_spec_for,
 )
 
@@ -105,7 +104,7 @@ class TestDeterminism:
                 assert stripped == plain[mode].spec
 
     def test_matrix_flattening_preserves_seed_order(self):
-        flat = fuzz_matrix_cells([5, 3])
+        flat = [c for seed in (5, 3) for c in fuzz_cells(seed)]
         assert [c.coord("seed") for c in flat] == \
             ["5"] * (len(flat) // 2) + ["3"] * (len(flat) // 2)
 

@@ -19,7 +19,6 @@ from repro.scenarios import (
     check_cell,
     check_cells,
     fuzz_cells,
-    fuzz_matrix_cells,
     identity_problems,
     load_matrix,
     parse_matrix,
@@ -120,7 +119,7 @@ class TestFuzzBridge:
             assert spec_key(plain[mode].spec) != spec_key(shaken[mode].spec)
 
     def test_seed_range_expands_flat(self):
-        cells = fuzz_matrix_cells(range(3), placements=(fuzz.SOLO,))
+        cells = [c for seed in range(3) for c in fuzz_cells(seed, placements=(fuzz.SOLO,))]
         assert len(cells) == 9
         assert len({c.id for c in cells}) == 9
 

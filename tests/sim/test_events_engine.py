@@ -1,4 +1,4 @@
-"""Tests for the event queue and the simulator core."""
+"""Tests for the simulator core and its pending-event queue."""
 
 from __future__ import annotations
 
@@ -7,75 +7,77 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.events import EventQueue
 
 
 class TestEventQueue:
+    """The simulator's one pending-event queue, driven through its API."""
+
     def test_pop_in_time_order(self):
-        q = EventQueue()
+        sim = Simulator()
         fired = []
-        q.push(30, fired.append, (30,))
-        q.push(10, fired.append, (10,))
-        q.push(20, fired.append, (20,))
-        times = []
-        while (ev := q.pop()) is not None:
-            times.append(ev.time)
-        assert times == [10, 20, 30]
+        for t in (30, 10, 20):
+            sim.at(t, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [10, 20, 30]
 
     def test_fifo_within_same_instant(self):
-        q = EventQueue()
-        evs = [q.push(5, lambda: None) for _ in range(10)]
-        popped = [q.pop() for _ in range(10)]
-        assert popped == evs
+        sim = Simulator()
+        fired = []
+        for i in range(10):
+            sim.at(5, fired.append, i)
+        sim.run()
+        assert fired == list(range(10))
 
     def test_len_counts_live_only(self):
-        q = EventQueue()
-        ev = q.push(1, lambda: None)
-        q.push(2, lambda: None)
-        assert len(q) == 2
-        ev.cancel()
-        q.notify_cancelled()
-        assert len(q) == 1
+        sim = Simulator()
+        ev = sim.at(1, lambda: None)
+        sim.at(2, lambda: None)
+        assert sim.pending_events() == 2
+        sim.cancel(ev)
+        assert sim.pending_events() == 1
 
     def test_pop_skips_cancelled(self):
-        q = EventQueue()
-        a = q.push(1, lambda: None)
-        b = q.push(2, lambda: None)
-        a.cancel()
-        q.notify_cancelled()
-        assert q.pop() is b
-        assert q.pop() is None
+        sim = Simulator()
+        fired = []
+        a = sim.at(1, fired.append, "a")
+        sim.at(2, fired.append, "b")
+        sim.cancel(a)
+        sim.run()
+        assert fired == ["b"]
+        assert sim.pending_events() == 0
 
     def test_peek_time_skips_cancelled(self):
-        q = EventQueue()
-        a = q.push(1, lambda: None)
-        q.push(7, lambda: None)
-        a.cancel()
-        q.notify_cancelled()
-        assert q.peek_time() == 7
+        sim = Simulator()
+        fired = []
+        a = sim.at(1, lambda: fired.append(sim.now))
+        sim.at(7, lambda: fired.append(sim.now))
+        sim.cancel(a)
+        sim.run(until=7)
+        assert fired == [7]
 
     def test_compact_drops_dead_entries(self):
-        q = EventQueue()
-        evs = [q.push(i, lambda: None) for i in range(100)]
+        sim = Simulator()
+        fired = []
+        evs = [sim.at(i, lambda: fired.append(sim.now)) for i in range(100)]
         for ev in evs[::2]:
-            ev.cancel()
-            q.notify_cancelled()
-        q.compact()
-        assert len(q._heap) == 50
-        assert q.peek_time() == 1
+            sim.cancel(ev)
+        sim._compact()
+        assert len(sim._heap) == 50
+        assert sim._dead == 0
+        sim.run()
+        assert fired == list(range(1, 100, 2))
 
     @given(times=st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=200))
     @settings(max_examples=50)
     def test_property_pop_is_sorted_and_stable(self, times):
-        q = EventQueue()
-        handles = [q.push(t, lambda: None) for t in times]
-        order = {ev.seq: i for i, ev in enumerate(handles)}
+        sim = Simulator()
         out = []
-        while (ev := q.pop()) is not None:
-            out.append(ev)
+        for i, t in enumerate(times):
+            sim.at(t, lambda i=i: out.append((sim.now, i)))
+        sim.run()
         # Sorted by time; ties in insertion order.
-        keys = [(ev.time, order[ev.seq]) for ev in out]
-        assert keys == sorted(keys)
+        assert out == sorted(out)
+        assert [times[i] for _, i in out] == [t for t, _ in out]
         assert len(out) == len(times)
 
 

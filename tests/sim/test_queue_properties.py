@@ -1,11 +1,12 @@
-"""Property tests for the event queue and the free-list reuse engine.
+"""Property tests for the simulator's event queue and free-list reuse.
 
-Seeded stdlib-``random`` interleavings of schedule/cancel/rearm/pop,
-asserting the invariants the fast-path rewrite must preserve:
+Seeded stdlib-``random`` interleavings of schedule/cancel/rearm/run on
+:class:`~repro.sim.engine.Simulator`, asserting the invariants the
+fast-path engine must preserve:
 
-* pops come out in monotonically non-decreasing time order;
+* events dispatch in monotonically non-decreasing time order;
 * events at the same timestamp fire in scheduling (FIFO) order;
-* ``len`` stays consistent through mass cancellation;
+* the live count stays consistent through mass cancellation;
 * a cancelled event is never dispatched;
 * re-used Event objects (the free list) never resurrect a cancelled or
   stale handle — including the same-instant dispatch-batch edge.
@@ -18,68 +19,71 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Simulator
-from repro.sim.events import _FREE_CAP, Event, EventQueue
+from repro.sim.engine import _FREE_CAP, Simulator
 
 
-def _drain(q: EventQueue) -> list[Event]:
-    out = []
-    while True:
-        ev = q.pop()
-        if ev is None:
-            return out
-        out.append(ev)
+def _recorder(sim: Simulator, fired: list):
+    """Callback factory: each dispatch appends ``(now, key)``."""
+    return lambda key: fired.append((sim.now, key))
 
 
 class TestRandomInterleavings:
     @pytest.mark.parametrize("seed", range(8))
     def test_pop_order_monotonic_under_churn(self, seed):
         rng = random.Random(seed)
-        q = EventQueue()
+        sim = Simulator()
+        fired: list = []
+        record = _recorder(sim, fired)
         live = []
-        for _ in range(500):
+        for i in range(500):
             op = rng.random()
             if op < 0.55 or not live:
                 t = rng.randrange(0, 10_000)
-                live.append(q.push(t, lambda: None))
+                live.append(sim.at(t, record, i))
             elif op < 0.80:
-                ev = live.pop(rng.randrange(len(live)))
-                ev.cancel()
-                q.notify_cancelled()
+                sim.cancel(live.pop(rng.randrange(len(live))))
             else:
                 ev = live.pop(rng.randrange(len(live)))
-                q.rearm(ev, rng.randrange(0, 10_000))
+                sim.rearm(ev, rng.randrange(0, 10_000))
                 live.append(ev)
-        popped = _drain(q)
-        times = [ev.time for ev in popped]
+        expected = sorted(ev.args[0] for ev in live)
+        assert sim.pending_events() == len(live)
+        sim.run()
+        times = [t for t, _ in fired]
         assert times == sorted(times)
-        assert len(q) == 0
+        assert sorted(key for _, key in fired) == expected
+        assert sim.pending_events() == 0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_fifo_among_same_timestamp(self, seed):
         rng = random.Random(seed)
-        q = EventQueue()
-        expected: list[Event] = []
-        for _ in range(300):
+        sim = Simulator()
+        fired: list = []
+        record = _recorder(sim, fired)
+        expected = []
+        for i in range(300):
             t = rng.randrange(0, 5)  # few distinct times → many ties
-            expected.append(q.push(t, lambda: None))
-        expected.sort(key=lambda ev: (ev.time, ev.seq))
-        assert _drain(q) == expected  # object identity, not just times
+            sim.at(t, record, i)
+            expected.append((t, i))
+        expected.sort()  # by time, then scheduling order
+        sim.run()
+        assert fired == expected
 
     @pytest.mark.parametrize("seed", range(8))
     def test_len_consistent_after_mass_cancellation(self, seed):
         rng = random.Random(seed)
-        q = EventQueue()
-        handles = [q.push(rng.randrange(0, 1000), lambda: None) for _ in range(400)]
-        doomed = rng.sample(handles, 250)
-        for ev in doomed:
-            ev.cancel()
-            q.notify_cancelled()
-        assert len(q) == 150
-        survivors = _drain(q)
-        assert len(survivors) == 150
-        assert set(map(id, survivors)) == set(map(id, handles)) - set(map(id, doomed))
-        assert len(q) == 0
+        sim = Simulator()
+        fired: list = []
+        record = _recorder(sim, fired)
+        handles = [sim.at(rng.randrange(0, 1000), record, i) for i in range(400)]
+        doomed = set(rng.sample(range(400), 250))
+        for i in doomed:
+            sim.cancel(handles[i])
+        assert sim.pending_events() == 150
+        sim.run()
+        assert len(fired) == 150
+        assert {key for _, key in fired} == set(range(400)) - doomed
+        assert sim.pending_events() == 0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_cancelled_event_never_dispatched(self, seed):
@@ -120,34 +124,36 @@ class TestRandomInterleavings:
 
 class TestQueueAccounting:
     def test_dead_counter_drains_to_zero(self):
-        q = EventQueue()
-        handles = [q.push(i, lambda: None) for i in range(100)]
+        sim = Simulator()
+        handles = [sim.at(i, lambda: None) for i in range(100)]
         for ev in handles[::2]:
-            ev.cancel()
-            q.notify_cancelled()
+            sim.cancel(ev)
         for ev in handles[1::4]:
-            q.rearm(ev, ev.time + 1000)
-        _drain(q)
-        assert q._dead == 0
-        assert len(q._heap) == 0
+            sim.rearm(ev, ev.time + 1000)
+        sim.run()
+        assert sim._dead == 0
+        assert len(sim._heap) == 0
 
     def test_compaction_triggers_under_cancel_storm(self):
-        q = EventQueue()
-        handles = [q.push(i, lambda: None) for i in range(400)]
+        sim = Simulator()
+        handles = [sim.at(i, lambda: None) for i in range(400)]
         for ev in handles[:-1]:
-            ev.cancel()
-            q.notify_cancelled()
+            sim.cancel(ev)
         # Amortized compaction must have fired: the heap cannot still
         # hold all 399 dead entries.
-        assert len(q._heap) < 400
-        assert len(q) == 1
+        assert len(sim._heap) < 400
+        assert sim.pending_events() == 1
 
-    def test_cancel_more_than_live_raises(self):
-        q = EventQueue()
-        q.push(1, lambda: None)
-        q.notify_cancelled()
-        with pytest.raises(SimulationError):
-            q.notify_cancelled()
+    def test_repeated_cancel_keeps_live_count(self):
+        sim = Simulator()
+        ev = sim.at(1, lambda: None)
+        sim.cancel(ev)
+        sim.cancel(ev)
+        assert sim.pending_events() == 0
+        sim.at(2, lambda: None)
+        assert sim.pending_events() == 1
+        sim.run()
+        assert sim.pending_events() == 0 and sim._dead == 0
 
 
 class TestFreeListSafety:

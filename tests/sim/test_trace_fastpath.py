@@ -121,18 +121,17 @@ class TestTeeWithObsSinks:
                      tracer=off.tracer(ExplodingTracer()))
 
 
-class TestCallbackTracerUnderExporter:
-    def test_callback_stream_exports_to_valid_chrome_trace(self):
-        """A CallbackTracer collecting the live stream feeds the Chrome
-        exporter just like a RingTracer dump — streaming consumers are
-        not second-class."""
-        from repro.sim.trace import CallbackTracer
+class TestRingTracerUnderExporter:
+    def test_ring_stream_exports_to_valid_chrome_trace(self):
+        """A RingTracer's retained stream feeds the Chrome exporter and
+        yields a valid trace with complete (``X``) slices."""
+        from repro.sim.trace import RingTracer
         from repro.obs.export import to_chrome_trace, validate_chrome_trace
 
-        got = []
-        run_workload(PingPongWorkload(rounds=40), seed=3,
-                     tracer=CallbackTracer(got.append))
-        assert got, "callback tracer saw no records"
-        doc = to_chrome_trace(got)
+        ring = RingTracer()
+        run_workload(PingPongWorkload(rounds=40), seed=3, tracer=ring)
+        assert ring.records, "ring tracer saw no records"
+        assert not ring.truncated
+        doc = to_chrome_trace(list(ring.records))
         assert validate_chrome_trace(doc) == []
         assert any(ev["ph"] == "X" for ev in doc["traceEvents"])

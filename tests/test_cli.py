@@ -105,6 +105,50 @@ class TestCommands:
         assert "(b) system throughput" in out
 
 
+class TestBadInput:
+    """Bad input exits 2 with one message line, never a traceback."""
+
+    def test_missing_matrix_file_is_a_typed_error(self, capsys, tmp_path):
+        missing = tmp_path / "nonexistent.toml"
+        assert main(["matrix", "run", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {missing}: cannot read matrix file: No such file or directory\n"
+
+    def test_unreadable_matrix_file_is_a_typed_error(self, capsys, tmp_path):
+        (tmp_path / "dir.toml").mkdir()
+        assert main(["matrix", "check", str(tmp_path / "dir.toml")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_fuzz_runs_below_one_rejected(self, capsys, runs):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--runs", runs])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --runs: must be at least 1" in captured.err
+        assert "seeds clean" not in captured.out
+
+    def test_zero_sample_period_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["perf", "swaptions", "--sample-us", "0"])
+        assert exc.value.code == 2
+        assert "argument --sample-us: must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_zero_threads_is_a_typed_error(self, capsys):
+        assert main(["run", "dedup", "--threads", "0"]) == 2
+        assert capsys.readouterr().err == "error: threads must be positive\n"
+
+    def test_programming_errors_still_propagate(self, monkeypatch):
+        from repro import cli
+
+        def boom(args):
+            raise TypeError("a bug, not bad input")
+
+        monkeypatch.setattr(cli, "_cmd_list", boom)
+        with pytest.raises(TypeError):
+            main(["list"])
+
+
 MATRIX_TOML = """\
 [matrix]
 name = "cli-smoke"
