@@ -149,33 +149,49 @@ def bench_hrtimer_queue_churn() -> dict:
     return _time_best(run, ops=ops, expect=ops)
 
 
-def bench_syncstorm_smoke() -> dict:
-    """End-to-end experiment loop: sync-heavy workload, tickless mode.
-
-    ops/sec here is *dispatched engine events* per wall-clock second —
-    the figure the experiment sweeps are bottlenecked on.
-    """
+def run_syncstorm_smoke(inspect: Callable[..., None]) -> None:
+    """One syncstorm_smoke run; ``inspect`` gets its finished simulator."""
     from repro.config import TickMode
     from repro.experiments.runner import run_workload
     from repro.workloads.micro import SyncStormWorkload
 
-    dispatched = 0
+    run_workload(
+        SyncStormWorkload(threads=4, events_per_second=4000.0,
+                          duration_cycles=60_000_000),
+        tick_mode=TickMode.TICKLESS,
+        seed=9,
+        inspect=inspect,
+    )
 
-    def grab(sim, machine, hv, vm) -> None:
-        nonlocal dispatched
-        dispatched = sim.dispatched
 
-    def run() -> int:
-        metrics = run_workload(
-            SyncStormWorkload(threads=4, events_per_second=4000.0,
-                              duration_cycles=60_000_000),
-            tick_mode=TickMode.TICKLESS,
-            seed=9,
-            inspect=grab,
-        )
-        return metrics.total_exits
+def run_fleet_host_smoke(inspect: Callable[..., None]) -> None:
+    """One fleet_host_smoke run; ``inspect`` gets its finished simulator."""
+    from repro.config import TickMode
+    from repro.fleet.hostsim import run_host
+    from repro.sim.timebase import MSEC
 
-    return _end_to_end(run, lambda: dispatched)
+    run_host(
+        guest_kind="micro.pingpong",
+        guest_params={"rounds": 10, "work_cycles": 20_000,
+                      "same_vcpu": False},
+        guests=6,
+        consolidation=4,
+        tick_mode=TickMode.PARATICK,
+        burst="poisson",
+        burst_window_ns=2 * MSEC,
+        seed=7,
+        horizon_ns=400 * MSEC,
+        inspect=inspect,
+    )
+
+
+def bench_syncstorm_smoke() -> dict:
+    """End-to-end experiment loop: sync-heavy workload, tickless mode.
+
+    ops/sec here is *modelled events* per wall-clock second — the
+    figure the experiment sweeps are bottlenecked on.
+    """
+    return _end_to_end(run_syncstorm_smoke)
 
 
 def bench_fleet_host_smoke() -> dict:
@@ -184,36 +200,10 @@ def bench_fleet_host_smoke() -> dict:
 
     This is the unit the fleet layer fans out per host — its wall clock
     bounds how fast a rack sweeps through ``repro.experiments.parallel``.
-    Like syncstorm_smoke, ops/sec is dispatched engine events per
-    second, and the gate is on ``model_overhead``.
+    Like syncstorm_smoke, ops/sec is modelled events per second, and
+    the gate is on ``model_overhead``.
     """
-    from repro.config import TickMode
-    from repro.fleet.hostsim import run_host
-    from repro.sim.timebase import MSEC
-
-    dispatched = 0
-
-    def grab(sim, machine, hv, vms) -> None:
-        nonlocal dispatched
-        dispatched = sim.dispatched
-
-    def run() -> int:
-        metrics = run_host(
-            guest_kind="micro.pingpong",
-            guest_params={"rounds": 10, "work_cycles": 20_000,
-                          "same_vcpu": False},
-            guests=6,
-            consolidation=4,
-            tick_mode=TickMode.PARATICK,
-            burst="poisson",
-            burst_window_ns=2 * MSEC,
-            seed=7,
-            horizon_ns=400 * MSEC,
-            inspect=grab,
-        )
-        return metrics.exits.total
-
-    return _end_to_end(run, lambda: dispatched)
+    return _end_to_end(run_fleet_host_smoke)
 
 
 BENCHES: dict[str, Callable[[], dict]] = {
@@ -227,9 +217,14 @@ BENCHES: dict[str, Callable[[], dict]] = {
 }
 
 
-def _end_to_end(run: Callable[[], int], dispatched: Callable[[], int],
-                rounds: int = 11) -> dict:
-    """Time an end-to-end run; ops are the engine events it dispatched.
+def _end_to_end(run: Callable[[Callable[..., None]], None], rounds: int = 11) -> dict:
+    """Time an end-to-end run; ops are the events it modelled.
+
+    A modelled event is one the engine popped from its heap
+    (``dispatched``) or one continuation it fast-forwarded to and ran
+    inline (``fast_forwarded``): the sum is what the run would dispatch
+    without fast-forwarding, so the unit stays "bare dispatches per
+    modelled event" whichever path ran it.
 
     End-to-end wall clock swings far more than the microbenches on a
     shared runner, so absolute ops/sec (best round) is recorded but not
@@ -240,18 +235,21 @@ def _end_to_end(run: Callable[[], int], dispatched: Callable[[], int],
     of a round's ratio see the same host conditions; the median over
     rounds is recorded.
     """
+    seen = {}
     walls, ratios = [], []
     for _ in range(rounds):
         t0 = time.perf_counter()
-        run()
+        run(lambda sim, *_: seen.update(sim=sim))
         t1 = time.perf_counter()
         _event_queue_run()
         t2 = time.perf_counter()
         walls.append(t1 - t0)
         ratios.append((t1 - t0) / (t2 - t1))
-    ops = dispatched()
+    sim = seen["sim"]
+    ops = sim.dispatched + sim.fast_forwarded
     best = min(walls)
-    return {"wall_s": round(best, 6), "repeats": rounds, "ops": ops, "dispatched": ops,
+    return {"wall_s": round(best, 6), "repeats": rounds, "ops": ops,
+            "dispatched": sim.dispatched, "fast_forwarded": sim.fast_forwarded,
             "ops_per_sec": round(ops / best, 1), "gate": False,
             "model_overhead": round(statistics.median(ratios) * EVENT_QUEUE_OPS / ops, 3)}
 

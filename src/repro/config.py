@@ -134,10 +134,15 @@ class HostFeatures:
     * ``halt_poll_ns`` — KVM halt polling window; 0 disables (paper
       disabled it because polling burns cycles without improving
       runtime for contended workloads).
-    * ``ple`` — pause-loop exiting; only useful when overcommitted.
-    * ``posted_interrupts`` — APICv-style posted interrupts; when True,
-      external device interrupts reach a *running* vCPU without an exit.
-      Default False (matches the exit accounting in the paper's §3).
+    * ``ple`` — pause-loop exiting. Has no effect: no guest model
+      spins, so the executor models no PAUSE exit.
+    * ``posted_interrupts`` — APICv-style posted interrupts. Has no
+      effect: every interrupt reaching a running vCPU takes an exit
+      (the paper's §3 exit accounting).
+
+    ``ple`` and ``posted_interrupts`` stay fields because every
+    ``HostFeatures`` is encoded into the result-cache keys the golden
+    fixtures pin.
     """
 
     halt_poll_ns: int = 0

@@ -129,20 +129,6 @@ class Hypercall(GuestOp):
         return f"Hypercall({self.nr}, {self.arg})"
 
 
-class Pause(GuestOp):
-    """PAUSE-loop iteration (spinning). Exits only when PLE is enabled."""
-
-    __slots__ = ("cycles",)
-
-    def __init__(self, cycles: int):
-        if cycles <= 0:
-            raise GuestError("pause loop must burn a positive cycle count")
-        self.cycles = cycles
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Pause({self.cycles})"
-
-
 class Fault(GuestOp):
     """An EPT-violation-class exit (page fault, instruction emulation).
 

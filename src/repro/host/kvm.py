@@ -55,7 +55,6 @@ HC_PARATICK_SET_PERIOD = 1
 _MAX_OP_CHAIN = 100_000
 
 _Compute = gops.Compute
-_GUEST_KERNEL = CycleDomain.GUEST_KERNEL
 _VMX_TRANSITION = CycleDomain.VMX_TRANSITION
 _POLLUTION = CycleDomain.POLLUTION
 _HOST_HANDLER = CycleDomain.HOST_HANDLER
@@ -429,7 +428,6 @@ class _VcpuExec:
         "_freq_hz",
         "_exit_hw_ns",
         "_pollution_ns",
-        "_ple",
         "_rate_adapt",
         "_cur_op",
         "_cur_start",
@@ -465,7 +463,6 @@ class _VcpuExec:
         self._freq_hz = self.clock.freq_hz
         self._exit_hw_ns = ns[costs.vmexit_hw]
         self._pollution_ns = ns[costs.pollution]
-        self._ple = hv.features.ple
         self._rate_adapt = hv.features.paratick_rate_adapt
         self._cur_op: Optional[gops.Compute] = None
         self._cur_start = 0
@@ -620,11 +617,18 @@ class _VcpuExec:
 
     # ------------------------------------------------------------- VM entry
 
-    def _enter_guest(self) -> None:
-        """Begin the VM-entry sequence (we hold the physical CPU)."""
+    def _enter_guest(self, tail: bool = False) -> bool:
+        """Begin the VM-entry sequence (we hold the physical CPU).
+
+        ``tail`` says the caller does nothing after this call. Then the
+        entry end runs inline when the engine can fast-forward to it,
+        and True means the guest is running: the caller continues the
+        op stream. False means the entry end was scheduled (or the vCPU
+        is parked).
+        """
         vcpu = self.vcpu
         if vcpu.state in (VcpuState.SUSPENDED, VcpuState.OFF):
-            return  # parked by a VM suspend (or torn down) mid-transition
+            return False  # parked by a VM suspend (or torn down) mid-transition
         if self._host_deadline_event is not None:
             self._cancel_host_deadline()
         self.hv.ensure_host_tick(self.pcpu.index)
@@ -648,9 +652,24 @@ class _VcpuExec:
             )
         c = self.costs
         entry_ns = self._ns[c.vmentry_hw + c.inject_irq * len(vectors)]
-        self.sim.schedule(entry_ns + self._pollution_ns, self._entered, vectors, entry_ns)
+        sim = self.sim
+        delay = entry_ns + self._pollution_ns
+        if tail and sim.advance_to(sim.now + delay):
+            return self._entry_end(vectors, entry_ns)
+        sim.schedule(delay, self._entered, vectors, entry_ns)
+        return False
+
+    def _reenter(self) -> None:
+        """Event callback of a wake or dispatch: enter, then run the guest."""
+        if self._enter_guest(True):
+            self._next_op()
 
     def _entered(self, vectors: tuple, entry_ns: int) -> None:
+        if self._entry_end(vectors, entry_ns):
+            self._next_op()
+
+    def _entry_end(self, vectors: tuple, entry_ns: int) -> bool:
+        """Entry complete: True when the vCPU is in guest mode."""
         vcpu = self.vcpu
         pcpu = self.pcpu
         pcpu.account(_VMX_TRANSITION, entry_ns)
@@ -660,7 +679,7 @@ class _VcpuExec:
             # the post-resume entry injects them again.
             for v in vectors:
                 vcpu.post_irq(v)
-            return
+            return False
         vcpu.state = VcpuState.GUEST
         deadline = vcpu.guest_deadline_ns
         vm = self.vm
@@ -674,35 +693,51 @@ class _VcpuExec:
         self.preempt_timer.start()
         if vectors:
             vm.kernel.on_interrupts(vcpu.index, vectors)
-        self._next_op()
+        return True
 
     # ----------------------------------------------------------- op stream
 
     def _next_op(self) -> None:
-        """Run the guest op stream up to its next timed op or exit.
+        """Run the guest op stream up to its next scheduled event.
 
-        Zero-cycle computes retire inline; a positive one schedules its
-        completion (converted with ``cycles_to_ns``'s ceil formula: the
-        durations vary, so they are not in the fixed-cost table).
+        Always called as the last act of an event callback, so every
+        continuation it reaches is in tail position: a compute's
+        completion, and an exit's handler and entry ends, run inline
+        whenever the engine can fast-forward to them, and the loop goes
+        on with the next op. It returns once a continuation had to be
+        scheduled. Zero-cycle computes retire inline; a positive one
+        lasts ``cycles_to_ns``'s ceil formula (the durations vary, so
+        they are not in the fixed-cost table).
         """
         kernel = self.vm.kernel
         vidx = self.vcpu.index
+        sim = self.sim
+        # Loop invariants: the inline path runs these once per guest op.
+        next_op = kernel.next_op
+        advance_to = sim.advance_to
+        account = self.pcpu.account
+        freq_hz = self._freq_hz
         chain = 0
         while True:
-            op = kernel.next_op(vidx)
+            op = next_op(vidx)
             if type(op) is not _Compute:
-                if isinstance(op, gops.Pause) and not self._ple:
-                    # Without pause-loop exiting, spinning is just compute.
-                    op = _Compute(op.cycles, _GUEST_KERNEL)
-                elif not isinstance(op, _Compute):
-                    self._sync_exit(op)
+                if not self._sync_exit(op):
                     return
+                chain = 0
+                continue
             cycles = op.cycles
             if cycles:
-                sim = self.sim
+                now = sim.now
+                dur = -(-cycles * SEC // freq_hz)
+                if advance_to(now + dur):
+                    account(op.domain, dur)
+                    if op.on_done is not None:
+                        kernel.complete(vidx, op.on_done)
+                    chain = 0
+                    continue
                 self._cur_op = op
-                self._cur_start = sim.now
-                self._cur_dur = dur = -(-cycles * SEC // self._freq_hz)
+                self._cur_start = now
+                self._cur_dur = dur
                 self._cur_event = sim.schedule(dur, self._compute_done)
                 return
             if op.on_done is not None:
@@ -740,46 +775,54 @@ class _VcpuExec:
 
     # ------------------------------------------------------------- VM exits
 
-    def _sync_exit(self, op: gops.GuestOp) -> None:
+    def _sync_exit(self, op: gops.GuestOp) -> bool:
         """Take a synchronous exit for an intercepted instruction.
 
         Timer/interrupt-controller register writes are decoded by the
         architecture's :class:`repro.hw.timerhw.TimerHardware`; the
-        arch-neutral ops (HLT, IO, hypercall, ...) are handled here.
+        arch-neutral ops (HLT, IO, hypercall, ...) are handled here. The
+        op stream calls this in tail position; True means the exit and
+        re-entry ran inline and the guest is running again.
         """
         c = self.costs
         decoded = self.hv.timerhw.decode(self, op)
         if decoded is not None:
-            self._begin_exit(*decoded)
-        elif isinstance(op, gops.Hlt):
-            self._begin_exit(ExitReason.HLT, ExitTag.IDLE, c.handler_hlt, None, then=self._halt)
-        elif isinstance(op, gops.IoKick):
-            self._begin_exit(
+            return self._begin_exit(*decoded, tail=True)
+        if isinstance(op, gops.Hlt):
+            return self._begin_exit(
+                ExitReason.HLT, ExitTag.IDLE, c.handler_hlt, None, then=self._halt, tail=True
+            )
+        if isinstance(op, gops.IoKick):
+            return self._begin_exit(
                 ExitReason.IO_INSTRUCTION,
                 ExitTag.IO,
                 c.handler_io_kick,
                 lambda: self._submit_io(op),
+                tail=True,
             )
-        elif isinstance(op, gops.Hypercall):
-            self._begin_exit(
+        if isinstance(op, gops.Hypercall):
+            return self._begin_exit(
                 ExitReason.HYPERCALL,
                 ExitTag.HYPERCALL,
                 c.handler_hypercall,
                 lambda: self.vm.handle_hypercall(self.vcpu, op.nr, op.arg),
+                tail=True,
             )
-        elif isinstance(op, gops.Pause):
-            self._begin_exit(ExitReason.PAUSE, ExitTag.OTHER, c.handler_pause, None)
-        elif isinstance(op, gops.Fault):
-            self._begin_exit(ExitReason.EPT_VIOLATION, ExitTag.OTHER, c.handler_ept, None)
-        else:
-            raise HostError(f"unknown guest op {op!r}")
+        if isinstance(op, gops.Fault):
+            return self._begin_exit(
+                ExitReason.EPT_VIOLATION, ExitTag.OTHER, c.handler_ept, None, tail=True
+            )
+        raise HostError(f"unknown guest op {op!r}")
 
-    def _begin_exit(self, reason, tag, handler_cycles, effect, then=None) -> None:
+    def _begin_exit(self, reason, tag, handler_cycles, effect, then=None, tail=False) -> bool:
         """Common exit path: stop the clock sources, cost it, continue.
 
         ``effect`` runs when the handler completes (hypervisor-side state
         change); ``then`` overrides the default continuation of
-        re-entering the guest.
+        re-entering the guest. With ``tail`` (the caller does nothing
+        after this call) the handler end runs inline when the engine can
+        fast-forward to it; the return value is then
+        :meth:`_handler_end`'s.
         """
         vcpu = self.vcpu
         vcpu.state = VcpuState.EXITED
@@ -791,11 +834,21 @@ class _VcpuExec:
                 (reason.value, tag.value),
             )
         handler_ns = self._ns[handler_cycles]
-        self.sim.schedule(
-            self._exit_hw_ns + handler_ns, self._exit_work_done, handler_ns, effect, then
-        )
+        sim = self.sim
+        delay = self._exit_hw_ns + handler_ns
+        if tail and sim.advance_to(sim.now + delay):
+            return self._handler_end(handler_ns, effect, then)
+        sim.schedule(delay, self._exit_work_done, handler_ns, effect, then)
+        return False
 
     def _exit_work_done(self, handler_ns, effect, then) -> None:
+        if self._handler_end(handler_ns, effect, then):
+            self._next_op()
+
+    def _handler_end(self, handler_ns, effect, then) -> bool:
+        """Exit handler complete: retire the effect, then re-enter (or
+        run ``then``) in tail position. True when the guest is running
+        again."""
         pcpu = self.pcpu
         pcpu.account(_VMX_TRANSITION, self._exit_hw_ns)
         pcpu.account(_HOST_HANDLER, handler_ns)
@@ -805,11 +858,10 @@ class _VcpuExec:
             # Shut down by the effect, or frozen by a VM suspend while
             # the handler ran: the hypervisor-side effect still retired,
             # but the continuation parks until resume (or forever).
-            return
+            return False
         if then is not None:
-            then()
-        else:
-            self._enter_guest()
+            return then()
+        return self._enter_guest(True)
 
     # -------------------------------------------------------- exit effects
 
@@ -861,20 +913,21 @@ class _VcpuExec:
 
     # ------------------------------------------------------------- halting
 
-    def _halt(self) -> None:
-        """HLT continuation: poll (optionally), then block."""
+    def _halt(self) -> bool:
+        """HLT continuation: poll (optionally), then block. True when an
+        interrupt that arrived meanwhile re-entered the guest inline."""
         if self.vcpu.state in (VcpuState.SUSPENDED, VcpuState.OFF):
-            return  # frozen/torn down while the HLT exit was processing
+            return False  # frozen/torn down while the HLT exit was processing
         if self.vcpu.pending_irqs:
             # An interrupt arrived during exit processing: do not block.
-            self._enter_guest()
-            return
+            return self._enter_guest(True)
         if self.hv.features.halt_poll_ns > 0:
             self._polling = True
             self._poll_start = self.sim.now
             self._poll_event = self.sim.schedule(self.hv.features.halt_poll_ns, self._poll_timeout)
-            return
+            return False
         self._block()
+        return False
 
     def _poll_timeout(self) -> None:
         self._polling = False
@@ -949,7 +1002,7 @@ class _VcpuExec:
         ctx_ns = self._ns[self.costs.ctx_switch] + extra_ns + self._pending_sched_ns
         self._pending_sched_ns = 0
         self.pcpu.account(_HOST_SCHED, ctx_ns)
-        self.sim.schedule(ctx_ns, self._enter_guest)
+        self.sim.schedule(ctx_ns, self._reenter)
 
     # ----------------------------------------------------- async interrupts
 
@@ -1004,7 +1057,7 @@ class _VcpuExec:
         self._pending_sched_ns = 0
         if self.hv.sched.acquire(vcpu):
             self.pcpu.account(_HOST_SCHED, wake_ns)
-            self.sim.schedule(wake_ns, self._enter_guest)
+            self.sim.schedule(wake_ns, self._reenter)
         else:
             # READY behind another vCPU: the pCPU is busy right now, so
             # the wake/C-state-exit work is paid at dispatch, when it
@@ -1060,8 +1113,9 @@ class _VcpuExec:
             # processing (approximation: does not stretch the sequence).
             self.pcpu.account(CycleDomain.HOST_TICK, self._ns[self.costs.host_tick_handler])
 
-    def _preempt_requeue(self) -> None:
-        """Host tick boundary with waiters: rotate this CPU (overcommit)."""
+    def _preempt_requeue(self) -> bool:
+        """Host tick boundary with waiters: rotate this CPU (overcommit).
+        Never re-enters the guest (False)."""
         vcpu = self.vcpu
         nxt = self.hv.sched.release(vcpu)
         self.hv.sched.requeue(vcpu)
@@ -1069,3 +1123,4 @@ class _VcpuExec:
         self._arm_host_deadline()
         if nxt is not None:
             nxt.exec.dispatch()
+        return False

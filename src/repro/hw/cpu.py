@@ -142,12 +142,9 @@ class Machine:
         return self.clock.ns_to_cycles(self.total_busy_ns(domain))
 
     def ledger(self) -> dict[CycleDomain, int]:
-        """Machine-wide per-domain busy-ns table."""
-        out = {d: 0 for d in CycleDomain}
-        for c in self.cpus:
-            for d, ns in c.ledger().items():
-                out[d] += ns
-        return out
+        """Machine-wide per-domain busy-ns table, in ``CycleDomain`` order."""
+        columns = zip(*(c._busy_ns for c in self.cpus))
+        return dict(zip(CycleDomain, map(sum, columns)))
 
     def same_socket(self, a: int, b: int) -> bool:
         """True when CPUs ``a`` and ``b`` share a socket (NUMA locality)."""

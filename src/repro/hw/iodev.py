@@ -15,7 +15,6 @@ from typing import Callable
 
 from repro.errors import HardwareError
 from repro.sim.engine import Simulator
-from repro.sim.stats import OnlineStats
 
 
 @dataclass
@@ -43,8 +42,6 @@ class IoDevice:
         self._complete_fn = complete_fn
         self._queue: deque[IoRequest] = deque()
         self._busy = False
-        #: Completed-request service-time statistics (ns).
-        self.service_stats = OnlineStats()
         self.completed = 0
 
     # ------------------------------------------------------------ interface
@@ -84,7 +81,6 @@ class IoDevice:
     def _finish(self, req: IoRequest) -> None:
         req.complete_ns = self.sim.now
         self.completed += 1
-        self.service_stats.add(req.complete_ns - req.submit_ns)
         self._busy = False
         # Deliver completion before starting the next request so the
         # submitter observes strict FIFO completion order.

@@ -33,6 +33,7 @@ import contextlib
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -136,6 +137,9 @@ class CacheFS:
     def unlink(self, path: os.PathLike | str) -> None:
         with contextlib.suppress(OSError):
             Path(path).unlink()
+
+    def rmtree(self, path: os.PathLike | str) -> None:
+        shutil.rmtree(path, ignore_errors=True)
 
     def move(self, src: os.PathLike | str, dst: os.PathLike | str) -> None:
         os.replace(src, dst)
@@ -288,7 +292,8 @@ def gc_cache(
     Removes interrupted-write tmp files, entries whose recorded cache
     version is not ``current_version`` (they would be discarded on read
     anyway) and — with ``purge_quarantine`` — previously quarantined
-    corpses. Corrupt or unreadable files are left for
+    corpses, directories (a directory once found at an entry path)
+    included. Corrupt or unreadable files are left for
     :func:`verify_cache`.
     """
     fs = fs or CacheFS()
@@ -297,13 +302,14 @@ def gc_cache(
     if not root.exists():
         return stats
 
-    def _rm(path: Path) -> int:
-        size = 0
+    def _size(path: Path) -> int:
         with contextlib.suppress(OSError):
-            size = path.stat().st_size
+            return path.stat().st_size
+        return 0
+
+    def _rm(path: Path) -> None:
+        stats.bytes_freed += _size(path)
         fs.unlink(path)
-        stats.bytes_freed += size
-        return size
 
     for path in sorted(root.rglob("*")):
         if path.is_file() and _is_tmp(path):
@@ -319,9 +325,13 @@ def gc_cache(
         qdir = root / QUARANTINE_DIR
         if qdir.exists():
             for path in sorted(qdir.iterdir()):
-                if path.is_file():
+                if path.is_dir() and not path.is_symlink():
+                    stats.bytes_freed += sum(
+                        _size(f) for f in path.rglob("*") if f.is_file())
+                    fs.rmtree(path)
+                else:
                     _rm(path)
-                    stats.removed_quarantined += 1
+                stats.removed_quarantined += 1
             with contextlib.suppress(OSError):
                 qdir.rmdir()
     return stats

@@ -11,7 +11,7 @@ same instant fire in scheduling order, which keeps runs deterministic,
 and the unique ``seq`` means tuple comparison never reaches the event
 object. Cancellation is lazy — it flips a flag and the drain discards
 the dead entry — so the arm/cancel/re-arm pattern of timer hardware
-stays cheap. Three mechanisms ride on top, all invisible to behaviour
+stays cheap. Four mechanisms ride on top, all invisible to behaviour
 (the golden battery in :mod:`repro.analysis.golden` pins bit-identical
 runs):
 
@@ -31,6 +31,17 @@ runs):
   entries behind; when they outnumber the live ones (beyond a small
   floor) the heap is rebuilt in place, so arm/cancel churn cannot grow
   the heap unboundedly.
+* **Fast-forward** — a callback about to schedule its own continuation
+  as the last thing it does may call :meth:`Simulator.advance_to`
+  instead. When no queued entry (live or dead) is due at or before the
+  continuation's time and the run's horizon and stop state allow it,
+  the clock jumps there and the caller runs the continuation inline:
+  no other callback could have run in between, and every queued event
+  keeps its relative ``seq`` order, so the same callbacks run in the
+  same order at the same instants. Two counters tell the paths apart:
+  ``dispatched`` counts events popped from the heap, ``fast_forwarded``
+  counts continuations run inline, and their sum is the number of
+  modelled events.
 
 The dispatch loop in :meth:`Simulator.run` is the hottest code in the
 repository — every guest tick, VM exit and I/O completion in every paper
@@ -71,7 +82,10 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0, tracer: Optional[Tracer] = None):
-        self._now: int = 0
+        #: Current simulated time in integer nanoseconds. Read-only
+        #: outside the engine; a plain attribute rather than a property
+        #: because every layer reads it several times per modelled event.
+        self.now: int = 0
         # The pending-event queue (see the module docstring). An entry
         # is live iff ``event.seq == seq and not event._cancelled``.
         self._heap: list[tuple[int, int, Event]] = []
@@ -83,17 +97,41 @@ class Simulator:
         self._free: list[Event] = []
         self._running = False
         self._stopped = False
+        #: Latest time advance_to may reach: run()'s horizon while it is
+        #: active and not stopped, else -1 (no fast-forward at all).
+        self._ff_limit = -1
         self.rng = RngStreams(seed)
         self.trace: Tracer = tracer if tracer is not None else NullTracer()
-        #: Number of events dispatched so far (for engine benchmarks).
+        #: Number of events popped from the heap and dispatched so far.
         self.dispatched: int = 0
+        #: Number of continuations run inline by :meth:`advance_to`.
+        self.fast_forwarded: int = 0
 
     # ------------------------------------------------------------------ time
 
-    @property
-    def now(self) -> int:
-        """Current simulated time in integer nanoseconds."""
-        return self._now
+    def advance_to(self, time: int) -> bool:
+        """Move the clock to ``time`` if no queued event could run first.
+
+        For a callback's *last* act: instead of scheduling its own
+        continuation at ``time``, it calls this and, on True, runs the
+        continuation inline. True only while :meth:`run` is active with
+        no :meth:`stop` pending, ``time`` is within its ``until``
+        horizon, and ``time`` is strictly earlier than the heap's first
+        entry. Dead entries count (the check stays conservative), and an
+        entry at exactly ``time`` fails it: its smaller seq fires first.
+        """
+        if time > self._ff_limit:
+            return False
+        if time < self.now:
+            raise SimulationError(
+                f"cannot advance to t={time} (now is {self.now}): time travel"
+            )
+        heap = self._heap
+        if heap and heap[0][0] <= time:
+            return False
+        self.now = time
+        self.fast_forwarded += 1
+        return True
 
     # ------------------------------------------------------------- scheduling
 
@@ -104,9 +142,9 @@ class Simulator:
         after all callbacks already queued for this instant); scheduling
         in the past is a :class:`SimulationError`.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} (now is {self._now}): time travel"
+                f"cannot schedule at t={time} (now is {self.now}): time travel"
             )
         # The push is written out here and in schedule: at/schedule run
         # once per dispatched event in every simulation, and a shared
@@ -132,7 +170,7 @@ class Simulator:
         """Schedule ``fn(*args)`` after ``delay`` ns (delay >= 0)."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        time = self._now + delay
+        time = self.now + delay
         seq = self._seq
         free = self._free
         if free:
@@ -166,9 +204,9 @@ class Simulator:
         """
         if event is None:
             raise SimulationError("cannot rearm None")
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot rearm at t={time} (now is {self._now}): time travel"
+                f"cannot rearm at t={time} (now is {self.now}): time travel"
             )
         seq = self._seq
         if event._cancelled or event._fired:
@@ -242,8 +280,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("Simulator.run is not re-entrant")
-        if until is not None and until < self._now:
-            raise SimulationError(f"run until t={until} is in the past (now {self._now})")
+        if until is not None and until < self.now:
+            raise SimulationError(f"run until t={until} is in the past (now {self.now})")
         self._running = True
         self._stopped = False
         # Hot-loop locals. `heap`/`free` alias lists that are mutated
@@ -258,6 +296,7 @@ class Simulator:
         # One int comparison per event instead of a None test + compare:
         # simulated times are ns and never reach the sentinel.
         horizon = (1 << 63) if until is None else until
+        self._ff_limit = horizon
         try:
             while True:
                 if self._stopped or not heap:
@@ -279,7 +318,7 @@ class Simulator:
                     break
                 heappop(heap)
                 self._live -= 1
-                self._now = t
+                self.now = t
                 ev._fired = True
                 dispatched += 1
                 ev.fn(*ev.args)
@@ -291,18 +330,20 @@ class Simulator:
                 # observer.
                 if ev._fired and len(free) < free_cap and refcount(ev) == 2:
                     free.append(ev)
-            if until is not None and not self._stopped and self._now < until:
+            if until is not None and not self._stopped and self.now < until:
                 # Queue drained early: the clock still advances to the horizon,
                 # mirroring a machine sitting fully idle until the deadline.
-                self._now = until
+                self.now = until
         finally:
             self.dispatched = dispatched
             self._running = False
-        return self._now
+            self._ff_limit = -1
+        return self.now
 
     def stop(self) -> None:
         """Request the current :meth:`run` to return after this callback."""
         self._stopped = True
+        self._ff_limit = -1
 
     # ------------------------------------------------------------- inspection
 
@@ -311,4 +352,4 @@ class Simulator:
         return self._live
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Simulator t={self._now} pending={self._live}>"
+        return f"<Simulator t={self.now} pending={self._live}>"

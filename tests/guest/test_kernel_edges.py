@@ -23,10 +23,6 @@ class TestOpsValidation:
         with pytest.raises(GuestError):
             gops.Compute(10, CycleDomain.HOST_HANDLER)
 
-    def test_pause_positive(self):
-        with pytest.raises(GuestError):
-            gops.Pause(0)
-
     def test_reprs_are_informative(self):
         assert "Compute" in repr(gops.Compute(5))
         assert "Wrmsr" in repr(gops.Wrmsr(0x6E0, 1))

@@ -49,15 +49,18 @@ class TestIoDeviceQueueing:
         with pytest.raises(HardwareError):
             dev.submit(IoRequest("erase", 0, 512))
 
-    def test_service_stats_collected(self):
+    def test_service_times_recorded(self):
         sim = Simulator()
         dev = FixedDevice(sim, "d", lambda r: None)
-        for i in range(5):
-            dev.submit(IoRequest("read", i, 512))
+        reqs = [IoRequest("read", i, 512) for i in range(5)]
+        for req in reqs:
+            dev.submit(req)
         sim.run()
-        assert dev.service_stats.n == 5
+        assert dev.completed == 5
+        latencies = [r.complete_ns - r.submit_ns for r in reqs]
         # Later submissions wait in queue, so latency grows.
-        assert dev.service_stats.max > dev.service_stats.min
+        assert latencies == sorted(latencies)
+        assert max(latencies) > min(latencies)
 
 
 class TestBlockDevice:

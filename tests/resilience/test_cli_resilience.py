@@ -130,6 +130,22 @@ class TestCacheCommands:
         assert "1 quarantined file(s) removed" in out
         assert not (cache_dir / QUARANTINE_DIR).exists()
 
+    def test_gc_purges_a_quarantined_directory(self, capsys, tmp_path):
+        """A directory at an entry path is quarantined whole by verify;
+        the purge removes it too, and with it the quarantine folder."""
+        cache_dir = tmp_path / "cache"
+        corpse = cache_dir / "aa" / "aa11.json"
+        corpse.mkdir(parents=True)
+        (corpse / "inner.txt").write_text("debris")
+        assert main(["--cache-dir", str(cache_dir), "cache", "verify"]) == 1
+        assert (cache_dir / QUARANTINE_DIR / "aa11.json").is_dir()
+        capsys.readouterr()
+        assert main(["--cache-dir", str(cache_dir), "cache", "gc",
+                     "--purge-quarantine"]) == 0
+        out = capsys.readouterr().out
+        assert "1 quarantined file(s) removed (6 bytes freed)" in out
+        assert not (cache_dir / QUARANTINE_DIR).exists()
+
 
 class TestChaosFleetSmoke:
     def test_fleet_smoke_survives_kill_crash_and_corruption(self, capsys, tmp_path):

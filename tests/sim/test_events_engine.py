@@ -217,6 +217,82 @@ class TestSimulatorScheduling:
         assert sim.now == max(delays)
 
 
+class TestAdvanceTo:
+    """Fast-forward: only when no queued entry could run first."""
+
+    def _probe(self, sim, *targets):
+        """Schedule one callback that tries each target, in order."""
+        got = []
+        sim.schedule(10, lambda: got.extend(
+            (t, sim.advance_to(t), sim.now) for t in targets))
+        return got
+
+    def test_refused_outside_run(self):
+        sim = Simulator()
+        assert sim.advance_to(5) is False
+        assert sim.now == 0
+        assert sim.fast_forwarded == 0
+
+    def test_moves_the_clock_before_the_first_entry(self):
+        sim = Simulator()
+        got = self._probe(sim, 15, 19)
+        sim.at(20, lambda: got.append(("fired", sim.now)))
+        sim.run()
+        assert got == [(15, True, 15), (19, True, 19), ("fired", 20)]
+        assert sim.fast_forwarded == 2
+        assert sim.dispatched == 2
+
+    def test_equal_time_entry_wins(self):
+        sim = Simulator()
+        got = self._probe(sim, 20)
+        sim.at(20, lambda: None)
+        sim.run()
+        assert got == [(20, False, 10)]
+        assert sim.fast_forwarded == 0
+
+    def test_dead_entries_count(self):
+        sim = Simulator()
+        got = self._probe(sim, 25)
+        sim.cancel(sim.at(20, lambda: None))
+        sim.run()
+        assert got == [(25, False, 10)]
+
+    def test_horizon_is_inclusive_and_never_passed(self):
+        sim = Simulator()
+        got = self._probe(sim, 31, 30)
+        assert sim.run(until=30) == 30
+        assert got == [(31, False, 10), (30, True, 30)]
+
+    def test_refused_after_stop(self):
+        sim = Simulator()
+        got = []
+
+        def stop_then_try():
+            sim.stop()
+            got.append(sim.advance_to(15))
+
+        sim.schedule(10, stop_then_try)
+        sim.run()
+        assert got == [False]
+        assert sim.now == 10
+        again = self._probe(sim, 25)
+        sim.run()
+        assert again == [(25, True, 25)]
+
+    def test_time_travel_raises(self):
+        sim = Simulator()
+        got = []
+
+        def back():
+            with pytest.raises(SimulationError):
+                sim.advance_to(5)
+            got.append(sim.now)
+
+        sim.schedule(10, back)
+        sim.run()
+        assert got == [10]
+
+
 class TestDeterminism:
     def test_same_seed_same_draws(self):
         a, b = Simulator(seed=42), Simulator(seed=42)
