@@ -502,7 +502,7 @@ def _cmd_fleet(args) -> int:
 
 def _cmd_telemetry(args) -> int:
     """Summarize a ``--telemetry-out`` artifact directory."""
-    from repro.telemetry.report import report_lines
+    from repro.obs.harness import report_lines
 
     for chunk in report_lines(args.dir):
         print(chunk)
@@ -771,8 +771,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet-progress", action="store_true",
                    help="suppress per-cell grid progress lines on stderr")
     p.add_argument("--telemetry-out", default=None, metavar="DIR",
-                   help="attach harness telemetry (span tracer + metrics "
-                        "registry) to the command and write spans.jsonl, "
+                   help="attach harness telemetry (span ring + per-grid run "
+                        "reports) to the command and write spans.jsonl, "
                         "metrics.json and harness_trace.json under DIR on exit")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -902,7 +902,8 @@ def build_parser() -> argparse.ArgumentParser:
         "telemetry", help="inspect harness telemetry written by --telemetry-out"
     )
     te.add_argument("action", choices=["report"],
-                    help="report: span/metrics summary tables for a directory")
+                    help="report: span summary tables and per-grid run reports "
+                         "for a directory")
     te.add_argument("dir", help="directory written by --telemetry-out")
     te.set_defaults(fn=_cmd_telemetry)
 
@@ -993,7 +994,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     tel = None
     if getattr(args, "telemetry_out", None):
-        from repro.telemetry import HarnessTelemetry
+        from repro.obs.harness import HarnessTelemetry
 
         tel = HarnessTelemetry()
     args.telemetry = tel

@@ -134,20 +134,14 @@ class HostFeatures:
     * ``halt_poll_ns`` — KVM halt polling window; 0 disables (paper
       disabled it because polling burns cycles without improving
       runtime for contended workloads).
-    * ``ple`` — pause-loop exiting. Has no effect: no guest model
-      spins, so the executor models no PAUSE exit.
-    * ``posted_interrupts`` — APICv-style posted interrupts. Has no
-      effect: every interrupt reaching a running vCPU takes an exit
-      (the paper's §3 exit accounting).
 
-    ``ple`` and ``posted_interrupts`` stay fields because every
-    ``HostFeatures`` is encoded into the result-cache keys the golden
-    fixtures pin.
+    Pause-loop exiting (the paper's other disabled feature) and posted
+    interrupts are not modelled: no guest model spins, and every
+    interrupt reaching a running vCPU takes an exit (the paper's §3
+    exit accounting).
     """
 
     halt_poll_ns: int = 0
-    ple: bool = False
-    posted_interrupts: bool = False
     #: §5.1's heuristic: a pending guest local-timer interrupt at VM
     #: entry is assumed to act as a tick (updates ``last_tick`` instead
     #: of injecting vector 235). Disabled only by the ablation bench.

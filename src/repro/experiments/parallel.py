@@ -75,7 +75,7 @@ from repro.resilience.policy import CircuitBreaker, RunReport, classify_failure
 
 #: Bump when the spec encoding or result encoding changes shape —
 #: invalidates every previously cached result.
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 #: Default per-run wall-clock timeout (seconds of *real* time).
 DEFAULT_TIMEOUT_S = 600.0
@@ -339,11 +339,7 @@ def _obs_for(spec: RunSpec):
         return None
     from repro.obs import ObsConfig, Observability
 
-    if spec.profile:
-        return Observability(ObsConfig(series=spec.series))
-    return Observability(
-        ObsConfig(profile=False, latency=False, steal=False, series=True)
-    )
+    return Observability(ObsConfig(profile=spec.profile, series=spec.series))
 
 
 def execute_spec_full(
@@ -695,13 +691,12 @@ class _InlineExecutor(Executor):
         return fut
 
 
-def _executor(workers: Optional[int], rec: "_Recorder") -> Executor:
+def _executor(workers: Optional[int]) -> Executor:
     """A pool of ``workers`` processes, or the in-process executor (None).
     Pools fork where they can: cheap, and workers inherit the workload
     kinds the calling process registered (tests rely on this)."""
     if workers is None:
         return _InlineExecutor()
-    rec.pool_built(workers)
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
     return ProcessPoolExecutor(max_workers=workers, mp_context=context)
@@ -713,7 +708,7 @@ def _shutdown(executor: Executor) -> None:
 
 
 class _Detached:
-    """Stands in for disabled telemetry: every recording call is a no-op."""
+    """Stands in for absent telemetry: every recording call is a no-op."""
 
     def span(self, name: str, **attrs: Any):
         return contextlib.nullcontext({})
@@ -724,7 +719,7 @@ class _Detached:
     def _ignore(self, *args: Any, **kwargs: Any) -> None:
         pass
 
-    instant = counter = gauge = observe = add_span = _ignore
+    instant = add_span = grid_finished = _ignore
 
 
 class _Recorder:
@@ -734,15 +729,17 @@ class _Recorder:
     updates every consumer in turn: the :class:`GridResult` and its
     :class:`RunReport`, the result cache (for a cell that ran), the
     journal, harness telemetry, the ``progress`` callback and the chaos
-    ``abort_after`` hook. Disabled telemetry is swapped for
-    :class:`_Detached` once per grid and never touched again.
+    ``abort_after`` hook. Absent telemetry (None) is swapped for
+    :class:`_Detached` once per grid. The :class:`RunReport` is the one
+    count of each outcome; telemetry gets the timeline (spans and
+    instants) and, at :meth:`finish`, the report.
     """
 
     def __init__(self, grid: GridResult, keys: dict[RunSpec, str],
                  journal: Optional[RunJournal], telemetry, progress, chaos) -> None:
         self.grid, self.report, self.keys = grid, grid.report, keys
         self.journal, self.progress = journal, progress
-        self.tel = telemetry if telemetry is not None and telemetry.enabled else _Detached()
+        self.tel = telemetry if telemetry is not None else _Detached()
         self.abort_after = getattr(chaos, "abort_after", None)
         self.done = 0
 
@@ -750,7 +747,6 @@ class _Recorder:
         """The cache moved a corrupt file aside."""
         self.report.quarantined += 1
         self.tel.instant("cache.quarantine", lane="cache", path=str(path))
-        self.tel.counter("cache_quarantined", help="corrupt cache files quarantined")
 
     def served(self, spec: RunSpec, result: Any, obs: Optional[dict],
                series: Optional[dict], verified_hash: Optional[str]) -> None:
@@ -758,21 +754,16 @@ class _Recorder:
         hash re-verified it (``verified_hash``), else ``cached``."""
         label = spec.display_label()
         status = "cached" if verified_hash is None else "resumed"
-        self.tel.instant("cache.probe", lane="cache", spec=label)
         if verified_hash is not None:
             self.report.resumed += 1
             self.report.reverified += 1
             self.tel.instant("resume.hit", lane="cache", spec=label)
-            self.tel.counter("cells_resumed", help="cells skipped via journal resume")
-            self.tel.counter("cells_reverified", help="resumed cells re-verified against "
-                             "the journaled result hash")
             self._journal("resumed", spec, result_hash=verified_hash)
         elif self.journal is not None:
             self._journal("cached", spec, result_hash=result_hash(encode_result(result)))
         self._settle(spec, result, obs, series)
         self.grid.cache_hits += 1
         self.tel.instant("cache.hit", lane="cache", spec=label)
-        self.tel.counter("cache_hits", help="grid cells served from cache")
         self._emit(spec, status, cache_hit=True)
 
     def scheduled(self, spec: RunSpec, *, probed: bool, journaled_done: bool,
@@ -784,13 +775,10 @@ class _Recorder:
         if mismatch:
             self.report.resume_mismatches += 1
             self.tel.instant("resume.mismatch", lane="cache", spec=label)
-            self.tel.counter("resume_mismatches", help="resume re-verification failures")
         if journaled_done:
             self.tel.instant("resume.miss", lane="cache", spec=label)
         if probed:
-            self.tel.instant("cache.probe", lane="cache", spec=label)
             self.tel.instant("cache.miss", lane="cache", spec=label)
-            self.tel.counter("cache_misses", help="grid cells not in cache")
         self._journal("scheduled", spec)
 
     def started(self, spec: RunSpec, attempt: int) -> None:
@@ -822,7 +810,6 @@ class _Recorder:
                 cache = None
             else:
                 self.tel.instant("cache.write", lane="cache", spec=spec.display_label())
-                self.tel.counter("cache_writes", help="results written to cache")
         if self.journal is not None:
             self._journal("done", spec, result_hash=result_hash(encoded))
         self._emit(spec, "ran", duration_s=wall_s)
@@ -831,30 +818,29 @@ class _Recorder:
     def failed(self, spec: RunSpec, error: str, attempt: int, duration_s: float,
                kind: str, *, final: bool) -> None:
         """Attempt ``attempt`` failed: the cell is retried, or (``final``)
-        given up and reported in :attr:`GridResult.failed_specs`."""
+        given up and reported in :attr:`GridResult.failed_specs`. The
+        attempt's submit-to-settle time becomes a span ending now."""
+        dur_ns = int(duration_s * 1e9)
+        start_ns = self.tel.now_ns() - dur_ns
         label = spec.display_label()
         if final:
             self.grid.failed_specs.append(FailedSpec(spec, error, attempt, kind))
             self.report.failures[kind] += 1
             self.done += 1
-            self.tel.instant("shard.failed", spec=label, error=error,
-                             attempts=attempt, kind=kind)
+            self.tel.add_span("shard.failed", start_ns, dur_ns, spec=label, error=error,
+                              attempts=attempt, kind=kind)
             self._journal("failed", spec, error=error, kind=kind, attempts=attempt)
         else:
             self.report.retries[kind] += 1
-            self.tel.instant("shard.retry", spec=label, error=error,
-                             attempt=attempt, kind=kind)
+            self.tel.add_span("shard.retry", start_ns, dur_ns, spec=label, error=error,
+                              attempt=attempt, kind=kind)
         self._emit(spec, "failed" if final else "retry", attempt, error, duration_s,
                    failure_kind=kind)
 
-    def pool_built(self, workers: int) -> None:
-        self.tel.gauge("pool_workers", workers, help="process pool size")
-
-    def pool_crashed(self, exc: BaseException, casualties: int, rebuilt: bool) -> None:
+    def pool_rebuilt(self, exc: BaseException, casualties: int) -> None:
+        """A worker crash broke the pool and it was rebuilt."""
         self.report.pool_rebuilds += 1
-        if rebuilt:
-            self.tel.instant("pool.rebuild", error=repr(exc), casualties=casualties)
-            self.tel.counter("pool_rebuilds", help="process pool crash recoveries")
+        self.tel.instant("pool.rebuild", error=repr(exc), casualties=casualties)
 
     def degraded(self, step: int, workers: Optional[int]) -> None:
         """A breaker trip: the pool shrank to ``workers``, or went serial (None)."""
@@ -864,7 +850,6 @@ class _Recorder:
         else:
             self.report.degradation.append(f"pool shrunk to {workers}")
             self.tel.instant("pool.degrade", step=step, jobs=workers)
-        self.tel.counter("pool_degrades", help="degradation ladder steps")
 
     def check_abort(self) -> None:
         """Chaos: simulate a harness crash once ``abort_after`` cells ran or failed."""
@@ -878,6 +863,7 @@ class _Recorder:
         self.report.cache_hits, self.report.executed = grid.cache_hits, grid.executed
         span_attrs.update(cache_hits=grid.cache_hits, executed=grid.executed,
                           failed=len(grid.failed_specs))
+        self.tel.grid_finished(self.report)
         return grid
 
     def _settle(self, spec: RunSpec, result: Any, obs: Optional[dict],
@@ -896,11 +882,7 @@ class _Recorder:
     def _emit(self, spec: RunSpec, status: str, attempt: int = 1,
               error: Optional[str] = None, duration_s: Optional[float] = None,
               cache_hit: bool = False, failure_kind: Optional[str] = None) -> None:
-        """Count a settled attempt in telemetry and report it to ``progress``."""
-        self.tel.counter("cells", help="grid cells settled by status", status=status)
-        if duration_s is not None:
-            self.tel.observe("shard_wall_ns", int(duration_s * 1e9),
-                             help="per-attempt shard wall-clock", status=status)
+        """Report a settled attempt to ``progress``."""
         if self.progress is None:
             return
         try:
@@ -929,7 +911,7 @@ def _execute(pending: list[RunSpec], rec: _Recorder, cache: Optional[ResultCache
     queue = deque(pending)
     in_flight: dict[Future, tuple[RunSpec, float]] = {}
     rebuilds = 0
-    executor = _executor(workers, rec)
+    executor = _executor(workers)
     try:
         while queue or in_flight:
             while queue and (workers is not None or not in_flight):
@@ -972,12 +954,12 @@ def _execute(pending: list[RunSpec], rec: _Recorder, cache: Optional[ResultCache
                     _shutdown(executor)
                     rebuilds += 1
                     final = rebuilds > max_pool_rebuilds
-                    rec.pool_crashed(exc, len(lost), rebuilt=not final)
                     if final:
                         error = (f"pool rebuild cap reached ({max_pool_rebuilds}); "
                                  f"last crash: {error}")
                     else:
-                        executor = _executor(workers, rec)
+                        rec.pool_rebuilt(exc, len(lost))
+                        executor = _executor(workers)
                 for s in lost:
                     gave_up = final or attempts[s] > retries
                     rec.failed(s, error, attempts[s], elapsed, kind, final=gave_up)
@@ -998,7 +980,7 @@ def _execute(pending: list[RunSpec], rec: _Recorder, cache: Optional[ResultCache
                 step = brk.trip_and_reset()
                 workers = max(1, workers // 2) if step == 1 and workers > 1 else None
                 rec.degraded(step, workers)
-                executor = _executor(workers, rec)
+                executor = _executor(workers)
     finally:
         _shutdown(executor)
 
@@ -1049,11 +1031,12 @@ def run_grid(
     ``chaos`` (a :class:`~repro.resilience.chaos.ChaosPolicy`) and
     ``cache_fs`` (a :class:`~repro.resilience.integrity.CacheFS`)
     inject deterministic faults; both default to "no faults".
-    ``telemetry`` (a :class:`repro.telemetry.HarnessTelemetry`) records
-    spans, instants and counters for every transition; its ``enabled``
-    flag is read once per grid, and results and cache bytes are
-    identical with it on or off. A ``progress`` callback that raises is
-    disabled with a :class:`RuntimeWarning` instead of sinking the grid.
+    ``telemetry`` (a :class:`repro.obs.harness.HarnessTelemetry`, or
+    None) records spans and instants for the transitions and receives
+    the grid's :class:`RunReport` when it finishes; results and cache
+    bytes are identical with it attached or not. A ``progress``
+    callback that raises is disabled with a :class:`RuntimeWarning`
+    instead of sinking the grid.
     """
     spec_list = list(specs)
     keys = {spec: spec_key(spec) for spec in dict.fromkeys(spec_list)}

@@ -57,14 +57,11 @@ def run_fleets(
     if grid.failed_specs:
         return None, grid
     artifacts = {grid[s].label: art for s, art in grid.artifacts.items()} or None
-    tel = telemetry if (telemetry is not None and telemetry.enabled) else None
     hosts = sum(len(group) for group in groups.values())
-    with (tel.span("fleet.aggregate", lane="fleet", fleets=len(groups), hosts=hosts)
-          if tel is not None else nullcontext()):
+    with (telemetry.span("fleet.aggregate", lane="fleet", fleets=len(groups), hosts=hosts)
+          if telemetry is not None else nullcontext()):
         aggregates = {key: aggregate_hosts([grid[s] for s in group], artifacts)
                       for key, group in groups.items()}
-    if tel is not None:
-        tel.counter("fleet_hosts", hosts, help="fleet host shards aggregated")
     return aggregates, grid
 
 

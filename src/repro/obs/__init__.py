@@ -57,27 +57,30 @@ __all__ = [
 ]
 
 
+#: Records the trace-export ring retains; an export from a ring that
+#: overflowed is refused rather than silently partial.
+RING_CAPACITY = 1_000_000
+
+
 @dataclass(frozen=True)
 class ObsConfig:
-    """What to collect. Everything defaults on except trace retention,
-    whose memory cost scales with run length."""
+    """What to collect. The profile defaults on; trace retention, whose
+    memory cost scales with run length, and the series default off."""
 
+    #: The virtual-perf profile: the sampling profiler, the latency
+    #: histograms and steal accounting, collected together.
     profile: bool = True
     sample_period_ns: int = DEFAULT_SAMPLE_PERIOD_NS
-    latency: bool = True
-    steal: bool = True
-    #: Retain the raw event stream for Chrome-trace export. Off by
-    #: default: the ring holds ``ring_capacity`` records and the export
-    #: refuses to pretend completeness when the ring overflowed.
+    #: Retain the raw event stream (up to :data:`RING_CAPACITY` records)
+    #: for Chrome-trace export.
     trace_export: bool = False
-    ring_capacity: int = 1_000_000
     #: Windowed in-sim time series (exits / steal / halt / tick tail
-    #: latency per interval of simulated time; see
-    #: :mod:`repro.obs.series`). Off by default — it is a distinct
+    #: latency per :data:`~repro.obs.series.DEFAULT_WINDOW_NS` of
+    #: simulated time; see :mod:`repro.obs.series`). A distinct
     #: artifact (the ``"series"`` key of a cache entry), not part of
     #: :meth:`Observability.to_json_dict`.
     series: bool = False
-    series_window_ns: int = DEFAULT_WINDOW_NS
+
 
 class Observability:
     """One run's worth of virtual-perf collectors, wired as a unit.
@@ -95,17 +98,12 @@ class Observability:
 
     def __init__(self, config: Optional[ObsConfig] = None) -> None:
         self.config = config if config is not None else ObsConfig()
-        self.profiler = (
-            SamplingProfiler(self.config.sample_period_ns) if self.config.profile else None
-        )
-        self.latency = LatencyRecorder() if self.config.latency else None
-        self.steal = StealTracker() if self.config.steal else None
-        self.ring = (
-            RingTracer(self.config.ring_capacity) if self.config.trace_export else None
-        )
-        self.series = (
-            SeriesRecorder(self.config.series_window_ns) if self.config.series else None
-        )
+        profile = self.config.profile
+        self.profiler = SamplingProfiler(self.config.sample_period_ns) if profile else None
+        self.latency = LatencyRecorder() if profile else None
+        self.steal = StealTracker() if profile else None
+        self.ring = RingTracer(RING_CAPACITY) if self.config.trace_export else None
+        self.series = SeriesRecorder() if self.config.series else None
         self.elapsed_ns = 0
         self._pcpu_of: dict[str, int] = {}
         self._finalized = False
@@ -155,7 +153,8 @@ class Observability:
             raise ValueError("trace export not enabled in ObsConfig")
         if self.ring.truncated:
             raise ValueError(
-                f"ring dropped {self.ring.dropped} records; raise ring_capacity "
+                f"ring dropped {self.ring.dropped} records past its "
+                f"{RING_CAPACITY:,}-record capacity "
                 "(an exported trace must cover the whole run, not a suffix)"
             )
         return to_chrome_trace(

@@ -52,7 +52,7 @@ class TraceBuilder:
     """The rows of one trace_event document, in emission order.
 
     The one builder behind both exporters — the simulated timeline here
-    and the harness timeline (:mod:`repro.telemetry.export`) — so the
+    and the harness timeline (:mod:`repro.obs.harness`) — so the
     two documents share row shapes and :func:`validate_chrome_trace`.
     """
 

@@ -12,8 +12,8 @@ pooled, or cached. This package extends that promise across *failures*:
   entry, one verifying reader, quarantine (never crash) for corrupt
   files, and the ``cache verify|gc`` maintenance pass;
 * :mod:`repro.resilience.chaos` — deterministic, seedable fault
-  injection (worker SIGKILL, injected fsync/write failures, telemetry
-  sink loss, timeout delays, simulated harness crash) so every
+  injection (worker SIGKILL, injected fsync/write failures, timeout
+  delays, simulated harness crash) so every
   recovery path above is exercised in tests;
 * :mod:`repro.resilience.policy` — a failure-rate circuit breaker that
   shrinks the pool and falls back to serial before giving up, and the
@@ -28,7 +28,7 @@ run's, and the chaos battery asserts exactly that.
 
 from __future__ import annotations
 
-from repro.resilience.chaos import ChaosAbort, ChaosPolicy, FailingSink, FaultyFS
+from repro.resilience.chaos import ChaosAbort, ChaosPolicy, FaultyFS
 from repro.resilience.integrity import (
     CacheAudit,
     CacheFS,
@@ -55,7 +55,6 @@ __all__ = [
     "ChaosAbort",
     "ChaosPolicy",
     "CircuitBreaker",
-    "FailingSink",
     "FaultyFS",
     "GcStats",
     "JournalError",

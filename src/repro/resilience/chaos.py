@@ -2,8 +2,7 @@
 
 Every recovery path the engine grew — pool rebuild after a SIGKILLed
 worker, cache-write failure demoting to no-cache, quarantine of corrupt
-entries, journal resume after a harness crash, telemetry-sink loss —
-must be *exercised*, not believed. This module injects those faults
+entries, journal resume after a harness crash — must be *exercised*, not believed. This module injects those faults
 deterministically, from a seed, so a chaos test is as replayable as
 any other cell of the matrix:
 
@@ -19,9 +18,7 @@ any other cell of the matrix:
 * :class:`FaultyFS` wraps the cache's filesystem shim and fails chosen
   write/replace operations (the fsync-failure and torn-write paths);
 * :func:`corrupt_cache_entry` damages a stored entry on disk the way a
-  torn write would (truncation or byte garbling), for integrity tests;
-* :class:`FailingSink` is a file-like that starts raising after N
-  writes — the telemetry-sink failure mode.
+  torn write would (truncation or byte garbling), for integrity tests.
 
 None of this perturbs simulated time: chaos acts on the *harness*, so
 a recovered or resumed run must still be byte-identical to a clean one
@@ -30,7 +27,6 @@ a recovered or resumed run must still be byte-identical to a clean one
 
 from __future__ import annotations
 
-import io
 import os
 import random
 import signal
@@ -195,23 +191,3 @@ def corrupt_cache_entry(
     else:
         raise ValueError(f"unknown corruption mode {mode!r}")
     return victim
-
-
-class FailingSink(io.TextIOBase):
-    """A text sink that raises ``OSError`` after ``succeed`` writes.
-
-    Drives the telemetry JSONL sink's containment path: the tracer must
-    disable the sink with a warning and keep recording in memory.
-    """
-
-    def __init__(self, succeed: int = 0) -> None:
-        self.succeed = succeed
-        self.writes = 0
-        self.buffer_lines: list[str] = []
-
-    def write(self, text: str) -> int:
-        self.writes += 1
-        if self.writes > self.succeed:
-            raise OSError("chaos: telemetry sink lost")
-        self.buffer_lines.append(text)
-        return len(text)

@@ -131,6 +131,13 @@ class RunReport:
             "degradation": list(self.degradation),
         }
 
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "RunReport":
+        """Inverse of :meth:`to_json_dict` (``outcome``/``failed`` are derived)."""
+        fields = {k: v for k, v in data.items() if k not in ("outcome", "failed")}
+        return cls(**{**fields, "retries": Counter(fields["retries"]),
+                      "failures": Counter(fields["failures"])})
+
     def render(self) -> str:
         """One operator-facing summary line."""
         parts = [f"outcome={self.outcome}", f"cells={self.cells}",

@@ -1,8 +1,9 @@
 """Characterization of ``run_grid``'s cell lifecycle, consumer by consumer.
 
 Four consumers watch every grid cell move through its lifecycle: the
-run journal, the ``progress`` callback, the :class:`RunReport` and the
-harness telemetry. These tests pin what each consumer sees on every
+run journal, the ``progress`` callback, the :class:`RunReport` (the one
+count of each outcome) and the harness telemetry (the timeline of spans
+and instants). These tests pin what each consumer sees on every
 lifecycle path — cold miss, cache hit, resume hit, resume mismatch,
 artifact-missing miss, retry, failure, timeout, worker crash, the
 pool-rebuild cap and the breaker ladder — at ``jobs=1`` and ``jobs=2``.
@@ -38,7 +39,7 @@ from repro.resilience.chaos import ChaosPolicy
 from repro.resilience.integrity import attach_footer, split_verified
 from repro.resilience.journal import RunJournal, result_hash
 from repro.resilience.policy import CircuitBreaker
-from repro.telemetry import HarnessTelemetry
+from repro.obs.harness import HarnessTelemetry
 from repro.workloads.micro import PingPongWorkload
 
 # Fault workloads; the fork-based pool inherits the registry.
@@ -118,16 +119,11 @@ class Observed:
             for e in events
         ]
         self.report = grid.report.to_json_dict()
-        metrics = tel.metrics.to_json_dict()
-        self.counters = {
-            (name, tuple(sorted(s["labels"].items()))): s["value"]
-            for name, fam in metrics.items() if fam["type"] == "counter"
-            for s in fam["series"]
-        }
-        self.gauges = {name: [s["value"] for s in fam["series"]]
-                       for name, fam in metrics.items() if fam["type"] == "gauge"}
-        self.instants = Counter(i.name for i in tel.tracer.instants())
-        self.spans = Counter(s.name for s in tel.tracer.spans())
+        assert tel.grids == [self.report]
+        self.instants = Counter(i.name for i in tel.instants())
+        self.spans = Counter(s.name for s in tel.spans())
+        [grid_span] = [s for s in tel.spans() if s.name == "grid.run"]
+        self.jobs = grid_span.attrs["jobs"]
 
     def _record(self, obj: dict):
         if obj.get("type") != "cell":
@@ -162,10 +158,6 @@ def observe(specs, names: dict, journal_path: Path, **kwargs) -> Observed:
     lines = journal_path.read_text().splitlines()[len(before):]
     key_names = {spec_key(spec): name for spec, name in names.items()}
     return Observed(grid, key_names, lines, events, tel)
-
-
-def C(name: str, **labels) -> tuple:
-    return (name, tuple(sorted(labels.items())))
 
 
 def started(attempt: int = 1) -> tuple:
@@ -203,11 +195,9 @@ class TestCachePaths:
         for name in "AB":
             assert cold.progress_of(name) == [("ran", 1, False, None)]
         assert cold.report == report(cells=2, executed=2)
-        assert cold.counters == {C("cache_misses"): 2, C("cache_writes"): 2,
-                                 C("cells", status="ran"): 2}
-        assert cold.instants == {"cache.probe": 2, "cache.miss": 2, "cache.write": 2}
+        assert cold.instants == {"cache.miss": 2, "cache.write": 2}
         assert cold.spans == {"grid.run": 1, "shard.execute": 2}
-        assert cold.gauges == ({"pool_workers": [2]} if jobs == 2 else {})
+        assert cold.jobs == jobs
 
         warm = observe([a, b], names, tmp_path / "warm.journal",
                        jobs=jobs, cache_dir=cache)
@@ -216,10 +206,8 @@ class TestCachePaths:
         assert warm.progress == [("cached", "A", 1, 2, 1, True, None),
                                  ("cached", "B", 2, 2, 1, True, None)]
         assert warm.report == report(cells=2, cache_hits=2)
-        assert warm.counters == {C("cache_hits"): 2, C("cells", status="cached"): 2}
-        assert warm.instants == {"cache.probe": 2, "cache.hit": 2}
+        assert warm.instants == {"cache.hit": 2}
         assert warm.spans == {"grid.run": 1}
-        assert warm.gauges == {}  # an all-hit grid never builds a pool
 
     @JOBS
     def test_resume_hit(self, tmp_path, jobs):
@@ -235,12 +223,8 @@ class TestCachePaths:
         assert obs.progress == [("resumed", "A", 1, 2, 1, True, None),
                                 ("resumed", "B", 2, 2, 1, True, None)]
         assert obs.report == report(cells=2, cache_hits=2, resumed=2, reverified=2)
-        assert obs.counters == {
-            C("cells_resumed"): 2, C("cells_reverified"): 2, C("cache_hits"): 2,
-            C("cells", status="resumed"): 2,
-        }
-        assert obs.instants == {"cache.probe": 2, "resume.hit": 2, "cache.hit": 2}
-        assert obs.gauges == {}
+        assert obs.instants == {"resume.hit": 2, "cache.hit": 2}
+        assert obs.spans == {"grid.run": 1}
 
     @JOBS
     def test_resume_mismatch_quarantines_and_reruns(self, tmp_path, jobs):
@@ -272,14 +256,8 @@ class TestCachePaths:
         assert obs.report == report(
             outcome="degraded", cells=2, cache_hits=1, executed=1, resumed=1,
             reverified=1, resume_mismatches=1, quarantined=1)
-        assert obs.counters == {
-            C("resume_mismatches"): 1, C("cache_quarantined"): 1,
-            C("cache_misses"): 1, C("cache_writes"): 1,
-            C("cells_resumed"): 1, C("cells_reverified"): 1, C("cache_hits"): 1,
-            C("cells", status="resumed"): 1, C("cells", status="ran"): 1,
-        }
         assert obs.instants == {
-            "cache.probe": 2, "resume.mismatch": 1, "cache.quarantine": 1,
+            "resume.mismatch": 1, "cache.quarantine": 1,
             "resume.miss": 1, "cache.miss": 1, "resume.hit": 1, "cache.hit": 1,
             "cache.write": 1,
         }
@@ -301,9 +279,7 @@ class TestCachePaths:
                                ("done", "P", {"result_hash": "ok"})]
         assert obs.progress == [("ran", "P", 1, 1, 1, False, None)]
         assert obs.report == report(cells=1, executed=1)
-        assert obs.counters == {C("cache_misses"): 1, C("cache_writes"): 1,
-                                C("cells", status="ran"): 1}
-        assert obs.instants == {"cache.probe": 1, "cache.miss": 1, "cache.write": 1}
+        assert obs.instants == {"cache.miss": 1, "cache.write": 1}
         assert p in obs.grid.artifacts
 
 
@@ -326,10 +302,8 @@ class TestFailurePaths:
                                 ("ran", "F", 1, 1, 1, False, None)]
         assert obs.report == report(outcome="degraded", cells=1, executed=1,
                                     retries={"error": 1})
-        assert obs.counters == {C("cells", status="retry"): 1,
-                                C("cells", status="ran"): 1}
-        assert obs.instants == {"shard.retry": 1}
-        assert obs.spans == {"grid.run": 1, "shard.execute": 1}
+        assert obs.instants == {}
+        assert obs.spans == {"grid.run": 1, "shard.retry": 1, "shard.execute": 1}
 
     def test_retry_then_ok_serial_order_with_a_second_cell(self, tmp_path):
         f = fault("lifecycle.flaky", fuse=str(tmp_path / "fuse"))
@@ -361,10 +335,8 @@ class TestFailurePaths:
                                 ("failed", "B", 1, 1, 2, False, "error")]
         assert obs.report == report(outcome="failed", cells=1, retries={"error": 1},
                                     failures={"error": 1}, failed=1)
-        assert obs.counters == {C("cells", status="retry"): 1,
-                                C("cells", status="failed"): 1}
-        assert obs.instants == {"shard.retry": 1, "shard.failed": 1}
-        assert obs.spans == {"grid.run": 1}
+        assert obs.instants == {}
+        assert obs.spans == {"grid.run": 1, "shard.retry": 1, "shard.failed": 1}
 
     @JOBS
     def test_timeout(self, tmp_path, jobs):
@@ -379,8 +351,8 @@ class TestFailurePaths:
         assert obs.progress == [("failed", "S", 1, 1, 1, False, "timeout")]
         assert obs.report == report(outcome="failed", cells=1,
                                     failures={"timeout": 1}, failed=1)
-        assert obs.counters == {C("cells", status="failed"): 1}
-        assert obs.instants == {"shard.failed": 1}
+        assert obs.instants == {}
+        assert obs.spans == {"grid.run": 1, "shard.failed": 1}
 
 
 # --------------------------------------------------------------------------
@@ -401,10 +373,9 @@ class TestPoolRecovery:
                                 ("ran", "A", 1, 1, 1, False, None)]
         assert obs.report == report(outcome="degraded", cells=1, executed=1,
                                     retries={"crash": 1}, pool_rebuilds=1)
-        assert obs.counters == {C("cells", status="retry"): 1,
-                                C("cells", status="ran"): 1, C("pool_rebuilds"): 1}
-        assert obs.instants == {"shard.retry": 1, "pool.rebuild": 1}
-        assert obs.gauges == {"pool_workers": [2]}
+        assert obs.instants == {"pool.rebuild": 1}
+        assert obs.spans == {"grid.run": 1, "shard.retry": 1, "shard.execute": 1}
+        assert obs.jobs == 2
 
     def test_rebuild_cap_fails_the_cell(self, tmp_path):
         c = fault("lifecycle.crash")
@@ -420,10 +391,10 @@ class TestPoolRecovery:
                                 ("retry", "C", 0, 1, 2, False, "crash"),
                                 ("failed", "C", 1, 1, 3, False, "crash")]
         assert obs.report == report(outcome="failed", cells=1, retries={"crash": 2},
-                                    failures={"crash": 1}, failed=1, pool_rebuilds=3)
-        assert obs.counters == {C("cells", status="retry"): 2,
-                                C("cells", status="failed"): 1, C("pool_rebuilds"): 2}
-        assert obs.instants == {"shard.retry": 2, "pool.rebuild": 2, "shard.failed": 1}
+                                    failures={"crash": 1}, failed=1, pool_rebuilds=2)
+        # The third crash hits the cap: no rebuild, so none is counted.
+        assert obs.instants == {"pool.rebuild": 2}
+        assert obs.spans == {"grid.run": 1, "shard.retry": 2, "shard.failed": 1}
 
     def test_breaker_shrinks_then_falls_back_to_serial(self, tmp_path):
         specs = [fault("lifecycle.slowboom", seed=s) for s in range(8)]
@@ -445,9 +416,8 @@ class TestPoolRecovery:
         assert obs.report == report(
             outcome="failed", cells=8, failures={"error": 8}, failed=8,
             degradation=["pool shrunk to 1", "fell back to serial"])
-        assert obs.counters == {C("cells", status="failed"): 8, C("pool_degrades"): 2}
-        assert obs.instants == {"shard.failed": 8, "pool.degrade": 2}
-        assert obs.gauges == {"pool_workers": [1]}
+        assert obs.instants == {"pool.degrade": 2}
+        assert obs.spans == {"grid.run": 1, "shard.failed": 8}
 
 
 # --------------------------------------------------------------------------

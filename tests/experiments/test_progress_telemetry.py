@@ -4,12 +4,15 @@ Covers the extended :class:`ProgressEvent` (per-attempt wall-clock,
 cache-hit flag) across every settle path — ran, cached, retry, timeout,
 failed — plus the two house guarantees of the telemetry subsystem:
 a raising callback is contained (never sinks the grid), and a detached
-telemetry object is never touched beyond its ``enabled`` flag.
+grid (``telemetry=None``) loads no ``repro.obs`` module at all.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -24,7 +27,7 @@ from repro.experiments.parallel import (
     run_grid,
 )
 from repro.obs.export import validate_chrome_trace
-from repro.telemetry import HarnessTelemetry
+from repro.obs.harness import HarnessTelemetry
 
 
 def _boom_factory(**kw):
@@ -50,13 +53,25 @@ def cheap_spec(seed: int = 0, **changes) -> RunSpec:
     return spec.with_(**changes) if changes else spec
 
 
-class ExplodingTelemetry:
-    """Detached telemetry that fails the test on any deeper touch."""
-
-    enabled = False
-
-    def __getattr__(self, name):
-        raise AssertionError(f"detached telemetry touched: {name}")
+def _obs_modules_after_detached_grid(code: str) -> list:
+    """Run ``code`` (a detached grid) in a fresh interpreter; return the
+    ``repro.obs`` modules it loaded."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    script = (
+        "import json, sys\n"
+        "from repro.config import TickMode\n"
+        "from repro.experiments.parallel import RunSpec, WorkloadSpec, run_grid\n"
+        "def cell(seed):\n"
+        "    return RunSpec(WorkloadSpec.make('micro.pingpong', rounds=40,\n"
+        "                   work_cycles=10_000), tick_mode=TickMode.PARATICK,\n"
+        "                   seed=seed, noise=False)\n"
+        f"{code}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro.obs'))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
 
 
 # --------------------------------------------------------------------------
@@ -136,42 +151,45 @@ class TestGridTelemetry:
     def test_counters_and_spans_match_outcomes(self, tmp_path):
         tel = HarnessTelemetry()
         specs = [cheap_spec(seed=s) for s in (0, 1)]
-        run_grid(specs, jobs=1, cache_dir=tmp_path, telemetry=tel)
-        run_grid(specs, jobs=1, cache_dir=tmp_path, telemetry=tel)
-        m = tel.metrics
-        assert m.counter_value("cells", status="ran") == 2
-        assert m.counter_value("cells", status="cached") == 2
-        assert m.counter_value("cache_misses") == 2
-        assert m.counter_value("cache_writes") == 2
-        assert m.counter_value("cache_hits") == 2
-        names = [s.name for s in tel.tracer.spans()]
+        cold = run_grid(specs, jobs=1, cache_dir=tmp_path, telemetry=tel)
+        warm = run_grid(specs, jobs=1, cache_dir=tmp_path, telemetry=tel)
+        # The RunReport is the one count of each outcome.
+        assert (cold.report.executed, cold.report.cache_hits) == (2, 0)
+        assert (warm.report.executed, warm.report.cache_hits) == (0, 2)
+        instants = [i.name for i in tel.instants()]
+        assert instants.count("cache.miss") == 2
+        assert instants.count("cache.write") == 2
+        assert instants.count("cache.hit") == 2
+        names = [s.name for s in tel.spans()]
         assert names.count("grid.run") == 2
         assert names.count("shard.execute") == 2
-        hist = m.histogram("shard_wall_ns", status="ran")
-        assert hist is not None and hist.count == 2
 
     def test_failure_paths_recorded(self):
         tel = HarnessTelemetry()
         boom = RunSpec(WorkloadSpec.make("test.boom"))
-        run_grid([boom], jobs=1, use_cache=False, retries=1, telemetry=tel)
-        assert tel.metrics.counter_value("cells", status="retry") == 1
-        assert tel.metrics.counter_value("cells", status="failed") == 1
-        instants = [i.name for i in tel.tracer.instants()]
-        assert "shard.retry" in instants and "shard.failed" in instants
+        grid = run_grid([boom], jobs=1, use_cache=False, retries=1, telemetry=tel)
+        assert grid.report.retries == {"error": 1}
+        assert grid.report.failures == {"error": 1}
+        # Each failed attempt is a span of its submit-to-settle time.
+        failed = {s.name: s for s in tel.spans() if s.name.startswith("shard.")}
+        assert set(failed) == {"shard.retry", "shard.failed"}
+        assert failed["shard.retry"].attrs["attempt"] == 1
+        assert failed["shard.failed"].attrs["attempts"] == 2
+        assert all(s.dur_ns >= 0 for s in failed.values())
 
     def test_pool_records_worker_lanes_and_gauge(self):
         tel = HarnessTelemetry()
         specs = [cheap_spec(seed=s) for s in (0, 1, 2)]
         run_grid(specs, jobs=2, use_cache=False, telemetry=tel)
-        [gauge] = tel.metrics.to_json_dict()["pool_workers"]["series"]
-        assert gauge["value"] == 2
-        lanes = {s.lane for s in tel.tracer.spans() if s.name == "shard.execute"}
+        [grid_span] = [s for s in tel.spans() if s.name == "grid.run"]
+        assert grid_span.attrs["jobs"] == 2
+        lanes = {s.lane for s in tel.spans() if s.name == "shard.execute"}
         assert lanes and all(lane.startswith("worker-") for lane in lanes)
 
     def test_grid_attrs_summarize_outcomes(self, tmp_path):
         tel = HarnessTelemetry()
         run_grid([cheap_spec()], jobs=1, cache_dir=tmp_path, telemetry=tel)
-        [grid_span] = [s for s in tel.tracer.spans() if s.name == "grid.run"]
+        [grid_span] = [s for s in tel.spans() if s.name == "grid.run"]
         assert grid_span.attrs["executed"] == 1
         assert grid_span.attrs["cache_hits"] == 0
         assert grid_span.attrs["failed"] == 0
@@ -184,15 +202,18 @@ class TestGridTelemetry:
 
 class TestZeroOverheadDetached:
     def test_disabled_telemetry_never_touched(self, tmp_path):
-        grid = run_grid([cheap_spec()], jobs=1, cache_dir=tmp_path,
-                        telemetry=ExplodingTelemetry())
-        assert grid.complete and grid.executed == 1
+        # A detached grid, cold then warm, loads no observability code.
+        code = (f"for _ in range(2):\n"
+                f"    g = run_grid([cell(0), cell(1)], jobs=1, cache_dir={str(tmp_path)!r})\n"
+                f"    assert g.complete")
+        assert _obs_modules_after_detached_grid(code) == []
 
     def test_disabled_telemetry_on_failure_paths(self):
-        boom = RunSpec(WorkloadSpec.make("test.boom"))
-        grid = run_grid([boom, cheap_spec()], jobs=1, use_cache=False,
-                        retries=1, telemetry=ExplodingTelemetry())
-        assert len(grid.failed_specs) == 1 and grid.executed == 1
+        # Retry, failure and pool paths of a detached grid load none either.
+        code = ("g = run_grid([cell(0), cell(1).with_(workload=WorkloadSpec.make('nope'))],\n"
+                "             jobs=2, use_cache=False, retries=1)\n"
+                "assert g.report.retries and len(g.failed_specs) == 1 and g.executed == 1")
+        assert _obs_modules_after_detached_grid(code) == []
 
     def test_results_bit_identical_with_and_without_telemetry(self):
         spec = cheap_spec()

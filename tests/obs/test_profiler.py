@@ -12,9 +12,7 @@ from repro.workloads.micro import PingPongWorkload, SyncStormWorkload
 
 
 def run_profiled(workload, *, period_ns=10_000, overcommit=False, **kw):
-    obs = Observability(ObsConfig(
-        sample_period_ns=period_ns, latency=False, steal=False,
-    ))
+    obs = Observability(ObsConfig(sample_period_ns=period_ns))
     internals = {}
 
     def inspect(sim, machine, hv, vm):

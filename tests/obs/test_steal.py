@@ -12,7 +12,7 @@ from repro.workloads.micro import PingPongWorkload, SyncStormWorkload
 
 
 def run_overcommitted(workload, *, mode=TickMode.TICKLESS, seed=4):
-    obs = Observability(ObsConfig(profile=False, latency=False))
+    obs = Observability(ObsConfig())
     internals = {}
 
     def inspect(sim, machine, hv, vm):
@@ -50,7 +50,7 @@ class TestStealReconciliation:
 
     def test_solo_run_steals_nothing(self):
         """Pinned 1:1 (the paper's setup) has no READY waits at all."""
-        obs = Observability(ObsConfig(profile=False, latency=False))
+        obs = Observability(ObsConfig())
         m = run_workload(PingPongWorkload(rounds=80), seed=4, obs=obs)
         assert obs.steal.total_steal_ns == 0
         assert obs.steal.episodes == {}

@@ -58,15 +58,14 @@ class TestDisabledObsDoesZeroWork:
     def test_empty_obs_config_defeats_nothing(self):
         """An all-off ObsConfig returns the user's tracer untouched, so
         the NullTracer fast path survives."""
-        obs = Observability(ObsConfig(
-            profile=False, latency=False, steal=False, trace_export=False))
+        obs = Observability(ObsConfig(profile=False, trace_export=False))
         assert obs.tracer(None) is None
         null = NullTracer()
         assert obs.tracer(null) is null
 
     def test_obs_disabled_run_matches_plain_run(self):
         """Off-config obs run == no-obs run, bit for bit."""
-        obs = Observability(ObsConfig(profile=False, latency=False, steal=False))
+        obs = Observability(ObsConfig(profile=False))
         a = run_workload(PingPongWorkload(rounds=40), seed=3)
         b = run_workload(PingPongWorkload(rounds=40), seed=3, obs=obs)
         assert a.to_json_dict() == b.to_json_dict()

@@ -1,28 +1,24 @@
 """Chaos-harness unit tests: deterministic victims, injectable faults.
 
 Chaos must be as replayable as the simulation it attacks: the same
-seed over the same grid picks the same casualties, the filesystem shim
-fails exactly the operations it was told to, and a lost telemetry sink
-is contained with a warning instead of sinking the grid.
+seed over the same grid picks the same casualties, and the filesystem
+shim fails exactly the operations it was told to.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import warnings
 
 import pytest
 
 from repro.resilience.chaos import (
     ChaosAbort,
     ChaosPolicy,
-    FailingSink,
     FaultyFS,
     corrupt_cache_entry,
 )
 from repro.resilience.integrity import attach_footer, split_verified
-from repro.telemetry import HarnessTelemetry
 
 KEYS = [f"key-{i:02d}" for i in range(10)]
 
@@ -134,20 +130,3 @@ class TestCorruptCacheEntry:
             corrupt_cache_entry(tmp_path, mode="eat")
         with pytest.raises(ChaosAbort, match="no cache entries"):
             corrupt_cache_entry(tmp_path / "empty")
-
-
-class TestFailingSinkContainment:
-    def test_sink_loss_warns_once_and_recording_continues(self):
-        sink = FailingSink(succeed=4)  # two records (json + newline each)
-        tel = HarnessTelemetry(sink=sink)
-        tel.instant("ok.one")
-        tel.instant("ok.two")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            tel.instant("lost.three")
-            tel.instant("lost.four")
-        assert sum("telemetry JSONL sink disabled" in str(w.message)
-                   for w in caught) == 1
-        # The ring kept everything even though the stream died.
-        assert len(tel.tracer) == 4
-        assert len(sink.buffer_lines) == 4  # 2 records * (json + newline)

@@ -1,7 +1,7 @@
 """CLI + report surface of the resilience layer.
 
 ``matrix run --journal/--resume``, ``cache verify|gc``, the chaos
-fleet smoke, and the ``telemetry report`` recovery section — the same
+fleet smoke, and the ``telemetry report`` per-grid run reports — the same
 machinery the CI chaos job drives, exercised through ``main()``.
 """
 
@@ -13,8 +13,7 @@ from repro.cli import main
 from repro.experiments.parallel import run_grid
 from repro.resilience.chaos import corrupt_cache_entry
 from repro.resilience.integrity import QUARANTINE_DIR
-from repro.telemetry import HarnessTelemetry
-from repro.telemetry.report import report_lines, resilience_summary_rows
+from repro.obs.harness import HarnessTelemetry, report_lines
 
 from .conftest import make_spec
 
@@ -175,9 +174,9 @@ class TestTelemetryRecoverySection:
         tel.write_outputs(str(out_dir))
 
         report = "\n".join(report_lines(str(out_dir)))
-        assert "recovery / resilience" in report
-        assert "cells_resumed" in report
-        assert "cache_quarantined" in report
+        [line] = [ln for ln in report.splitlines() if ln.startswith("grid 1:")]
+        assert "outcome=degraded" in line
+        assert "resumed=" in line and "quarantined=1" in line
 
     def test_clean_run_has_no_recovery_section(self, tmp_path, specs):
         tel = HarnessTelemetry()
@@ -186,23 +185,6 @@ class TestTelemetryRecoverySection:
         out_dir = tmp_path / "tele"
         tel.write_outputs(str(out_dir))
         report = "\n".join(report_lines(str(out_dir)))
-        assert "recovery / resilience" not in report
-
-    def test_summary_rows_merge_counters_and_instants(self):
-        metrics = {
-            "cells_resumed": {"type": "counter",
-                              "series": [{"labels": {}, "value": 4}]},
-            "unrelated": {"type": "counter",
-                          "series": [{"labels": {}, "value": 9}]},
-        }
-        records = [
-            {"type": "instant", "name": "chaos.abort"},
-            {"type": "instant", "name": "resume.hit"},
-            {"type": "instant", "name": "cache.probe"},  # not resilience
-        ]
-        rows = resilience_summary_rows(metrics, records)
-        as_dict = {name: count for name, count, _ in rows}
-        assert as_dict["cells_resumed"] == "4"
-        assert as_dict["chaos.abort"] == "1"
-        assert as_dict["resume.hit"] == "1"
-        assert "unrelated" not in as_dict and "cache.probe" not in as_dict
+        [line] = [ln for ln in report.splitlines() if ln.startswith("grid 1:")]
+        assert line.startswith("grid 1: outcome=completed")
+        assert "resumed=" not in line and "quarantined=" not in line

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 
 from repro.cli import main
+from repro.experiments.parallel import CACHE_VERSION
 from repro.resilience.integrity import (
     QUARANTINE_DIR,
     CacheAudit,
@@ -25,7 +26,7 @@ from repro.resilience.integrity import (
     verify_cache,
 )
 
-BODY = json.dumps({"version": 3, "result": {"value": 1}}, sort_keys=True)
+BODY = json.dumps({"version": CACHE_VERSION, "result": {"value": 1}}, sort_keys=True)
 
 
 class TestFooter:
@@ -176,7 +177,7 @@ class TestGc:
         stale = _entry(tmp_path, "bb22", attach_footer(
             json.dumps({"version": 2, "result": {}})))
         # Artifact files of the old three-file entry layout carry no
-        # ``"version": 3``, so the stale-version pass removes them too.
+        # current ``"version"``, so the stale-version pass removes them too.
         stale_obs = tmp_path / "bb" / "bb22.obs.json"
         stale_obs.write_text(attach_footer("{}"))
         orphan = tmp_path / "ee" / "ee55.series.json"
@@ -185,7 +186,7 @@ class TestGc:
         tmp = tmp_path / "aa" / "aa11.json.tmp99"
         tmp.write_text("torn")
 
-        stats = gc_cache(tmp_path, current_version=3)
+        stats = gc_cache(tmp_path, current_version=CACHE_VERSION)
         assert keep.exists()
         for victim in (stale, stale_obs, orphan, tmp):
             assert not victim.exists()
@@ -199,15 +200,15 @@ class TestGc:
         qdir.mkdir(parents=True)
         corpse = qdir / "aa11.json"
         corpse.write_text("corrupt corpse")
-        assert gc_cache(tmp_path, current_version=3).removed_quarantined == 0
+        assert gc_cache(tmp_path, current_version=CACHE_VERSION).removed_quarantined == 0
         assert corpse.exists()
-        stats = gc_cache(tmp_path, current_version=3, purge_quarantine=True)
+        stats = gc_cache(tmp_path, current_version=CACHE_VERSION, purge_quarantine=True)
         assert stats.removed_quarantined == 1
         assert not corpse.exists() and not qdir.exists()
 
     def test_gc_skips_corrupt_entries(self, tmp_path):
         bad = _entry(tmp_path, "cc33", attach_footer(BODY)[:-5] + "0000\n")
-        stats = gc_cache(tmp_path, current_version=3)
+        stats = gc_cache(tmp_path, current_version=CACHE_VERSION)
         assert stats.removed_stale == 0
         assert bad.exists()  # verify's job, not gc's
 

@@ -111,8 +111,7 @@ class TestTeeWithObsSinks:
         on = Observability(ObsConfig(trace_export=True))
         assert on.tracer(None).enabled is True
         assert on.tracer(ExplodingTracer()).enabled is True
-        off = Observability(ObsConfig(
-            profile=False, latency=False, steal=False, trace_export=False))
+        off = Observability(ObsConfig(profile=False, trace_export=False))
         # No sinks: the user's disabled tracer passes through untouched,
         # keeping the zero-work fast path.
         exploding = ExplodingTracer()

@@ -1,64 +1,45 @@
-"""Metrics registry: recording semantics and the JSON snapshot."""
+"""``metrics.json``: one :class:`RunReport` per grid, in run order."""
 
 from __future__ import annotations
 
-import pytest
+import json
+from collections import Counter
 
-from repro.obs.histograms import Log2Histogram
-from repro.telemetry.metrics import MetricsRegistry
+from repro.config import TickMode
+from repro.experiments.parallel import RunSpec, WorkloadSpec, run_grid
+from repro.obs.harness import HarnessTelemetry
+from repro.resilience.policy import RunReport
 
 
-class TestRecording:
-    def test_counter_accumulates_per_label_set(self):
-        r = MetricsRegistry()
-        r.counter("cells", status="ran")
-        r.counter("cells", 2, status="ran")
-        r.counter("cells", status="cached")
-        assert r.counter_value("cells", status="ran") == 3
-        assert r.counter_value("cells", status="cached") == 1
-        assert r.counter_value("cells", status="failed") == 0
-
-    def test_counter_rejects_negative_increment(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            MetricsRegistry().counter("cells", -1)
-
-    def test_gauge_takes_latest_value(self):
-        r = MetricsRegistry()
-        r.gauge("pool_workers", 4)
-        r.gauge("pool_workers", 2)
-        [series] = r.to_json_dict()["pool_workers"]["series"]
-        assert series["value"] == 2
-
-    def test_observe_builds_log2_histogram(self):
-        r = MetricsRegistry()
-        for v in (100, 1000, 1_000_000):
-            r.observe("wall_ns", v, status="ran")
-        h = r.histogram("wall_ns", status="ran")
-        assert isinstance(h, Log2Histogram)
-        assert h.count == 3 and h.total == 1_001_100
-
-    def test_kind_conflict_rejected(self):
-        r = MetricsRegistry()
-        r.counter("x")
-        with pytest.raises(ValueError, match="already registered"):
-            r.gauge("x", 1)
-
-    def test_invalid_names_rejected(self):
-        with pytest.raises(ValueError, match="invalid metric name"):
-            MetricsRegistry().counter("bad-name")
-        with pytest.raises(ValueError, match="invalid label name"):
-            MetricsRegistry().counter("ok", **{"bad-label": "v"})
+def _read_metrics(tel: HarnessTelemetry, out_dir) -> dict:
+    paths = tel.write_outputs(str(out_dir))
+    with open(paths["metrics_json"]) as fh:
+        return json.load(fh)
 
 
 class TestJsonSnapshot:
-    def test_json_snapshot_shape(self):
-        r = MetricsRegistry()
-        r.counter("cells", 2, help="h", status="ran")
-        snap = r.to_json_dict()
-        assert snap == {
-            "cells": {
-                "type": "counter",
-                "help": "h",
-                "series": [{"labels": {"status": "ran"}, "value": 2}],
-            }
-        }
+    def test_json_snapshot_shape(self, tmp_path):
+        tel = HarnessTelemetry()
+        degraded = RunReport(cells=3, executed=3, retries=Counter(crash=1),
+                             pool_rebuilds=1, degradation=["pool shrunk to 1"])
+        tel.grid_finished(RunReport(cells=1, cache_hits=1))
+        tel.grid_finished(degraded)
+        snap = _read_metrics(tel, tmp_path)
+        assert list(snap) == ["grids"]
+        assert [g["outcome"] for g in snap["grids"]] == ["completed", "degraded"]
+        assert snap["grids"][1]["retries"] == {"crash": 1}
+        # Each entry is a full RunReport, rebuilt field for field.
+        assert RunReport.from_json_dict(snap["grids"][1]) == degraded
+
+    def test_metrics_json_is_the_grid_reports_cold_then_warm(self, tmp_path):
+        specs = [RunSpec(WorkloadSpec.make("micro.pingpong", rounds=40,
+                                           work_cycles=10_000),
+                         tick_mode=TickMode.PARATICK, seed=s, noise=False)
+                 for s in (0, 1)]
+        tel = HarnessTelemetry()
+        cold = run_grid(specs, jobs=1, cache_dir=tmp_path / "cache", telemetry=tel)
+        warm = run_grid(specs, jobs=1, cache_dir=tmp_path / "cache", telemetry=tel)
+        snap = _read_metrics(tel, tmp_path / "tele")
+        assert snap == {"grids": [cold.report.to_json_dict(),
+                                  warm.report.to_json_dict()]}
+        assert [(g["executed"], g["cache_hits"]) for g in snap["grids"]] == [(2, 0), (0, 2)]

@@ -1,29 +1,28 @@
-"""Span tracer contract: bounded ring, JSONL sink resilience, readers.
+"""Harness span ring contract: recording, the bounded ring, readers.
 
-The tracer observes the harness, so its own failure modes must be
-harmless: overflow is counted (never unbounded memory), a failing sink
-disables itself with a warning instead of sinking the grid, and the
-JSONL reader tolerates files truncated by a crash.
+The ring observes the harness, so its own failure modes must be
+harmless: overflow is counted (never unbounded memory), and the JSONL
+reader tolerates files truncated by a crash.
 """
 
 from __future__ import annotations
 
-import io
 import json
 
 import pytest
 
-from repro.telemetry.spans import (
+from repro.obs import harness
+from repro.obs.harness import (
+    HarnessTelemetry,
     InstantRecord,
     SpanRecord,
-    SpanTracer,
     read_jsonl,
 )
 
 
 class TestRecording:
     def test_span_context_measures_and_records(self):
-        t = SpanTracer()
+        t = HarnessTelemetry()
         with t.span("work", lane="sched", cells=3) as attrs:
             attrs["extra"] = "yes"
         [rec] = t.spans()
@@ -33,7 +32,7 @@ class TestRecording:
         assert rec.attrs == {"cells": 3, "extra": "yes"}
 
     def test_exceptional_span_still_recorded_with_error(self):
-        t = SpanTracer()
+        t = HarnessTelemetry()
         with pytest.raises(ValueError, match="inner"):
             with t.span("work"):
                 raise ValueError("inner")
@@ -41,39 +40,36 @@ class TestRecording:
         assert "ValueError" in rec.attrs["error"]
 
     def test_instant_records_point_event(self):
-        t = SpanTracer()
+        t = HarnessTelemetry()
         t.instant("cache.probe", lane="cache", spec="x")
         [rec] = t.instants()
         assert isinstance(rec, InstantRecord)
         assert rec.ts_ns >= 0 and rec.attrs == {"spec": "x"}
 
     def test_add_span_clamps_negative_times(self):
-        t = SpanTracer()
+        t = HarnessTelemetry()
         rec = t.add_span("w", ts_ns=-5, dur_ns=-7)
         assert (rec.ts_ns, rec.dur_ns) == (0, 0)
 
     def test_timestamps_are_monotonic_per_tracer(self):
-        t = SpanTracer()
+        t = HarnessTelemetry()
         a = t.now_ns()
         b = t.now_ns()
         assert 0 <= a <= b
 
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError, match="capacity"):
-            SpanTracer(capacity=0)
-
 
 class TestBoundedRing:
-    def test_overflow_evicts_oldest_and_counts_drops(self):
-        t = SpanTracer(capacity=4)
+    def test_overflow_evicts_oldest_and_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(harness, "CAPACITY", 4)
+        t = HarnessTelemetry()
         for i in range(6):
             t.instant(f"e{i}")
-        assert len(t) == 4
+        assert len(t.records) == 4
         assert t.dropped == 2
         assert [r.name for r in t.records] == ["e2", "e3", "e4", "e5"]
 
     def test_lanes_in_first_appearance_order(self):
-        t = SpanTracer()
+        t = HarnessTelemetry()
         t.instant("a", lane="cache")
         t.instant("b", lane="harness")
         t.instant("c", lane="cache")
@@ -81,32 +77,9 @@ class TestBoundedRing:
         assert t.lanes() == ["cache", "harness", "worker-1"]
 
 
-class TestJsonlSink:
-    def test_sink_receives_every_record_even_past_capacity(self):
-        sink = io.StringIO()
-        t = SpanTracer(capacity=2, sink=sink)
-        for i in range(5):
-            t.instant(f"e{i}")
-        lines = [json.loads(x) for x in sink.getvalue().splitlines()]
-        assert [r["name"] for r in lines] == [f"e{i}" for i in range(5)]
-        assert len(t) == 2  # the ring still only retains `capacity`
-
-    def test_failing_sink_warns_once_and_recording_continues(self):
-        class Boom(io.StringIO):
-            def write(self, s):
-                raise OSError("disk full")
-
-        t = SpanTracer(sink=Boom())
-        with pytest.warns(RuntimeWarning, match="sink disabled"):
-            t.instant("first")
-        # No further warnings: the sink is detached, the ring records on.
-        t.instant("second")
-        assert [r.name for r in t.records] == ["first", "second"]
-
-
 class TestJsonlFile:
     def test_write_read_round_trip(self, tmp_path):
-        t = SpanTracer()
+        t = HarnessTelemetry()
         t.add_span("grid.run", 0, 1000, cells=2)
         t.instant("cache.hit", lane="cache")
         path = str(tmp_path / "spans.jsonl")

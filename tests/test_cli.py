@@ -7,6 +7,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.export import validate_chrome_trace
+from repro.obs.harness import read_jsonl
 
 
 class TestParser:
@@ -84,7 +86,7 @@ class TestCommands:
 
     def test_export_honours_engine_flags(self, capsys, tmp_path):
         """``export`` runs its grid with the global engine flags: the
-        telemetry sink records the grid, and a pooled run writes the
+        harness telemetry records the grid, and a pooled run writes the
         same CSV as a serial one."""
         tele = tmp_path / "tele"
         assert main(["--quiet-progress", "--no-cache", "--telemetry-out", str(tele),
@@ -233,6 +235,11 @@ class TestTelemetryCommands:
             assert (tele / artifact).exists()
         series_files = list(tele.glob("*.series.json"))
         assert len(series_files) == 1
+        # What the CI telemetry job checks of the written artifacts.
+        with open(tele / "harness_trace.json") as fh:
+            assert validate_chrome_trace(json.load(fh)) == []
+        header, records = read_jsonl(str(tele / "spans.jsonl"))
+        assert header["records"] == len(records) > 0
 
         # The written artifact directory renders through the report.
         assert main(["telemetry", "report", str(tele)]) == 0

@@ -35,8 +35,6 @@ class TestHostFeatures:
         """§6: PLE and halt polling disabled."""
         f = HostFeatures()
         assert f.halt_poll_ns == 0
-        assert f.ple is False
-        assert f.posted_interrupts is False
         assert f.paratick_last_tick_heuristic is True
 
     def test_negative_poll_rejected(self):
