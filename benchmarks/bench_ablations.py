@@ -1,7 +1,5 @@
 """Benchmark: ablations of paratick's design choices (§5) and the DID
 comparison (§7).
-
-Also runnable as a script: ``python benchmarks/bench_ablations.py --jobs 4``.
 """
 
 from __future__ import annotations
@@ -9,13 +7,6 @@ from __future__ import annotations
 import pytest
 
 pytestmark = pytest.mark.perf
-
-import sys
-from pathlib import Path
-
-if not __package__:  # script mode: make src/ and the repo root importable
-    _root = Path(__file__).resolve().parents[1]
-    sys.path[:0] = [str(_root), str(_root / "src")]
 
 from repro.experiments import ablations
 
@@ -110,35 +101,3 @@ def test_did_comparison(benchmark):
     assert est.vm_exits < para.total_exits / base.total_exits - 1, "DID must remove more exits than paratick"
     assert est.throughput < est.throughput_without_core_loss, "the dedicated core must cost something"
     assert crossover > 16, "on the paper's argument DID loses on mid-size machines"
-
-
-def main(argv: list[str] | None = None) -> int:
-    from repro.experiments.parallel import progress_reporter
-    from benchmarks._driver import grid_arg_parser, report_grid
-
-    args = grid_arg_parser(__doc__).parse_args(argv)
-    stats, cb = progress_reporter()
-    engine = {"jobs": args.jobs, "cache_dir": args.cache_dir,
-              "use_cache": not args.no_cache, "progress": cb}
-    kt = ablations.ablate_keep_timer(seed=args.seed, **engine)
-    lt = ablations.ablate_last_tick_heuristic(seed=args.seed, **engine)
-    for row in (kt, lt):
-        print(f"{row.name}: {row.variant_exits:,} vs {row.reference_exits:,} "
-              f"({row.exit_delta:+.1%})")
-    for r in ablations.ablate_halt_polling(seed=args.seed, **engine):
-        print(f"halt_poll={r.poll_ns:>7,}ns exec={r.exec_time_ns / 1e6:8.2f}ms "
-              f"cycles={r.total_cycles / 1e6:7.0f}M")
-    for r in ablations.ablate_frequency_mismatch(seed=args.seed, **engine):
-        print(f"host {r.host_hz:>5} Hz adapt={'on ' if r.rate_adapt else 'off'} -> "
-              f"~{r.delivered_hz:.0f}/s of {r.guest_hz} ({r.total_exits:,} exits)")
-    for r in ablations.ablate_virtual_eoi(seed=args.seed, **engine):
-        print(f"virtual_eoi={r.virtual_eoi}: exits {r.exit_reduction:+.1%} "
-              f"(baseline {r.base_exits:,})")
-    est, crossover, _base, _para = ablations.ablate_did(seed=args.seed, **engine)
-    print(f"DID: exits {est.vm_exits:+.1%}, net throughput {est.throughput:+.1%}, "
-          f"breakeven ~{crossover:.0f} CPUs")
-    return report_grid(stats, jobs=args.jobs)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

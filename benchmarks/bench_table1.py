@@ -2,12 +2,6 @@
 
 Regenerates the analytical table (must match the paper digit-for-digit)
 and cross-checks W1/W3 on the full simulator.
-
-Also runnable as a script (the parallel-engine smoke driver)::
-
-    python benchmarks/bench_table1.py --jobs 4          # parallel sweep
-    python benchmarks/bench_table1.py --jobs 4          # second run: cached
-    python benchmarks/bench_table1.py --no-cache
 """
 
 from __future__ import annotations
@@ -15,13 +9,6 @@ from __future__ import annotations
 import pytest
 
 pytestmark = pytest.mark.perf
-
-import sys
-from pathlib import Path
-
-if not __package__:  # script mode: make src/ and the repo root importable
-    _root = Path(__file__).resolve().parents[1]
-    sys.path[:0] = [str(_root), str(_root / "src")]
 
 from repro.core.model import TABLE1_PAPER
 from repro.experiments import table1
@@ -72,34 +59,3 @@ def test_table1_w2_overcommitted_scaling(benchmark):
     # 64 idle vCPUs at 250 Hz -> ~16k exits/s under periodic ticks.
     assert 13_000 <= per.exits_per_second <= 18_500
     assert nohz.exits_per_second < 500
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Script driver: the Table 1 reproduction through the grid engine."""
-    import time
-
-    from repro.experiments.parallel import progress_reporter
-    from benchmarks._driver import grid_arg_parser, report_grid
-
-    ap = grid_arg_parser(__doc__)
-    ap.add_argument("--duration-ms", type=int, default=1000,
-                    help="simulated milliseconds of W1/W3 per cell (default 1000)")
-    args = ap.parse_args(argv)
-
-    print(table1.render())
-    stats, cb = progress_reporter()
-    start = time.perf_counter()
-    out = table1.simulated_cross_check(
-        duration_ns=args.duration_ms * 1_000_000, seed=args.seed,
-        jobs=args.jobs, cache_dir=args.cache_dir,
-        use_cache=not args.no_cache, progress=cb,
-    )
-    elapsed = time.perf_counter() - start
-    print("\nSimulated cross-check (exits/s at 250 Hz, 16 vCPUs):")
-    for name, modes in out.items():
-        print(f"  {name}: " + ", ".join(f"{m}={v:,.0f}" for m, v in modes.items()))
-    return report_grid(stats, jobs=args.jobs, elapsed=elapsed)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

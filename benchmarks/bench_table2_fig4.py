@@ -5,8 +5,6 @@ average across 13 benchmarks. Shape assertions: the exit reduction
 matches closely (it is mechanical); throughput/exec-time improvements
 must be directionally right with the documented conservative magnitude
 (see EXPERIMENTS.md).
-
-Also runnable as a script: ``python benchmarks/bench_table2_fig4.py --jobs 4``.
 """
 
 from __future__ import annotations
@@ -14,13 +12,6 @@ from __future__ import annotations
 import pytest
 
 pytestmark = pytest.mark.perf
-
-import sys
-from pathlib import Path
-
-if not __package__:  # script mode: make src/ and the repo root importable
-    _root = Path(__file__).resolve().parents[1]
-    sys.path[:0] = [str(_root), str(_root / "src")]
 
 from repro.experiments import table2_fig4
 
@@ -42,24 +33,3 @@ def test_table2_fig4_sequential_parsec(benchmark):
     # never-worse-than-tickless guarantee).
     for comp in result.rows:
         assert comp.vm_exits < 0, f"{comp.label} gained exits"
-
-
-def main(argv: list[str] | None = None) -> int:
-    from repro.experiments.parallel import progress_reporter
-    from benchmarks._driver import grid_arg_parser, report_grid
-
-    ap = grid_arg_parser(__doc__)
-    ap.add_argument("--quick", action="store_true", help="smaller cycle budget")
-    args = ap.parse_args(argv)
-    stats, cb = progress_reporter()
-    result = table2_fig4.run(
-        target_cycles=120_000_000 if args.quick else 300_000_000,
-        seed=args.seed, jobs=args.jobs, cache_dir=args.cache_dir,
-        use_cache=not args.no_cache, progress=cb,
-    )
-    print(result.render())
-    return report_grid(stats, jobs=args.jobs)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

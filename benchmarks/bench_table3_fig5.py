@@ -7,8 +7,6 @@ Shape assertions: exit reductions in band for every size; throughput
 positive and larger than the sequential aggregate; execution-time
 improvement far smaller than the throughput improvement (the critical-
 path argument of §4.2/§6.2).
-
-Also runnable as a script: ``python benchmarks/bench_table3_fig5.py --jobs 4``.
 """
 
 from __future__ import annotations
@@ -16,15 +14,6 @@ from __future__ import annotations
 import pytest
 
 pytestmark = pytest.mark.perf
-
-import sys
-from pathlib import Path
-
-if not __package__:  # script mode: make src/ and the repo root importable
-    _root = Path(__file__).resolve().parents[1]
-    sys.path[:0] = [str(_root), str(_root / "src")]
-
-import pytest
 
 from repro.experiments import table3_fig5
 from repro.experiments.scenarios import LARGE, MEDIUM, SMALL
@@ -48,32 +37,3 @@ def test_table3_fig5_multithreaded_parsec(benchmark, size):
     assert abs(agg.exec_time) < agg.throughput
     for comp in result.rows:
         assert comp.vm_exits < 0, f"{comp.label} gained exits"
-
-
-def main(argv: list[str] | None = None) -> int:
-    from repro.experiments.parallel import progress_reporter
-    from benchmarks._driver import grid_arg_parser, report_grid
-
-    ap = grid_arg_parser(__doc__)
-    ap.add_argument("--size", choices=["small", "medium", "large", "all"], default="all")
-    ap.add_argument("--quick", action="store_true", help="smaller cycle budget")
-    args = ap.parse_args(argv)
-    stats, cb = progress_reporter()
-    for size in (SMALL, MEDIUM, LARGE):
-        if args.size not in ("all", size.name):
-            continue
-        budget = table3_fig5.DEFAULT_BUDGETS[size.name]
-        if args.quick:
-            budget = max(20_000_000, budget // 3)
-        result = table3_fig5.run_size(
-            size, target_cycles=budget, seed=args.seed,
-            jobs=args.jobs, cache_dir=args.cache_dir,
-            use_cache=not args.no_cache, progress=cb,
-        )
-        print(result.render())
-        print()
-    return report_grid(stats, jobs=args.jobs)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -47,7 +47,7 @@ def _progress_printer(args):
         return None
     from repro.experiments.parallel import progress_reporter
 
-    return progress_reporter()[1]
+    return progress_reporter()
 
 
 def _cmd_table1(args) -> int:

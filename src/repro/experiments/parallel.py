@@ -64,7 +64,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
 
-from repro.config import HostFeatures, IoDeviceKind, MachineSpec, TickMode
+from repro.config import HostFeatures, MachineSpec, TickMode
 from repro.errors import ReproError
 from repro.host.perturb import perturbation_from_dict, perturbation_to_dict
 from repro.metrics.perf import RunMetrics
@@ -75,7 +75,7 @@ from repro.resilience.policy import CircuitBreaker, RunReport, classify_failure
 
 #: Bump when the spec encoding or result encoding changes shape —
 #: invalidates every previously cached result.
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 
 #: Default per-run wall-clock timeout (seconds of *real* time).
 DEFAULT_TIMEOUT_S = 600.0
@@ -195,7 +195,6 @@ class RunSpec:
     tick_hz: int = 250
     noise: bool = True
     cpuidle: bool = False
-    device_kind: Optional[IoDeviceKind] = None
     horizon_ns: Optional[int] = None
     label: Optional[str] = None
     keep_timer_on_idle_exit: bool = True
@@ -203,16 +202,10 @@ class RunSpec:
     #: installed against the VM before boot. Part of the cache key:
     #: the same run with a different schedule is a different cell.
     perturbations: tuple = ()
-    #: Collect a virtual-perf profile (sampling profiler + latency
-    #: histograms + steal) alongside the run. The profile is returned
-    #: in :attr:`GridResult.artifacts` and cached inside the spec's
-    #: entry (its ``"obs"`` key). Profiling never perturbs simulated
-    #: time, so the results are identical either way.
-    profile: bool = False
     #: Collect the windowed in-sim time series (:mod:`repro.obs.series`)
     #: alongside the run; returned in :attr:`GridResult.series` and
-    #: cached inside the spec's entry (its ``"series"`` key). Like
-    #: ``profile``, free of simulated-time side effects.
+    #: cached inside the spec's entry (its ``"series"`` key). Recording
+    #: never perturbs simulated time, so results are identical either way.
     #: Serialized into the cache key only when set, so every
     #: pre-existing spec keeps its exact content address.
     series: bool = False
@@ -249,11 +242,9 @@ def spec_to_dict(spec: RunSpec) -> dict:
         "tick_hz": spec.tick_hz,
         "noise": spec.noise,
         "cpuidle": spec.cpuidle,
-        "device_kind": spec.device_kind.value if spec.device_kind is not None else None,
         "horizon_ns": spec.horizon_ns,
         "label": spec.label,
         "keep_timer_on_idle_exit": spec.keep_timer_on_idle_exit,
-        "profile": spec.profile,
         "perturbations": [perturbation_to_dict(p) for p in spec.perturbations],
     }
     if spec.series:
@@ -277,11 +268,9 @@ def spec_from_dict(data: dict) -> RunSpec:
         tick_hz=int(data["tick_hz"]),
         noise=bool(data["noise"]),
         cpuidle=bool(data["cpuidle"]),
-        device_kind=IoDeviceKind(data["device_kind"]) if data["device_kind"] is not None else None,
         horizon_ns=data["horizon_ns"],
         label=data["label"],
         keep_timer_on_idle_exit=bool(data["keep_timer_on_idle_exit"]),
-        profile=bool(data.get("profile", False)),
         series=bool(data.get("series", False)),
         arch=data.get("arch", "x86"),
         perturbations=tuple(
@@ -329,31 +318,27 @@ def execute_spec(spec: RunSpec):
 
 
 def _obs_for(spec: RunSpec):
-    """The :class:`~repro.obs.Observability` bundle a spec asks for.
-
-    ``profile`` selects the full virtual-perf defaults; ``series``
-    alone attaches only the :class:`~repro.obs.series.SeriesRecorder`
-    (no profiler/latency/steal cost). None when the spec wants neither.
-    """
-    if not (spec.profile or spec.series):
+    """The series-only :class:`~repro.obs.Observability` bundle (just
+    the :class:`~repro.obs.series.SeriesRecorder`) when the spec asks
+    for its time series, else None."""
+    if not spec.series:
         return None
     from repro.obs import ObsConfig, Observability
 
-    return Observability(ObsConfig(profile=spec.profile, series=spec.series))
+    return Observability(ObsConfig(profile=False, series=True))
 
 
 def execute_spec_full(
     spec: RunSpec, *, tracer=None, inspect=None
-) -> tuple[Any, Optional[dict], Optional[dict]]:
-    """Run one spec, returning ``(result, obs_json, series_json)``.
+) -> tuple[Any, Optional[dict]]:
+    """Run one spec, returning ``(result, series_json)``.
 
-    The second element is the profile artifact (``spec.profile``), the
-    third the windowed in-sim time series (``spec.series``); each is
-    None when not requested. An ``overcommit.idle`` spec sizes its
-    scenario through its workload parameters and raises
+    The second element is the windowed in-sim time series
+    (``spec.series``), None when not requested. An ``overcommit.idle``
+    spec sizes its scenario through its workload parameters and raises
     :class:`GridError` when a RunSpec field that would conflict with
-    them (``vcpus``, ``pinned_cpus``, ``machine``, ``device_kind``,
-    ``horizon_ns``, ``noise=False``) is set.
+    them (``vcpus``, ``pinned_cpus``, ``machine``, ``horizon_ns``,
+    ``noise=False``) is set.
 
     ``tracer`` and ``inspect`` are forwarded verbatim to the kind's
     runner, and from there to :func:`~repro.experiments.runner.simulate`.
@@ -379,7 +364,7 @@ def execute_spec_full(
             # the scenario; a RunSpec field that would too must stay default.
             for name, default in (
                 ("vcpus", None), ("pinned_cpus", None), ("machine", None),
-                ("device_kind", None), ("horizon_ns", None), ("noise", True),
+                ("horizon_ns", None), ("noise", True),
             ):
                 if getattr(spec, name) != default:
                     raise GridError(
@@ -409,16 +394,11 @@ def execute_spec_full(
                 machine_spec=spec.machine,
                 seed=spec.seed,
                 noise=spec.noise,
-                device_kind=spec.device_kind,
                 horizon_ns=spec.horizon_ns if spec.horizon_ns is not None else DEFAULT_HORIZON_NS,
                 label=spec.label,
                 **common,
             )
-    return (
-        result,
-        obs.to_json_dict() if spec.profile and obs is not None else None,
-        obs.series_json() if spec.series and obs is not None else None,
-    )
+    return result, obs.series_json() if obs is not None else None
 
 
 def encode_result(obj: Any) -> dict:
@@ -472,16 +452,15 @@ def _alarm(seconds: Optional[float]):
         signal.signal(signal.SIGALRM, prev)
 
 
-def _worker_run(spec: RunSpec, timeout_s: Optional[float], chaos=None) -> dict:
-    """Pool entry point: execute one spec under its timeout, encoded.
+def _worker_run(spec: RunSpec, chaos=None) -> dict:
+    """Pool entry point: execute one spec under
+    :data:`DEFAULT_TIMEOUT_S` (read per call), encoded.
 
-    A profile artifact (``spec.profile``) rides back in the ``"obs"``
-    key of the encoded dict and a time series (``spec.series``) in
-    ``"series"``; :func:`decode_result` ignores both and the grid
-    driver strips them into :attr:`GridResult.artifacts` /
-    :attr:`GridResult.series`. ``"wall_s"`` / ``"pid"`` carry the
-    in-worker wall-clock and worker identity for harness telemetry
-    (also stripped before the result is cached).
+    A time series (``spec.series``) rides back in the ``"series"`` key
+    of the encoded dict; :func:`decode_result` ignores it and the grid
+    driver strips it into :attr:`GridResult.series`. ``"wall_s"`` /
+    ``"pid"`` carry the in-worker wall-clock and worker identity for
+    harness telemetry (also stripped before the result is cached).
 
     ``chaos`` (a :class:`~repro.resilience.chaos.ChaosPolicy`) is
     consulted before execution: it may delay this cell past its
@@ -489,13 +468,11 @@ def _worker_run(spec: RunSpec, timeout_s: Optional[float], chaos=None) -> dict:
     injected delay fails exactly like a genuinely stuck run.
     """
     t0 = time.monotonic()
-    with _alarm(timeout_s):
+    with _alarm(DEFAULT_TIMEOUT_S):
         if chaos is not None:
             chaos.maybe_injure(spec_key(spec))
-        result, obs, series = execute_spec_full(spec)
+        result, series = execute_spec_full(spec)
         encoded = encode_result(result)
-        if obs is not None:
-            encoded["obs"] = obs
         if series is not None:
             encoded["series"] = series
         encoded["wall_s"] = time.monotonic() - t0
@@ -512,16 +489,16 @@ class ResultCache:
 
     Layout: ``<root>/<key[:2]>/<key>.json``, exactly one file per spec:
     the single-line JSON body ``{"version", "key", "spec", "result"}``
-    — plus ``"obs"`` and ``"series"`` when the spec asked for them —
-    and a checksum footer
+    — plus ``"series"`` when the spec asked for it — and a checksum
+    footer
     (:func:`repro.resilience.integrity.attach_footer`). An entry is
     written to a sibling ``*.tmp*`` file and published with one rename,
     so a reader sees a whole entry or none. Every read goes through
     :func:`~repro.resilience.integrity.read_verified`: a corrupt file
     is moved to the cache's ``quarantine/`` directory and treated as a
     miss — never fatal, and never silently trusted. Structurally stale
-    entries (old ``CACHE_VERSION``, wrong shape, or no artifact the
-    spec asks for) are plain-discarded — staleness is not corruption.
+    entries (old ``CACHE_VERSION``, wrong shape, or no series the spec
+    asks for) are plain-discarded — staleness is not corruption.
 
     All filesystem traffic goes through an injectable
     :class:`~repro.resilience.integrity.CacheFS` shim so the chaos
@@ -540,34 +517,30 @@ class ResultCache:
         return self.root / key[:2] / f"{key}.json"
 
     def load(self, spec: RunSpec, key: Optional[str] = None,
-             ) -> tuple[Any, Optional[dict], Optional[dict]]:
-        """``(result, profile, series)`` cached for ``spec``; result None
-        on a miss — including an entry without an artifact ``spec``
-        asks for."""
+             ) -> tuple[Any, Optional[dict]]:
+        """``(result, series)`` cached for ``spec``; result None on a
+        miss — including an entry without the series ``spec`` asks for."""
         path = self.path_for(key or spec_key(spec))
         payload, status = read_verified(path, self.fs)
         if status == "corrupt":
             self.quarantine(path)
         if payload is None:
-            return None, None, None
+            return None, None
         try:
             if payload["version"] != CACHE_VERSION:
                 raise ValueError("cache version mismatch")
             return (decode_result(payload["result"]),
-                    payload["obs"] if spec.profile else None,
                     payload["series"] if spec.series else None)
         except (KeyError, TypeError, ValueError, ReproError):
             self.fs.unlink(path)
-            return None, None, None
+            return None, None
 
     def store(self, spec: RunSpec, encoded: dict, *,
-              obs: Optional[dict] = None, series: Optional[dict] = None) -> Path:
+              series: Optional[dict] = None) -> Path:
         """Write one entry: a sibling tmp file, then one rename."""
         key = spec_key(spec)
         entry = {"version": CACHE_VERSION, "key": key, "spec": spec_to_dict(spec),
                  "result": encoded}
-        if obs is not None:
-            entry["obs"] = obs
         if series is not None:
             entry["series"] = series
         path = self.path_for(key)
@@ -635,9 +608,6 @@ class GridResult:
     failed_specs: list[FailedSpec] = field(default_factory=list)
     cache_hits: int = 0
     executed: int = 0
-    #: Profile artifacts for specs run with ``profile=True``
-    #: (the :meth:`repro.obs.Observability.to_json_dict` payload).
-    artifacts: dict[RunSpec, dict] = field(default_factory=dict)
     #: Windowed in-sim time series for specs run with ``series=True``
     #: (the :meth:`repro.obs.Observability.series_json` payload).
     series: dict[RunSpec, dict] = field(default_factory=dict)
@@ -748,8 +718,8 @@ class _Recorder:
         self.report.quarantined += 1
         self.tel.instant("cache.quarantine", lane="cache", path=str(path))
 
-    def served(self, spec: RunSpec, result: Any, obs: Optional[dict],
-               series: Optional[dict], verified_hash: Optional[str]) -> None:
+    def served(self, spec: RunSpec, result: Any, series: Optional[dict],
+               verified_hash: Optional[str]) -> None:
         """Settled from the cache: ``resumed`` when the journal's result
         hash re-verified it (``verified_hash``), else ``cached``."""
         label = spec.display_label()
@@ -761,7 +731,7 @@ class _Recorder:
             self._journal("resumed", spec, result_hash=verified_hash)
         elif self.journal is not None:
             self._journal("cached", spec, result_hash=result_hash(encode_result(result)))
-        self._settle(spec, result, obs, series)
+        self._settle(spec, result, series)
         self.grid.cache_hits += 1
         self.tel.instant("cache.hit", lane="cache", spec=label)
         self._emit(spec, status, cache_hit=True)
@@ -790,9 +760,9 @@ class _Recorder:
         the cell as done, so a ``done`` record always has its entry.
         Returns the cache to publish to from now on (None once a write
         failed)."""
-        obs, series = encoded.pop("obs", None), encoded.pop("series", None)
+        series = encoded.pop("series", None)
         wall_s, pid = encoded.pop("wall_s"), encoded.pop("pid")
-        self._settle(spec, decode_result(encoded), obs, series)
+        self._settle(spec, decode_result(encoded), series)
         self.grid.executed += 1
         # Reconstruct the worker's execution as a slice on its lane: it
         # ended (approximately) now and lasted wall_s.
@@ -801,7 +771,7 @@ class _Recorder:
                           lane=f"worker-{pid}", spec=spec.display_label())
         if cache is not None:
             try:
-                cache.store(spec, encoded, obs=obs, series=series)
+                cache.store(spec, encoded, series=series)
             except OSError as exc:
                 # An unwritable store (bad cache_dir, full disk) must not
                 # sink a grid whose results are already in memory.
@@ -866,11 +836,8 @@ class _Recorder:
         self.tel.grid_finished(self.report)
         return grid
 
-    def _settle(self, spec: RunSpec, result: Any, obs: Optional[dict],
-                series: Optional[dict]) -> None:
+    def _settle(self, spec: RunSpec, result: Any, series: Optional[dict]) -> None:
         self.grid.results[spec] = result
-        if obs is not None:
-            self.grid.artifacts[spec] = obs
         if series is not None:
             self.grid.series[spec] = series
         self.done += 1
@@ -895,18 +862,18 @@ class _Recorder:
 
 
 def _execute(pending: list[RunSpec], rec: _Recorder, cache: Optional[ResultCache], *,
-             jobs: Optional[int], timeout_s: Optional[float], retries: int, chaos,
-             max_pool_rebuilds: int, breaker: Optional[CircuitBreaker]) -> None:
+             jobs: Optional[int], retries: int, chaos) -> None:
     """Schedule the ``pending`` cells and settle every attempt.
 
     One loop drives every execution mode. ``workers`` is the pool size,
     or None for the in-process executor, which takes one cell at a time
     so a serial grid settles in spec order; a pool takes every queued
     cell at once. A broken pool and a breaker trip only swap the
-    executor.
+    executor. The rebuild cap (:data:`DEFAULT_MAX_POOL_REBUILDS`) and
+    the :class:`CircuitBreaker` are read per grid.
     """
     workers = jobs if jobs and jobs > 1 else None
-    brk = breaker if breaker is not None else CircuitBreaker()
+    brk = CircuitBreaker()
     attempts = dict.fromkeys(pending, 1)
     queue = deque(pending)
     in_flight: dict[Future, tuple[RunSpec, float]] = {}
@@ -919,7 +886,7 @@ def _execute(pending: list[RunSpec], rec: _Recorder, cache: Optional[ResultCache
                 rec.started(spec, attempts[spec])
                 submitted = time.monotonic()
                 try:
-                    fut = executor.submit(_worker_run, spec, timeout_s, chaos)
+                    fut = executor.submit(_worker_run, spec, chaos)
                 except BrokenProcessPool as exc:
                     # The pool died while we were still submitting: a dead
                     # future sends it down the crash path below.
@@ -953,9 +920,9 @@ def _execute(pending: list[RunSpec], rec: _Recorder, cache: Optional[ResultCache
                     queue.clear()
                     _shutdown(executor)
                     rebuilds += 1
-                    final = rebuilds > max_pool_rebuilds
+                    final = rebuilds > DEFAULT_MAX_POOL_REBUILDS
                     if final:
-                        error = (f"pool rebuild cap reached ({max_pool_rebuilds}); "
+                        error = (f"pool rebuild cap reached ({DEFAULT_MAX_POOL_REBUILDS}); "
                                  f"last crash: {error}")
                     else:
                         rec.pool_rebuilt(exc, len(lost))
@@ -991,32 +958,30 @@ def run_grid(
     jobs: Optional[int] = None,
     cache_dir: str | os.PathLike | None = None,
     use_cache: bool = True,
-    timeout_s: Optional[float] = DEFAULT_TIMEOUT_S,
     retries: int = 1,
     progress: Optional[Callable[[ProgressEvent], None]] = None,
     telemetry=None,
     journal: "RunJournal | os.PathLike | str | None" = None,
     resume: "JournalState | os.PathLike | str | None" = None,
     chaos=None,
-    max_pool_rebuilds: int = DEFAULT_MAX_POOL_REBUILDS,
-    breaker: Optional[CircuitBreaker] = None,
     cache_fs: Optional[CacheFS] = None,
 ) -> GridResult:
     """Execute a grid of specs, using the cache and ``jobs`` workers.
 
     The deduplicated specs pass four stages: **probe** the cache (a hit,
-    a miss, or an entry without its artifacts — a miss); **verify
+    a miss, or an entry without its series — a miss); **verify
     resume**; **schedule** the rest; **settle** each attempt (ran,
     retry, failed).
 
     ``jobs=None``/``0``/``1`` executes in-process; ``jobs=N`` fans out
-    across N worker processes. A failing cell (exception, timeout,
-    worker crash) is retried ``retries`` times, then reported in
-    :attr:`GridResult.failed_specs` as timeout / crash / error while
-    the rest of the grid completes. Pool rebuilds after worker crashes
-    are capped at ``max_pool_rebuilds``; the ``breaker`` (a default
-    :class:`~repro.resilience.policy.CircuitBreaker` when None) halves
-    the pool, then falls back to in-process, when failures trip it.
+    across N worker processes. A failing cell (exception, timeout after
+    :data:`DEFAULT_TIMEOUT_S`, worker crash) is retried ``retries``
+    times, then reported in :attr:`GridResult.failed_specs` as
+    timeout / crash / error while the rest of the grid completes. Pool
+    rebuilds after worker crashes are capped at
+    :data:`DEFAULT_MAX_POOL_REBUILDS`; a
+    :class:`~repro.resilience.policy.CircuitBreaker` halves the pool,
+    then falls back to in-process, when failures trip it.
 
     ``journal`` (a path or an open
     :class:`~repro.resilience.journal.RunJournal`) records every cell's
@@ -1060,8 +1025,7 @@ def run_grid(
             stack.callback(journal.close)
         pending: list[RunSpec] = []
         for spec, key in keys.items():
-            hit, obs, series = (cache.load(spec, key) if cache is not None
-                                else (None, None, None))
+            hit, series = cache.load(spec, key) if cache is not None else (None, None)
             want = state.done.get(key) if state is not None else None
             verified = (result_hash(encode_result(hit))
                         if hit is not None and want is not None else None)
@@ -1071,31 +1035,22 @@ def run_grid(
                 cache.quarantine(cache.path_for(key))
                 hit = None
             if hit is not None:
-                rec.served(spec, hit, obs, series, verified)
+                rec.served(spec, hit, series, verified)
             else:
                 rec.scheduled(spec, probed=cache is not None,
                               journaled_done=want is not None, mismatch=verified is not None)
                 pending.append(spec)
         if pending:
-            _execute(pending, rec, cache, jobs=jobs, timeout_s=timeout_s, retries=retries,
-                     chaos=chaos, max_pool_rebuilds=max_pool_rebuilds, breaker=breaker)
+            _execute(pending, rec, cache, jobs=jobs, retries=retries, chaos=chaos)
         return rec.finish(span_attrs)
 
 
 def progress_reporter(stream=None):
-    """A ``(stats, callback)`` pair for CLI-style grid drivers.
-
-    ``callback`` prints one line per settled cell to ``stream`` (stderr
-    by default) and tallies statuses in ``stats`` — drivers use the
-    tally to report how much of a sweep was served from cache.
-    """
-    import collections
+    """A progress callback for CLI-style grid drivers: one line per
+    settled cell to ``stream`` (stderr by default)."""
     import sys
 
-    stats: collections.Counter[str] = collections.Counter()
-
     def callback(event: ProgressEvent) -> None:
-        stats[event.status] += 1
         detail = f" ({event.error})" if event.error else ""
         if event.duration_s is not None:
             detail += f" [{event.duration_s:.2f}s]"
@@ -1103,4 +1058,4 @@ def progress_reporter(stream=None):
               f"{event.spec.display_label()}{detail}",
               file=stream if stream is not None else sys.stderr)
 
-    return stats, callback
+    return callback

@@ -15,7 +15,6 @@ Fig. 6c additionally shows reads gaining more than writes.
 
 from __future__ import annotations
 
-from repro.config import IoDeviceKind
 from repro.experiments.figure import Figure, run_ab
 from repro.experiments.parallel import WorkloadSpec
 from repro.metrics.aggregate import aggregate_improvements
@@ -41,20 +40,20 @@ def run(
     *,
     total_bytes: int = 16 << 20,
     block_sizes: tuple[int, ...] = fio.BLOCK_SIZES,
-    device: IoDeviceKind = IoDeviceKind.SATA_SSD,
     seed: int = 0,
     **engine,
 ) -> Figure:
     """The full category x block-size sweep, aggregated per category.
 
     The category x block-size x tick-mode grid runs through the
-    parallel experiment engine (``jobs``/cache aware).
+    parallel experiment engine (``jobs``/cache aware). Every job uses
+    the fio workload's own SATA-class SSD model.
     """
     comps = run_ab(
         [(f"{cat}.{bs // 1024}k", WorkloadSpec.make(
             "fio", category=cat, block_size=bs, total_bytes=total_bytes))
          for cat in fio.CATEGORIES for bs in block_sizes],
-        seed=seed, compare=_io_comparison, knobs={"device_kind": device}, **engine,
+        seed=seed, compare=_io_comparison, **engine,
     )
     n = len(block_sizes)
     rows = [aggregate_improvements(comps[i * n:(i + 1) * n], label=cat)

@@ -5,7 +5,7 @@ Per-host :class:`~repro.metrics.perf.RunMetrics` fold into one
 the property tests pin down:
 
 * **conservation** — every summed quantity (cycles, steal, exits,
-  ledger nanoseconds, histogram bucket counts) is added with Python
+  ledger nanoseconds) is added with Python
   integer arithmetic only; no float ever touches a nanosecond, so fleet
   totals equal per-host sums *exactly*, at any scale (>2^53 included);
 * **associativity + commutativity** — :meth:`FleetAggregate.merge` uses
@@ -25,7 +25,7 @@ interpolated percentile is a float and would break bit-identity).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable
 
 from repro.errors import ReproError
 from repro.metrics.counters import ExitCounters
@@ -53,33 +53,6 @@ def percentile_ns(sorted_values: tuple[int, ...], p: int) -> int:
         return 0
     rank = -(-p * n // 100)  # ceil(p*n/100), integer-exact
     return sorted_values[max(0, min(n, rank) - 1)]
-
-
-def merge_hist_dict(a: Mapping, b: Mapping) -> dict:
-    """Bucket-wise integer merge of two Log2Histogram JSON dicts.
-
-    The shape is :meth:`repro.obs.histograms.Log2Histogram.to_json_dict`:
-    ``{"count", "total_ns", "min_ns", "max_ns", "buckets": {str: int}}``.
-    """
-    buckets = {k: int(v) for k, v in a.get("buckets", {}).items()}
-    for k, v in b.get("buckets", {}).items():
-        buckets[k] = buckets.get(k, 0) + int(v)
-    mins = [m for m in (a.get("min_ns"), b.get("min_ns")) if m is not None]
-    return {
-        "count": int(a.get("count", 0)) + int(b.get("count", 0)),
-        "total_ns": int(a.get("total_ns", 0)) + int(b.get("total_ns", 0)),
-        "min_ns": min(mins) if mins else None,
-        "max_ns": max(int(a.get("max_ns", 0)), int(b.get("max_ns", 0))),
-        "buckets": {k: buckets[k] for k in sorted(buckets, key=int)},
-    }
-
-
-def merge_hist_registry(a: Mapping[str, Mapping], b: Mapping[str, Mapping]) -> dict:
-    """Name-wise merge of two histogram-registry JSON dicts."""
-    out = {name: merge_hist_dict(h, {}) for name, h in a.items()}
-    for name, h in b.items():
-        out[name] = merge_hist_dict(out.get(name, {}), h)
-    return {name: out[name] for name in sorted(out)}
 
 
 def _merge_sorted(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -116,9 +89,6 @@ class FleetAggregate:
     #: and per-guest steal), pooled across all hosts.
     guest_latency_ns: tuple[int, ...] = ()
     guest_steal_ns: tuple[int, ...] = ()
-    #: Merged obs latency-histogram registry (bucket-count dicts), when
-    #: hosts ran with ``profile=True``; empty otherwise.
-    latency_hists: tuple[tuple[str, tuple], ...] = ()
 
     # --------------------------------------------------------------- monoid
 
@@ -135,9 +105,6 @@ class FleetAggregate:
         cstate: dict[str, int] = dict(self.cstate_ns)
         for k, v in other.cstate_ns:
             cstate[k] = cstate.get(k, 0) + v
-        hists = merge_hist_registry(
-            _hists_to_dict(self.latency_hists), _hists_to_dict(other.latency_hists)
-        )
         return FleetAggregate(
             hosts=self.hosts + other.hosts,
             guests=self.guests + other.guests,
@@ -156,21 +123,13 @@ class FleetAggregate:
             host_steal_ns=_merge_sorted(self.host_steal_ns, other.host_steal_ns),
             guest_latency_ns=_merge_sorted(self.guest_latency_ns, other.guest_latency_ns),
             guest_steal_ns=_merge_sorted(self.guest_steal_ns, other.guest_steal_ns),
-            latency_hists=_hists_from_dict(hists),
         )
 
     # ------------------------------------------------------------ ingestion
 
     @classmethod
-    def from_host(
-        cls, metrics: RunMetrics, artifact: Optional[dict] = None
-    ) -> "FleetAggregate":
-        """Singleton aggregate of one host's :class:`RunMetrics`.
-
-        ``artifact``, when given, is the host's cached obs payload
-        (:meth:`repro.obs.Observability.to_json_dict`); its latency
-        registry joins the fleet's merged histograms.
-        """
+    def from_host(cls, metrics: RunMetrics) -> "FleetAggregate":
+        """Singleton aggregate of one host's :class:`RunMetrics`."""
         extra = metrics.extra
         guests = int(extra.get("guests", 0))
         if guests < 1:
@@ -193,9 +152,6 @@ class FleetAggregate:
             for k, v in extra.items()
             if k.startswith("cstate_") and k.endswith("_ns")
         ))
-        hists: dict = {}
-        if artifact is not None and isinstance(artifact.get("latency"), dict):
-            hists = merge_hist_registry(artifact["latency"], {})
         return cls(
             hosts=1,
             guests=guests,
@@ -216,7 +172,6 @@ class FleetAggregate:
             host_steal_ns=(int(extra.get("steal_ns", 0)),),
             guest_latency_ns=tuple(sorted(latencies)),
             guest_steal_ns=tuple(sorted(steals)),
-            latency_hists=_hists_from_dict(hists),
         )
 
     # ------------------------------------------------------------- readouts
@@ -279,7 +234,6 @@ class FleetAggregate:
                 which: self.percentiles(which)
                 for which in ("host_exec", "host_steal", "guest_latency", "guest_steal")
             },
-            "latency_hists": _hists_to_dict(self.latency_hists),
         }
 
     @classmethod
@@ -304,25 +258,19 @@ class FleetAggregate:
             host_steal_ns=tuple(int(v) for v in dist["host_steal_ns"]),
             guest_latency_ns=tuple(int(v) for v in dist["guest_latency_ns"]),
             guest_steal_ns=tuple(int(v) for v in dist["guest_steal_ns"]),
-            latency_hists=_hists_from_dict(data.get("latency_hists", {})),
         )
 
 
-def aggregate_hosts(
-    host_metrics: Iterable[RunMetrics],
-    artifacts: Optional[Mapping[str, dict]] = None,
-) -> FleetAggregate:
+def aggregate_hosts(host_metrics: Iterable[RunMetrics]) -> FleetAggregate:
     """Fold per-host metrics into one fleet aggregate.
 
-    ``artifacts`` optionally maps a host's metrics label to its obs
-    payload. Input order does not matter: the result is byte-identical
-    for any permutation or batching of the hosts (the property tests
-    hold the merge to that).
+    Input order does not matter: the result is byte-identical for any
+    permutation or batching of the hosts (the property tests hold the
+    merge to that).
     """
     agg = FleetAggregate.empty()
     for m in host_metrics:
-        art = artifacts.get(m.label) if artifacts else None
-        agg = agg.merge(FleetAggregate.from_host(m, art))
+        agg = agg.merge(FleetAggregate.from_host(m))
     return agg
 
 
@@ -333,38 +281,3 @@ def fleet_bytes(agg: FleetAggregate) -> bytes:
     return json.dumps(agg.to_json_dict(), sort_keys=True,
                       separators=(",", ":")).encode()
 
-
-# ------------------------------------------------------------------ helpers
-
-
-def _hists_to_dict(hists: tuple[tuple[str, tuple], ...]) -> dict:
-    """Tuple-encoded histogram registry back to its JSON dict shape."""
-    out = {}
-    for name, packed in hists:
-        count, total, mn, mx, buckets = packed
-        out[name] = {
-            "count": count,
-            "total_ns": total,
-            "min_ns": mn,
-            "max_ns": mx,
-            "buckets": {k: v for k, v in buckets},
-        }
-    return out
-
-
-def _hists_from_dict(hists: Mapping[str, Mapping]) -> tuple[tuple[str, tuple], ...]:
-    """Histogram registry dicts as hashable tuples (frozen dataclass)."""
-    out = []
-    for name in sorted(hists):
-        h = hists[name]
-        out.append((name, (
-            int(h.get("count", 0)),
-            int(h.get("total_ns", 0)),
-            h.get("min_ns"),
-            int(h.get("max_ns", 0)),
-            tuple(sorted(
-                ((k, int(v)) for k, v in h.get("buckets", {}).items()),
-                key=lambda kv: int(kv[0]),
-            )),
-        )))
-    return tuple(out)

@@ -57,22 +57,6 @@ def format_distributions(agg: FleetAggregate, *, title: str = "") -> str:
     return format_table(headers, rows, title=title)
 
 
-def format_latency_hists(agg: FleetAggregate, *, title: str = "") -> str:
-    """Summary rows of the merged obs latency histograms (if any)."""
-    from repro.fleet.aggregate import _hists_to_dict
-
-    hists = _hists_to_dict(agg.latency_hists)
-    if not hists:
-        return ""
-    headers = ("histogram", "count", "mean", "max")
-    rows = []
-    for name, h in hists.items():
-        count = h["count"]
-        mean = h["total_ns"] // count if count else 0
-        rows.append((name, f"{count:,}", fmt_time(mean), fmt_time(h["max_ns"])))
-    return format_table(headers, rows, title=title)
-
-
 def format_run_summary(name: str, grid) -> str:
     """One ``<name>: N cells, X cached, Y executed[, Z FAILED]`` line.
 
@@ -105,7 +89,3 @@ def report_lines(aggregates: Mapping[str, FleetAggregate]) -> Iterable[str]:
     for name, agg in aggregates.items():
         yield ""
         yield format_distributions(agg, title=f"{name}: distributions")
-        hists = format_latency_hists(agg, title=f"{name}: latency histograms")
-        if hists:
-            yield ""
-            yield hists

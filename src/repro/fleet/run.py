@@ -39,7 +39,7 @@ def run_fleets(
     """Run every host cell of ``groups`` in one grid and aggregate.
 
     Returns ``(aggregates, grid)``: one aggregate per group key, and
-    the grid (per-host metrics, obs artifacts, time series) for
+    the grid (per-host metrics, time series) for
     drill-down. ``aggregates`` is ``None`` when any host failed — an
     aggregate over a partial rack would silently under-count.
 
@@ -56,11 +56,10 @@ def run_fleets(
                     **grid_kwargs)
     if grid.failed_specs:
         return None, grid
-    artifacts = {grid[s].label: art for s, art in grid.artifacts.items()} or None
     hosts = sum(len(group) for group in groups.values())
     with (telemetry.span("fleet.aggregate", lane="fleet", fleets=len(groups), hosts=hosts)
           if telemetry is not None else nullcontext()):
-        aggregates = {key: aggregate_hosts([grid[s] for s in group], artifacts)
+        aggregates = {key: aggregate_hosts([grid[s] for s in group])
                       for key, group in groups.items()}
     return aggregates, grid
 

@@ -129,7 +129,6 @@ class FleetSpec:
     cpuidle: bool = False
     horizon_ns: Optional[int] = None
     perturbations: tuple = ()
-    profile: bool = False
     #: Timer architecture every host in the fleet simulates.
     arch: str = "x86"
     #: Extra label segments between the name and the host shard
@@ -194,7 +193,6 @@ class FleetSpec:
             cpuidle=self.cpuidle,
             horizon_ns=self.horizon_ns,
             perturbations=tuple(self.perturbations),
-            profile=self.profile,
             arch=self.arch,
             label=self.host_label(host_index),
         )

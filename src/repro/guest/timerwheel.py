@@ -30,13 +30,12 @@ from repro.errors import GuestError
 class WheelTimer:
     """One soft timer."""
 
-    __slots__ = ("expires_jiffies", "callback", "name", "_active")
+    __slots__ = ("expires_jiffies", "callback", "name")
 
     def __init__(self, expires_jiffies: int, callback: Callable[[], None], name: str):
         self.expires_jiffies = expires_jiffies
         self.callback = callback
         self.name = name
-        self._active = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<WheelTimer {self.name} @j{self.expires_jiffies}>"
@@ -85,14 +84,6 @@ class TimerWheel:
         self._count += 1
         return t
 
-    def cancel(self, timer: Optional[WheelTimer]) -> bool:
-        """Deactivate a timer; returns True if it had not fired yet."""
-        if timer is None or not timer._active:
-            return False
-        timer._active = False
-        self._count -= 1
-        return True
-
     # ------------------------------------------------------------- advancing
 
     def advance_to(self, jiffies: int) -> list[WheelTimer]:
@@ -124,10 +115,7 @@ class TimerWheel:
     def _drain(self, key: int, fired: list[WheelTimer]) -> None:
         """Drop bucket ``key``; fire its due timers, re-place the rest."""
         for t in self._buckets.pop(key, ()):
-            if not t._active:
-                continue
             if t.expires_jiffies <= self._current:
-                t._active = False
                 self._count -= 1
                 fired.append(t)
             else:
@@ -139,12 +127,11 @@ class TimerWheel:
         """Earliest pending expiry in jiffies, or None if empty.
 
         Scans only the buckets that exist, so the cost is O(timers still
-        queued): live ones plus cancelled ones whose slot has not been
-        drained yet. The idle path calls it once per idle entry.
+        queued). The idle path calls it once per idle entry.
         """
         best: Optional[int] = None
         for bucket in self._buckets.values():
             for t in bucket:
-                if t._active and (best is None or t.expires_jiffies < best):
+                if best is None or t.expires_jiffies < best:
                     best = t.expires_jiffies
         return best

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
-from repro.host.exitreasons import ExitReason
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,6 @@ class CostModel:
     handler_hlt: int = 2_000
     handler_io_kick: int = 5_000
     handler_hypercall: int = 1_200
-    handler_pause: int = 1_000
     handler_ept: int = 7_000
 
     # --- KVM/arm64 exit handlers --------------------------------------------
@@ -124,24 +122,6 @@ class CostModel:
                 raise ConfigError(f"cost {name} is a tuple; did you add a stray comma?")
             if value < 0:
                 raise ConfigError(f"cost {name} must be >= 0, got {value}")
-
-    # ---------------------------------------------------------------- lookup
-
-    def handler_cost(self, reason: ExitReason, *, msr_is_icr: bool = False) -> int:
-        """KVM software handler cost for an exit of ``reason``."""
-        if reason is ExitReason.MSR_WRITE:
-            return self.handler_msr_icr if msr_is_icr else self.handler_msr_tsc_deadline
-        return {
-            ExitReason.EXTERNAL_INTERRUPT: self.handler_external_interrupt,
-            ExitReason.PREEMPTION_TIMER: self.handler_preemption_timer,
-            ExitReason.HLT: self.handler_hlt,
-            ExitReason.IO_INSTRUCTION: self.handler_io_kick,
-            ExitReason.HYPERCALL: self.handler_hypercall,
-            ExitReason.PAUSE: self.handler_pause,
-            ExitReason.EPT_VIOLATION: self.handler_ept,
-            ExitReason.SYSREG_TRAP: self.handler_sysreg_cntv,
-            ExitReason.VTIMER_IRQ: self.handler_vtimer_irq,
-        }[reason]
 
     def with_overrides(self, **kw: int) -> "CostModel":
         """A copy with some costs replaced (used by the ablation benches)."""

@@ -27,8 +27,6 @@ class ExitReason(enum.Enum):
     IO_INSTRUCTION = "io_instruction"
     #: Guest executed VMCALL.
     HYPERCALL = "hypercall"
-    #: Pause-loop exiting fired. Not modelled: no guest model spins.
-    PAUSE = "pause"
     #: EPT violation / page-fault class exits (background noise).
     EPT_VIOLATION = "ept_violation"
     #: ARM: guest accessed a trapped system register (CNTV_*, GIC ICC_*).

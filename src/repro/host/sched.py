@@ -39,10 +39,6 @@ class HostScheduler:
         """The vCPU currently holding ``pcpu_index``, if any."""
         return self._running[pcpu_index]
 
-    def waiters_on(self, pcpu_index: int) -> int:
-        """Runnable vCPUs queued behind the current one."""
-        return len(self._ready[pcpu_index])
-
     def wants_preemption(self, pcpu_index: int) -> bool:
         """True when a host-tick boundary should rotate the CPU."""
         return len(self._ready[pcpu_index]) > 0

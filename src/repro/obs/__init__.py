@@ -164,9 +164,8 @@ class Observability:
     def series_json(self) -> dict:
         """The windowed time-series document (a cache entry's ``"series"``).
 
-        Deliberately *not* merged into :meth:`to_json_dict` — the
-        profile artifact (an entry's ``"obs"``) keeps its own schema,
-        and a spec may ask for either one alone.
+        Deliberately *not* merged into :meth:`to_json_dict`: the
+        virtual-perf document (``perf --json``) keeps its own schema.
         """
         if self.series is None:
             raise ValueError("series not enabled in ObsConfig")

@@ -52,12 +52,6 @@ class RngStreams:
         """One truncated-at-1ns normal draw in integer ns."""
         return max(1, int(self.stream(name).normal(mean_ns, sd_ns)))
 
-    def uniform_ns(self, name: str, lo_ns: int, hi_ns: int) -> int:
-        """One uniform integer draw in [lo, hi]."""
-        if hi_ns < lo_ns:
-            raise ValueError(f"empty range [{lo_ns}, {hi_ns}]")
-        return int(self.stream(name).integers(lo_ns, hi_ns + 1))
-
     def names(self) -> list[str]:
         """Names of the streams instantiated so far (sorted)."""
         return sorted(self._streams)

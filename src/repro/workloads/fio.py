@@ -124,12 +124,3 @@ class FioWorkload(Workload):
 def job(category: str, block_size: int, *, total_bytes: int = 32 << 20) -> FioWorkload:
     """Convenience constructor: ``job("seqr", 4096)``."""
     return FioWorkload(FioJob(category, block_size), total_bytes=total_bytes)
-
-
-def all_jobs(*, total_bytes: int = 32 << 20) -> list[FioWorkload]:
-    """The full category x block-size sweep of Fig. 6."""
-    return [
-        FioWorkload(FioJob(cat, bs), total_bytes=total_bytes)
-        for cat in CATEGORIES
-        for bs in BLOCK_SIZES
-    ]

@@ -171,11 +171,10 @@ class TestOvercommitSpecFields:
         assert dear.total_exits == base.total_exits
         assert dear.total_busy_ns > base.total_busy_ns
 
-    def test_profile_and_series_artifacts(self):
+    def test_series_artifact(self):
         from repro.experiments.parallel import encode_result, execute_spec, execute_spec_full
 
-        result, obs_json, series = execute_spec_full(self.spec(profile=True, series=True))
-        assert obs_json is not None
+        result, series = execute_spec_full(self.spec(series=True))
         assert series is not None and series["windows"]
         assert encode_result(result) == encode_result(execute_spec(self.spec()))
 

@@ -16,6 +16,7 @@ multisets.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -26,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import TickMode
+from repro.experiments import parallel
 from repro.experiments.parallel import (
     ResultCache,
     RunSpec,
@@ -264,13 +266,13 @@ class TestCachePaths:
 
     @JOBS
     def test_result_without_artifacts_is_a_miss(self, tmp_path, jobs):
-        p = cell(0, profile=True)
+        p = cell(0, series=True)
         names = {p: "P"}
         cache_dir = tmp_path / "cache"
         run_grid([p], jobs=jobs, cache_dir=cache_dir)
         path = ResultCache(cache_dir).path_for(spec_key(p))
         doc = json.loads(split_verified(path.read_text())[0])
-        del doc["obs"]
+        del doc["series"]
         path.write_text(attach_footer(json.dumps(doc, sort_keys=True)))
 
         obs = observe([p], names, tmp_path / "run.journal", jobs=jobs,
@@ -280,7 +282,7 @@ class TestCachePaths:
         assert obs.progress == [("ran", "P", 1, 1, 1, False, None)]
         assert obs.report == report(cells=1, executed=1)
         assert obs.instants == {"cache.miss": 1, "cache.write": 1}
-        assert p in obs.grid.artifacts
+        assert p in obs.grid.series
 
 
 # --------------------------------------------------------------------------
@@ -339,10 +341,11 @@ class TestFailurePaths:
         assert obs.spans == {"grid.run": 1, "shard.retry": 1, "shard.failed": 1}
 
     @JOBS
-    def test_timeout(self, tmp_path, jobs):
+    def test_timeout(self, tmp_path, jobs, monkeypatch):
+        monkeypatch.setattr(parallel, "DEFAULT_TIMEOUT_S", 0.2)
         s = fault("lifecycle.sleep", seconds=30.0)
         obs = observe([s], {s: "S"}, tmp_path / "run.journal", jobs=jobs,
-                      use_cache=False, retries=0, timeout_s=0.2)
+                      use_cache=False, retries=0)
         error = "RunTimeout('run exceeded the per-run timeout of 0.2s')"
         assert obs.journal == [
             ("scheduled", "S", {}), ("started", "S", {"attempt": 1}),
@@ -377,10 +380,11 @@ class TestPoolRecovery:
         assert obs.spans == {"grid.run": 1, "shard.retry": 1, "shard.execute": 1}
         assert obs.jobs == 2
 
-    def test_rebuild_cap_fails_the_cell(self, tmp_path):
+    def test_rebuild_cap_fails_the_cell(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(parallel, "DEFAULT_MAX_POOL_REBUILDS", 2)
         c = fault("lifecycle.crash")
         obs = observe([c], {c: "C"}, tmp_path / "run.journal", jobs=2,
-                      use_cache=False, retries=10, max_pool_rebuilds=2)
+                      use_cache=False, retries=10)
         error = ("pool rebuild cap reached (2); last crash: BrokenProcessPool(...)")
         assert obs.journal == [
             ("scheduled", "C", {}), ("started", "C", {"attempt": 1}),
@@ -396,12 +400,13 @@ class TestPoolRecovery:
         assert obs.instants == {"pool.rebuild": 2}
         assert obs.spans == {"grid.run": 1, "shard.retry": 2, "shard.failed": 1}
 
-    def test_breaker_shrinks_then_falls_back_to_serial(self, tmp_path):
+    def test_breaker_shrinks_then_falls_back_to_serial(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(parallel, "CircuitBreaker", functools.partial(
+            CircuitBreaker, threshold=0.5, min_events=2, window=4))
         specs = [fault("lifecycle.slowboom", seed=s) for s in range(8)]
         names = {s: f"S{i}" for i, s in enumerate(specs)}
-        brk = CircuitBreaker(threshold=0.5, min_events=2, window=4)
         obs = observe(specs, names, tmp_path / "run.journal", jobs=2,
-                      use_cache=False, retries=0, breaker=brk)
+                      use_cache=False, retries=0)
         error = "RuntimeError('lifecycle-slowboom')"
         assert [e for e, _n, _x in obs.journal[:8]] == ["scheduled"] * 8
         for name in names.values():
@@ -437,9 +442,9 @@ class _PublishCheckingJournal(RunJournal):
     def record(self, event, key, **extra):
         if event == "done":
             spec = self.by_key[key]
-            result, obs, _ = self.cache.load(spec)
+            result, series = self.cache.load(spec)
             assert result is not None, "done before publish"
-            assert (obs is not None) == spec.profile
+            assert (series is not None) == spec.series
             self.done.append(key)
         super().record(event, key, **extra)
 
@@ -461,7 +466,7 @@ class _SpyBreaker(CircuitBreaker):
 class TestInvariants:
     @JOBS
     def test_done_is_journaled_only_after_the_entry_is_published(self, tmp_path, jobs):
-        specs = [cell(0), cell(1, profile=True), cell(2, series=True)]
+        specs = [cell(0), cell(1, series=True)]
         cache_dir = tmp_path / "cache"
         journal = _PublishCheckingJournal(tmp_path / "run.journal",
                                           ResultCache(cache_dir), specs)
@@ -471,10 +476,11 @@ class TestInvariants:
         assert sorted(journal.done) == sorted(spec_key(s) for s in specs)
 
     @pytest.mark.parametrize("jobs", [None, 0, 1])
-    def test_serial_grids_never_consult_the_breaker(self, jobs):
+    def test_serial_grids_never_consult_the_breaker(self, jobs, monkeypatch):
         brk = _SpyBreaker(threshold=0.1, min_events=1, window=2)
+        monkeypatch.setattr(parallel, "CircuitBreaker", lambda: brk)
         specs = [fault("lifecycle.boom", seed=s) for s in range(4)] + [cell(0)]
-        grid = run_grid(specs, jobs=jobs, use_cache=False, retries=1, breaker=brk)
+        grid = run_grid(specs, jobs=jobs, use_cache=False, retries=1)
         assert len(grid.failed_specs) == 4 and grid.executed == 1
         assert brk.touched == 0
         assert grid.report.degradation == []

@@ -124,6 +124,15 @@ def test_spec_dict_round_trip():
     assert spec_key(back) == spec_key(spec)
 
 
+def test_spec_encoding_has_only_settable_fields():
+    """The cache-key input holds every knob a grid can set, and no other."""
+    assert set(spec_to_dict(cheap_spec())) == {
+        "workload", "tick_mode", "seed", "vcpus", "pinned_cpus", "machine",
+        "features", "cost_overrides", "tick_hz", "noise", "cpuidle",
+        "horizon_ns", "label", "keep_timer_on_idle_exit", "perturbations",
+    }
+
+
 def test_run_metrics_json_round_trip():
     m = execute_spec(cheap_spec())
     assert isinstance(m, RunMetrics)
@@ -233,7 +242,7 @@ def test_stale_cache_version_discarded(tmp_path):
     payload = json.loads(body)
     payload["version"] = parallel.CACHE_VERSION + 1
     path.write_text(attach_footer(json.dumps(payload)))
-    assert cache.load(spec) == (None, None, None)
+    assert cache.load(spec) == (None, None)
     assert not path.exists(), "stale-format file should be discarded"
 
 
@@ -299,10 +308,10 @@ def test_raising_cell_retried_then_reported(jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pool"])
-def test_timeout_enforced_per_run(jobs):
+def test_timeout_enforced_per_run(jobs, monkeypatch):
+    monkeypatch.setattr(parallel, "DEFAULT_TIMEOUT_S", 0.2)
     stuck = RunSpec(WorkloadSpec.make("test.sleep", seconds=30.0))
-    grid = run_grid([stuck], jobs=jobs, use_cache=False,
-                    timeout_s=0.2, retries=0)
+    grid = run_grid([stuck], jobs=jobs, use_cache=False, retries=0)
     [failed] = grid.failed_specs
     assert "RunTimeout" in failed.error
     assert failed.attempts == 1
@@ -339,13 +348,13 @@ def test_progress_reporter_tallies_and_prints(tmp_path):
     specs = [cheap_spec(seed=s) for s in (0, 1)]
     boom = RunSpec(WorkloadSpec.make("test.boom"), label="boom")
     out = io.StringIO()
-    stats, cb = progress_reporter(stream=out)
+    cb = progress_reporter(stream=out)
     run_grid(specs, jobs=1, cache_dir=tmp_path, progress=cb)
     run_grid(specs, jobs=1, cache_dir=tmp_path, progress=cb)
     run_grid([boom], jobs=1, cache_dir=tmp_path, progress=cb, retries=0)
-    assert stats["ran"] == 2 and stats["cached"] == 2 and stats["failed"] == 1
     lines = out.getvalue().strip().splitlines()
     assert len(lines) == 5
+    assert [line.split()[1] for line in lines] == ["ran"] * 2 + ["cached"] * 2 + ["failed"]
     assert all("micro.pingpong" in line for line in lines[:4])
     # The error comes before the attempt's wall time, as `repro` prints it.
     assert re.fullmatch(r"\[1/1\] failed boom \(.+\) \[\d+\.\d\ds\]", lines[4]), lines[4]

@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.config import TickMode
+from repro.experiments import parallel
 from repro.experiments.parallel import (
     ProgressEvent,
     RunSpec,
@@ -117,11 +118,11 @@ class TestProgressEvent:
         for e in events:
             assert isinstance(e.duration_s, float) and e.duration_s >= 0
 
-    def test_timeout_events_carry_duration(self):
+    def test_timeout_events_carry_duration(self, monkeypatch):
+        monkeypatch.setattr(parallel, "DEFAULT_TIMEOUT_S", 0.2)
         stuck = RunSpec(WorkloadSpec.make("test.sleep", seconds=30.0))
         events = []
-        run_grid([stuck], jobs=1, use_cache=False, timeout_s=0.2, retries=0,
-                 progress=events.append)
+        run_grid([stuck], jobs=1, use_cache=False, retries=0, progress=events.append)
         [ev] = events
         assert ev.status == "failed" and "RunTimeout" in ev.error
         assert ev.duration_s >= 0.2

@@ -180,13 +180,11 @@ class TestFigureGrids:
         assert {s.workload.kwargs()["threads"] for s in specs} == {SMALL.vcpus}
 
     def test_table4_grid(self, submitted):
-        from repro.config import IoDeviceKind
         from repro.experiments import table4_fig6
 
         with pytest.raises(self.Submitted):
-            table4_fig6.run(block_sizes=(4096, 65536), device=IoDeviceKind.NVME_SSD)
+            table4_fig6.run(block_sizes=(4096, 65536))
         (specs,) = submitted
         assert [s.label for s in specs] == self.ab_labels(
             f"{cat}.{k}k" for cat in ("seqr", "seqwr", "rndr", "rndwr") for k in (4, 64)
         )
-        assert {s.device_kind for s in specs} == {IoDeviceKind.NVME_SSD}

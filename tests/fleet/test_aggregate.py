@@ -21,7 +21,6 @@ from repro.fleet.aggregate import (
     FleetAggregate,
     aggregate_hosts,
     fleet_bytes,
-    merge_hist_dict,
     percentile_ns,
 )
 from repro.host.exitreasons import ExitReason, ExitTag
@@ -217,40 +216,6 @@ class TestDegenerateFleets:
         del m.extra["g01_latency_ns"]
         with pytest.raises(AggregateError, match="g01_latency_ns"):
             FleetAggregate.from_host(m)
-
-
-class TestHistogramMerge:
-    @staticmethod
-    def hist(count, total, mn, mx, buckets):
-        return {"count": count, "total_ns": total, "min_ns": mn,
-                "max_ns": mx, "buckets": buckets}
-
-    def test_bucket_counts_add(self):
-        a = self.hist(3, 30, 5, 20, {"3": 2, "4": 1})
-        b = self.hist(2, 50, 10, 40, {"4": 1, "5": 1})
-        m = merge_hist_dict(a, b)
-        assert m["count"] == 5 and m["total_ns"] == 80
-        assert m["min_ns"] == 5 and m["max_ns"] == 40
-        assert m["buckets"] == {"3": 2, "4": 2, "5": 1}
-
-    @given(metrics=hosts(min_hosts=1, max_hosts=4), data=st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_fleet_hist_counts_equal_sum_of_hosts(self, metrics, data):
-        artifacts = {}
-        per_host_counts = []
-        for m in metrics:
-            count = data.draw(st.integers(0, 1000))
-            per_host_counts.append(count)
-            artifacts[m.label] = {"latency": {
-                "sched.wakeup": self.hist(count, count * 10, 1 if count else None,
-                                          10, {"3": count}),
-            }}
-        agg = aggregate_hosts(metrics, artifacts)
-        hists = dict(agg.latency_hists)
-        if sum(per_host_counts) or metrics:
-            packed = hists["sched.wakeup"]
-            assert packed[0] == sum(per_host_counts)
-            assert dict(packed[4]).get("3", 0) == sum(per_host_counts)
 
 
 class TestPercentiles:

@@ -89,11 +89,6 @@ class TestRunFleets:
             assert fleet_bytes(aggregates[key]) == \
                 fleet_bytes(run_fleet(fleet, use_cache=False)[0])
 
-    def test_profiled_hosts_fold_their_latency_histograms(self):
-        agg, grid = run_fleet(small_fleet(profile=True), use_cache=False)
-        assert len(grid.artifacts) == 2
-        assert dict(agg.latency_hists)
-
     def test_a_failed_host_leaves_no_aggregate(self):
         from repro.experiments.parallel import GridError, register_workload
 

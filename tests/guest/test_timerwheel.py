@@ -38,15 +38,6 @@ class TestBasics:
         with pytest.raises(GuestError):
             w.advance_to(5)
 
-    def test_cancel(self):
-        w = TimerWheel()
-        t = w.add(10, lambda: None)
-        assert w.cancel(t) is True
-        assert w.cancel(t) is False
-        assert w.cancel(None) is False
-        assert w.advance_to(20) == []
-        assert len(w) == 0
-
     def test_next_expiry_scans_levels(self):
         w = TimerWheel()
         w.add(100_000, lambda: None)  # deep level
@@ -112,17 +103,6 @@ class TestProperties:
         for t in handles:
             assert by_expiry[t.expires_jiffies] == t.expires_jiffies
 
-    @given(deltas=st.lists(st.integers(min_value=1, max_value=50_000), min_size=2, max_size=40))
-    @settings(max_examples=30, deadline=None)
-    def test_cancel_half_fires_other_half(self, deltas):
-        w = TimerWheel()
-        handles = [w.add(d, lambda: None) for d in deltas]
-        for h in handles[::2]:
-            w.cancel(h)
-        expected = sorted(h.expires_jiffies for h in handles[1::2])
-        out = w.advance_to(max(deltas) + 1)
-        assert sorted(t.expires_jiffies for t in out) == expected
-
 
 def _landing(added_at: int, seq: int, expiry: int) -> tuple:
     """Where the cascade leaves a timer, as a sort key for same-jiffy ties.
@@ -158,14 +138,10 @@ class SortedListWheel:
         self.live: dict[int, tuple[int, str, tuple]] = {}  # handle id -> (expiry, name, key)
         self.seq = 0
 
-    def add(self, expiry: int, name: str) -> int:
+    def add(self, expiry: int, name: str) -> None:
         expiry = max(expiry, self.now + 1)
         self.seq += 1
         self.live[self.seq] = (expiry, name, _landing(self.now, self.seq, expiry))
-        return self.seq
-
-    def cancel(self, handle: int) -> bool:
-        return self.live.pop(handle, None) is not None
 
     def advance_to(self, jiffies: int) -> list[tuple[int, str]]:
         self.now = jiffies
@@ -194,8 +170,6 @@ _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("add"), _OFFSETS, st.sampled_from("abc")),
         st.tuples(st.just("at"), _TARGETS, st.sampled_from("xyz")),
-        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=30)),
-        st.tuples(st.just("readd"), st.integers(min_value=0, max_value=30)),
         st.tuples(st.just("advance"), st.one_of(st.integers(0, 70), st.sampled_from([64, 4096]))),
         st.tuples(st.just("next"),),
     ),
@@ -207,25 +181,15 @@ class TestOracle:
     @given(ops=_OPS, flush=st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_matches_sorted_list_model(self, ops, flush):
-        """Random add/cancel/advance/next_expiry interleavings fire the
-        same timers, in the same order, as the naive model."""
+        """Random add/advance/next_expiry interleavings fire the same
+        timers, in the same order, as the naive model."""
         wheel, model = TimerWheel(), SortedListWheel()
-        handles: list[tuple] = []  # (wheel timer, model handle, offset, name)
         for op in ops:
-            if op[0] == "add":
-                _, off, name = op
-                exp = wheel.current_jiffies + off
-                handles.append((wheel.add(exp, lambda: None, name=name), model.add(exp, name), off, name))
-            elif op[0] == "at":
-                _, exp, name = op
-                off = exp - wheel.current_jiffies
-                handles.append((wheel.add(exp, lambda: None, name=name), model.add(exp, name), off, name))
-            elif op[0] in ("cancel", "readd") and handles:
-                t, h, off, name = handles[op[1] % len(handles)]
-                assert wheel.cancel(t) == model.cancel(h)
-                if op[0] == "readd":
-                    exp = wheel.current_jiffies + off
-                    handles.append((wheel.add(exp, lambda: None, name=name), model.add(exp, name), off, name))
+            if op[0] in ("add", "at"):
+                _, at, name = op
+                exp = wheel.current_jiffies + at if op[0] == "add" else at
+                wheel.add(exp, lambda: None, name=name)
+                model.add(exp, name)
             elif op[0] == "advance":
                 to = wheel.current_jiffies + op[1]
                 got = [(t.expires_jiffies, t.name) for t in wheel.advance_to(to)]
@@ -257,10 +221,9 @@ class TestSparsity:
 
     def test_drained_wheel_holds_no_bucket(self):
         w = TimerWheel()
-        handles = [w.add(e, lambda: None) for e in (3, 64, 700, 5000, 300_000)]
+        for e in (3, 64, 700, 5000, 300_000):
+            w.add(e, lambda: None)
         assert w._buckets
-        for h in handles[::2]:
-            w.cancel(h)
         w.advance_to(300_001)
         assert len(w) == 0
         assert not w._buckets

@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ConfigError, HostError
 from repro.host.costs import DEFAULT_COSTS, CostModel
-from repro.host.exitreasons import TIMER_TAGS, ExitReason, ExitTag
+from repro.host.exitreasons import TIMER_TAGS, ExitTag
 from repro.host.sched import HostScheduler
 from repro.host.vcpu import VCpu, VcpuState
 from repro.hw.cpu import Machine
@@ -26,14 +26,13 @@ class TestCostModel:
         with pytest.raises(ConfigError):
             CostModel(vmexit_hw=-1)
 
-    def test_handler_cost_covers_every_reason(self):
-        for reason in ExitReason:
-            assert DEFAULT_COSTS.handler_cost(reason) > 0
+    def test_no_effect_pause_cost_rejected(self):
+        """No guest model spins, so no cost for pause-loop exits exists."""
+        with pytest.raises(TypeError):
+            DEFAULT_COSTS.with_overrides(handler_pause=1)
 
     def test_icr_write_costlier_than_deadline_write(self):
-        assert DEFAULT_COSTS.handler_cost(
-            ExitReason.MSR_WRITE, msr_is_icr=True
-        ) > DEFAULT_COSTS.handler_cost(ExitReason.MSR_WRITE)
+        assert DEFAULT_COSTS.handler_msr_icr > DEFAULT_COSTS.handler_msr_tsc_deadline
 
     def test_preemption_timer_cheaper_than_external_interrupt(self):
         """§3: KVM's preemption-timer path is the 'less costly' exit."""
@@ -73,7 +72,6 @@ class TestHostScheduler:
         assert s.acquire(a)
         assert s.acquire(b) is False
         assert b.state is VcpuState.READY
-        assert s.waiters_on(0) == 1
         assert s.wants_preemption(0)
 
     def test_release_dispatches_next(self):
@@ -131,7 +129,7 @@ class TestHostScheduler:
         s.acquire(a)
         s.acquire(b)
         s.forget(b)
-        assert s.waiters_on(0) == 0
+        assert not s.wants_preemption(0)
         s.forget(a)
         assert s.running_on(0) is None
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import HostFeatures, IoDeviceKind, TickMode
+from repro.config import HostFeatures, TickMode
 from repro.experiments.parallel import (
     OVERCOMMIT_IDLE,
     RunSpec,
@@ -48,10 +48,10 @@ _PINGPONG = WorkloadSpec.make("micro.pingpong", rounds=40, work_cycles=30_000,
 CELLS = {
     "fio-read": RunSpec(
         WorkloadSpec.make("fio", category="seqr", block_size=4096, total_bytes=256 << 10),
-        tick_mode=TickMode.PARATICK, device_kind=IoDeviceKind.SATA_SSD, seed=1),
+        tick_mode=TickMode.PARATICK, seed=1),
     "fio-write": RunSpec(
         WorkloadSpec.make("fio", category="rndwr", block_size=16384, total_bytes=256 << 10),
-        tick_mode=TickMode.TICKLESS, device_kind=IoDeviceKind.SATA_SSD, seed=2),
+        tick_mode=TickMode.TICKLESS, seed=2),
     "streamcluster-16": RunSpec(
         WorkloadSpec.make("parsec", name="streamcluster", threads=MEDIUM.vcpus,
                           target_cycles=2_000_000),

@@ -40,7 +40,8 @@ class TestExitCounters:
 
     def test_merge(self):
         a = counters_with([(0, ExitReason.HLT, ExitTag.IDLE)])
-        b = counters_with([(0, ExitReason.HLT, ExitTag.IDLE), (1, ExitReason.PAUSE, ExitTag.OTHER)])
+        b = counters_with([(0, ExitReason.HLT, ExitTag.IDLE),
+                           (1, ExitReason.EPT_VIOLATION, ExitTag.OTHER)])
         m = a.merge(b)
         assert m.total == 3
         assert m.by_reason(ExitReason.HLT) == 2
@@ -75,7 +76,7 @@ class TestExitCounters:
         assert list(a.tag_breakdown()) == [ExitTag.IO, ExitTag.IDLE, ExitTag.TIMER_PROGRAM]
         b = counters_with(
             [
-                (2, ExitReason.PAUSE, ExitTag.OTHER),
+                (2, ExitReason.EPT_VIOLATION, ExitTag.OTHER),
                 (2, ExitReason.HLT, ExitTag.IDLE),
             ]
         )

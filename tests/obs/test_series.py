@@ -23,6 +23,7 @@ from repro.experiments.parallel import (
     execute_spec,
     execute_spec_full,
     run_grid,
+    spec_from_dict,
     spec_key,
     spec_to_dict,
 )
@@ -119,8 +120,7 @@ class TestWindowSplitting:
 
 class TestRunReconciliation:
     def test_overcommitted_run_reconciles_exactly(self):
-        metrics, obs_json, series = execute_spec_full(series_spec())
-        assert obs_json is None  # series alone does not imply profile
+        metrics, series = execute_spec_full(series_spec())
         assert series is not None and series["windows"]
         assert reconcile_series(series, metrics) == []
         # The run genuinely exercised the interval paths.
@@ -130,7 +130,7 @@ class TestRunReconciliation:
     def test_solo_run_reconciles_exactly(self):
         spec = series_spec(pinned_cpus=None, noise=False,
                            tick_mode=TickMode.PARATICK)
-        metrics, _, series = execute_spec_full(spec)
+        metrics, series = execute_spec_full(spec)
         assert reconcile_series(series, metrics) == []
 
     def test_fleet_host_shard_reconciles_exactly(self):
@@ -147,7 +147,7 @@ class TestRunReconciliation:
             seed=4, horizon_ns=400 * MSEC,
         )
         [spec] = [s.with_(series=True) for s in fleet.host_specs()]
-        metrics, _, series = execute_spec_full(spec)
+        metrics, series = execute_spec_full(spec)
         assert reconcile_series(series, metrics) == []
 
     def test_metrics_bit_identical_with_and_without_series(self):
@@ -156,7 +156,7 @@ class TestRunReconciliation:
         assert encode_result(with_series) == encode_result(without)
 
     def test_reconcile_reports_mismatch(self):
-        metrics, _, series = execute_spec_full(series_spec())
+        metrics, series = execute_spec_full(series_spec())
         series = json.loads(json.dumps(series))
         series["windows"][0]["exits"] += 1
         errors = reconcile_series(series, metrics)
@@ -171,6 +171,25 @@ class TestSpecAndCache:
 
     def test_series_changes_the_cache_key(self):
         assert spec_key(series_spec()) != spec_key(series_spec(series=False))
+
+    def test_series_field_round_trips(self):
+        spec = series_spec()
+        assert spec_from_dict(spec_to_dict(spec)) == spec
+
+    def test_plain_spec_has_no_series_artifact(self, tmp_path):
+        spec = series_spec(series=False)
+        grid = run_grid([spec], jobs=1, cache_dir=tmp_path)
+        assert grid.series == {}
+        entry, _ = read_verified(ResultCache(tmp_path).path_for(spec_key(spec)))
+        assert set(entry) == {"version", "key", "spec", "result"}
+
+    def test_pooled_series_run_matches_plain_run(self, tmp_path):
+        """Recording the series inside pool workers does not perturb results."""
+        spec = series_spec()
+        a = run_grid([spec], jobs=2, cache_dir=tmp_path / "a")
+        b = run_grid([spec.with_(series=False)], jobs=2, cache_dir=tmp_path / "b")
+        assert spec in a.series
+        assert encode_result(a[spec]) == encode_result(b[spec.with_(series=False)])
 
     def test_grid_caches_and_replays_series(self, tmp_path):
         spec = series_spec()

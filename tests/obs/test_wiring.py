@@ -12,23 +12,11 @@ The two contracts the whole subsystem stands on:
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.config import MachineSpec, TickMode
-from repro.experiments.parallel import (
-    ResultCache,
-    RunSpec,
-    WorkloadSpec,
-    run_grid,
-    spec_from_dict,
-    spec_key,
-    spec_to_dict,
-)
 from repro.experiments.runner import run_workload
 from repro.obs import ObsConfig, Observability
-from repro.resilience.integrity import attach_footer, read_verified
 from repro.sim.trace import NullTracer
 from repro.workloads.micro import PingPongWorkload
 
@@ -91,57 +79,3 @@ class TestObsNeverPerturbs:
                               obs=Observability(), **kw)
         assert plain.to_json_dict() == probed.to_json_dict()
 
-
-class TestParallelProfileArtifacts:
-    def spec(self, **kw):
-        ws = WorkloadSpec.make("micro.pingpong", rounds=40,
-                               work_cycles=50_000, same_vcpu=False)
-        return RunSpec(workload=ws, seed=2, label="obs-test", **kw)
-
-    def test_profile_field_round_trips(self):
-        spec = self.spec(profile=True)
-        assert spec_from_dict(spec_to_dict(spec)) == spec
-
-    def test_profile_changes_cache_key(self):
-        assert spec_key(self.spec(profile=True)) != spec_key(self.spec())
-
-    def test_artifact_produced_and_cached(self, tmp_path):
-        spec = self.spec(profile=True)
-        grid = run_grid([spec], cache_dir=tmp_path)
-        art = grid.artifacts[spec]
-        assert art["profile"]["total_samples"] > 0
-        assert "latency" in art and "steal" in art
-        entry, _ = read_verified(ResultCache(tmp_path).path_for(spec_key(spec)))
-        assert entry["obs"] == art  # inline in the spec's one entry file
-        # Second pass: both result and artifact served from cache.
-        again = run_grid([spec], cache_dir=tmp_path)
-        assert again.cache_hits == 1 and again.executed == 0
-        assert again.artifacts[spec] == art
-
-    def test_missing_artifact_forces_rerun(self, tmp_path):
-        """A cached entry without its profile is a miss — the grid must
-        not return a profiled spec without its artifact."""
-        spec = self.spec(profile=True)
-        run_grid([spec], cache_dir=tmp_path)
-        path = ResultCache(tmp_path).path_for(spec_key(spec))
-        entry, _ = read_verified(path)
-        del entry["obs"]
-        path.write_text(attach_footer(json.dumps(entry, sort_keys=True)))
-        again = run_grid([spec], cache_dir=tmp_path)
-        assert again.executed == 1
-        assert spec in again.artifacts
-
-    def test_unprofiled_spec_has_no_artifact(self, tmp_path):
-        spec = self.spec()
-        grid = run_grid([spec], cache_dir=tmp_path)
-        assert grid.artifacts == {}
-        entry, _ = read_verified(ResultCache(tmp_path).path_for(spec_key(spec)))
-        assert "obs" not in entry and "series" not in entry
-
-    def test_profiled_worker_matches_unprofiled(self, tmp_path):
-        """Profiling inside pool workers does not perturb results."""
-        a = run_grid([self.spec(profile=True)], cache_dir=tmp_path / "a", jobs=2)
-        b = run_grid([self.spec()], cache_dir=tmp_path / "b", jobs=2)
-        ma = a[self.spec(profile=True)]
-        mb = b[self.spec()]
-        assert ma.to_json_dict() == mb.to_json_dict()

@@ -9,12 +9,14 @@ quarantine forensics), never an exception.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
 
 import pytest
 
+from repro.experiments import parallel
 from repro.experiments.parallel import (
     GridError,
     ResultCache,
@@ -93,9 +95,10 @@ class TestFailureKinds:
         kinds = [(e.status, e.failure_kind) for e in events]
         assert ("retry", "error") in kinds and ("failed", "error") in kinds
 
-    def test_timeout_is_kind_timeout(self):
+    def test_timeout_is_kind_timeout(self, monkeypatch):
+        monkeypatch.setattr(parallel, "DEFAULT_TIMEOUT_S", 0.3)
         grid = run_grid([_fault_spec("resilience.sleep")], jobs=None,
-                        use_cache=False, retries=0, timeout_s=0.3)
+                        use_cache=False, retries=0)
         assert grid.failed_by_kind() == {"timeout": 1}
         assert "RunTimeout" in grid.failed_specs[0].error
 
@@ -114,9 +117,10 @@ class TestFailureKinds:
 
 
 class TestPoolRebuildCap:
-    def test_persistent_crasher_hits_the_cap_with_a_clear_error(self):
+    def test_persistent_crasher_hits_the_cap_with_a_clear_error(self, monkeypatch):
+        monkeypatch.setattr(parallel, "DEFAULT_MAX_POOL_REBUILDS", 2)
         grid = run_grid([_fault_spec("resilience.crash")], jobs=2,
-                        use_cache=False, retries=10, max_pool_rebuilds=2)
+                        use_cache=False, retries=10)
         assert len(grid.failed_specs) == 1
         failure = grid.failed_specs[0]
         assert failure.kind == "crash"
@@ -127,10 +131,11 @@ class TestPoolRebuildCap:
 
 
 class TestDegradationLadder:
-    def test_breaker_shrinks_pool_then_falls_back_to_serial(self):
+    def test_breaker_shrinks_pool_then_falls_back_to_serial(self, monkeypatch):
+        monkeypatch.setattr(parallel, "CircuitBreaker", functools.partial(
+            CircuitBreaker, threshold=0.5, min_events=2, window=4))
         specs = [_fault_spec("resilience.slowboom", seed=s) for s in range(8)]
-        brk = CircuitBreaker(threshold=0.5, min_events=2, window=4)
-        grid = run_grid(specs, jobs=2, use_cache=False, retries=0, breaker=brk)
+        grid = run_grid(specs, jobs=2, use_cache=False, retries=0)
         assert len(grid.failed_specs) == 8
         assert "pool shrunk to 1" in grid.report.degradation
         assert "fell back to serial" in grid.report.degradation
@@ -251,18 +256,18 @@ class TestJournalResume:
 
 
 class TestAtomicMultiFileEntries:
-    """A profiled + series entry (result and both artifacts) is one file
-    published by one rename: it lands whole or not at all."""
+    """A series entry (result and series artifact) is one file published
+    by one rename: it lands whole or not at all."""
 
     def test_failed_result_publish_leaves_a_cold_miss(self, tmp_path):
-        spec = make_spec(profile=True, series=True)
+        spec = make_spec(series=True)
         cache_dir = tmp_path / "cache"
         with pytest.warns(RuntimeWarning, match="result cache disabled"):
             run_grid([spec], jobs=None, cache_dir=cache_dir,
                      cache_fs=FaultyFS(fail_replaces=(0,))).raise_if_failed()
         cache = ResultCache(cache_dir)
         assert not cache.path_for(spec_key(spec)).exists()
-        assert cache.load(spec) == (None, None, None)
+        assert cache.load(spec) == (None, None)
         # No tmp debris survives the interrupted publish.
         assert not [p for p in cache_dir.rglob("*") if p.is_file()]
         # The next run sees a cold miss and repairs the entry whole.
@@ -270,49 +275,46 @@ class TestAtomicMultiFileEntries:
         assert repaired.executed == 1 and repaired.cache_hits == 0
         warm = run_grid([spec], jobs=None, cache_dir=cache_dir).raise_if_failed()
         assert warm.cache_hits == 1
-        assert warm.artifacts[spec] == repaired.artifacts[spec]
         assert warm.series[spec] == repaired.series[spec]
 
     def test_failed_artifact_publish_keeps_the_unit_cold(self, tmp_path):
-        spec = make_spec(profile=True, series=True)
+        spec = make_spec(series=True)
         cache_dir = tmp_path / "cache"
         grid = run_grid([spec], jobs=None, use_cache=False).raise_if_failed()
         cache = ResultCache(cache_dir, fs=FaultyFS(fail_writes=(0,)))
         with pytest.raises(OSError):
             cache.store(spec, encode_result(grid.results[spec]),
-                        obs=grid.artifacts[spec], series=grid.series[spec])
+                        series=grid.series[spec])
         assert not [p for p in cache_dir.rglob("*") if p.is_file()]
         repaired = run_grid([spec], jobs=None, cache_dir=cache_dir).raise_if_failed()
         assert repaired.executed == 1 and spec in repaired.series
 
-    def test_profiled_series_entry_is_one_file(self, tmp_path):
-        spec = make_spec(profile=True, series=True)
+    def test_series_entry_is_one_file(self, tmp_path):
+        spec = make_spec(series=True)
         cache_dir = tmp_path / "cache"
         cold = run_grid([spec], jobs=None, cache_dir=cache_dir).raise_if_failed()
         entry = ResultCache(cache_dir).path_for(spec_key(spec))
         assert [p for p in cache_dir.rglob("*") if p.is_file()] == [entry]
         doc = json.loads(split_verified(entry.read_text())[0])
-        assert set(doc) == {"version", "key", "spec", "result", "obs", "series"}
+        assert set(doc) == {"version", "key", "spec", "result", "series"}
         warm = run_grid([spec], jobs=None, cache_dir=cache_dir).raise_if_failed()
         assert warm.cache_hits == 1
-        assert warm.artifacts[spec] == cold.artifacts[spec] == doc["obs"]
         assert warm.series[spec] == cold.series[spec] == doc["series"]
 
     def test_result_without_artifacts_reads_as_miss(self, tmp_path):
-        spec = make_spec(profile=True, series=True)
+        spec = make_spec(series=True)
         cache_dir = tmp_path / "cache"
         run_grid([spec], jobs=None, cache_dir=cache_dir).raise_if_failed()
         path = ResultCache(cache_dir).path_for(spec_key(spec))
         doc = json.loads(split_verified(path.read_text())[0])
-        for artifact in ("obs", "series"):
-            # Rewritten without one artifact, under a valid footer: a
-            # structural miss, discarded like a stale version.
-            path.write_text(attach_footer(json.dumps(
-                {k: v for k, v in doc.items() if k != artifact}, sort_keys=True)))
-            grid = run_grid([spec], jobs=None, cache_dir=cache_dir).raise_if_failed()
-            assert grid.cache_hits == 0 and grid.executed == 1
-            assert grid.report.quarantined == 0
-            assert spec in grid.artifacts and spec in grid.series  # the re-run restored them
+        # Rewritten without its series, under a valid footer: a
+        # structural miss, discarded like a stale version.
+        path.write_text(attach_footer(json.dumps(
+            {k: v for k, v in doc.items() if k != "series"}, sort_keys=True)))
+        grid = run_grid([spec], jobs=None, cache_dir=cache_dir).raise_if_failed()
+        assert grid.cache_hits == 0 and grid.executed == 1
+        assert grid.report.quarantined == 0
+        assert spec in grid.series  # the re-run restored it
 
 
 class TestCorruptionDemotion:

@@ -35,14 +35,6 @@ class TestStreams:
         with pytest.raises(ValueError):
             RngStreams(0).exponential_ns("s", 0)
 
-    def test_uniform_range(self):
-        r = RngStreams(3)
-        xs = [r.uniform_ns("u", 5, 7) for _ in range(200)]
-        assert set(xs) <= {5, 6, 7}
-        assert len(set(xs)) == 3
-        with pytest.raises(ValueError):
-            r.uniform_ns("u", 7, 5)
-
     @given(mean=st.floats(min_value=1, max_value=1e9))
     @settings(max_examples=30)
     def test_property_draws_positive(self, mean):

@@ -29,10 +29,6 @@ class TestFioJobSpec:
         with pytest.raises(WorkloadError):
             fio.FioJob("bogus", 4096)
 
-    def test_all_jobs_cover_sweep(self):
-        jobs = fio.all_jobs()
-        assert len(jobs) == len(fio.CATEGORIES) * len(fio.BLOCK_SIZES)
-
     def test_op_count(self):
         wl = fio.job("seqr", 4096, total_bytes=1 << 20)
         assert wl.ops == 256
