@@ -337,20 +337,6 @@ def _series_cells(cells, args) -> list:
     return [replace(c, spec=c.spec.with_(series=True)) for c in cells]
 
 
-def _journaled(run, work, args):
-    """``run(work, journal=..., resume=..., **engine)``, or None after
-    reporting a journal that no longer matches the grid."""
-    from repro.resilience import ResumeError
-
-    try:
-        # Resuming without --journal appends to the resumed file.
-        return run(work, journal=args.journal or args.resume, resume=args.resume,
-                   **_engine_kwargs(args))
-    except ResumeError as exc:
-        print(f"resume failed: {exc}", file=sys.stderr)
-        return None
-
-
 def _identity_gate(check, work, args, *, prefix: str, ok: str) -> int:
     """Run a byte-identity ``check`` in a throwaway cache; 1 on problems."""
     import tempfile
@@ -408,9 +394,7 @@ def _cmd_matrix(args) -> int:
     from repro.scenarios import run_cells
 
     cells = _series_cells(cells, args)
-    result = _journaled(run_cells, cells, args)
-    if result is None:
-        return 1
+    result = run_cells(cells, **_engine_kwargs(args))
     failures = {f.spec: f for f in result.failed_specs}
     for cell in cells:
         metrics = result.results.get(cell.spec)
@@ -460,10 +444,7 @@ def _cmd_fleet(args) -> int:
         print(f"{mx.name}: no fleet cells — add a [fleets.*] table and put "
               f"its name on the [axes] fleet axis", file=sys.stderr)
         return 1
-    outcome = _journaled(run_fleets, groups, args)
-    if outcome is None:
-        return 1
-    aggregates, result = outcome
+    aggregates, result = run_fleets(groups, **_engine_kwargs(args))
     hosts = sum(len(specs) for specs in groups.values())
     summary = format_run_summary(mx.name, result)
     if result.report is not None and result.report.outcome != "completed":
@@ -531,7 +512,7 @@ def _cmd_cache(args) -> int:
 
 def _cmd_chaos(args) -> int:
     """Seeded chaos smoke: kill workers, crash the harness, corrupt the
-    cache — then resume from the journal and require the fleet bytes to
+    cache — then rerun on the same cache and require the fleet bytes to
     be identical to an uninterrupted run's."""
     import tempfile
     from pathlib import Path
@@ -558,7 +539,6 @@ def _cmd_chaos(args) -> int:
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as td:
         golden_dir = Path(td) / "golden-cache"
         chaos_dir = Path(td) / "chaos-cache"
-        journal = Path(td) / "run.journal"
         fuse_dir = Path(td) / "fuses"
 
         # 1. Uninterrupted run: the golden fleet bytes.
@@ -566,14 +546,14 @@ def _cmd_chaos(args) -> int:
         grid.raise_if_failed()
 
         # 2. Chaos run: seeded worker SIGKILLs, then a simulated harness
-        #    crash partway through — the journal survives, the run dies.
+        #    crash partway through — the cache survives, the run dies.
         policy = ChaosPolicy.plan(
             [spec_key(s) for specs in groups.values() for s in specs],
             seed=args.chaos_seed, kills=args.kills,
             abort_after=args.abort_after, fuse_dir=str(fuse_dir))
         interrupted = False
         try:
-            fleet_run(chaos_dir, journal=journal, chaos=policy, retries=2)
+            fleet_run(chaos_dir, chaos=policy, retries=2)
         except ChaosAbort as exc:
             interrupted = True
             print(f"chaos: {exc}", file=sys.stderr)
@@ -587,11 +567,11 @@ def _cmd_chaos(args) -> int:
             victim = corrupt_cache_entry(chaos_dir, seed=args.chaos_seed)
             print(f"chaos: corrupted {victim.name}", file=sys.stderr)
 
-        # 4. Resume from the journal; re-verification must catch the
-        #    corruption (quarantine, re-run) and the fleet bytes must
-        #    equal the golden run's.
-        recovered, resumed = fleet_run(chaos_dir, resume=journal, retries=2)
-        report = resumed.raise_if_failed().report
+        # 4. Rerun on the same cache: finished shards are served, the
+        #    corrupt one is quarantined and re-run, and the fleet bytes
+        #    must equal the golden run's.
+        recovered, rerun = fleet_run(chaos_dir, retries=2)
+        report = rerun.raise_if_failed().report
         print(report.render())
 
     problems = [key for key in golden
@@ -599,14 +579,12 @@ def _cmd_chaos(args) -> int:
     if problems:
         print(f"chaos smoke FAILED: fleet bytes diverged for {problems}")
         return 1
-    wanted_resume = args.abort_after is not None and report.resumed == 0
-    if wanted_resume:
-        print("chaos smoke FAILED: nothing was resumed from the journal")
+    if args.abort_after is not None and report.cache_hits == 0:
+        print("chaos smoke FAILED: the rerun served nothing from the cache")
         return 1
     print(f"chaos smoke ok: {len(groups)} fleet(s) byte-identical after "
-          f"kill/crash/corrupt + resume "
-          f"(resumed={report.resumed}, reverified={report.reverified}, "
-          f"quarantined={report.quarantined})")
+          f"kill/crash/corrupt + rerun "
+          f"(cached={report.cache_hits}, quarantined={report.quarantined})")
     return 0
 
 
@@ -863,14 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="run: record the windowed in-sim time series per "
                          "cell and require it to reconcile exactly with the "
                          "final RunMetrics")
-    mx.add_argument("--journal", default=None, metavar="FILE",
-                    help="run: record every cell's lifecycle to an "
-                         "append-only crash-safe journal")
-    mx.add_argument("--resume", default=None, metavar="FILE",
-                    help="run: resume an interrupted run from its journal — "
-                         "completed cells are served from the cache after "
-                         "re-verifying their bytes against the journaled "
-                         "result hash")
     mx.set_defaults(fn=_cmd_matrix)
 
     fl = sub.add_parser(
@@ -890,12 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="record the windowed in-sim time series per host "
                          "shard and require exact reconciliation with the "
                          "shard's RunMetrics")
-    fl.add_argument("--journal", default=None, metavar="FILE",
-                    help="record every host shard's lifecycle to an "
-                         "append-only crash-safe journal")
-    fl.add_argument("--resume", default=None, metavar="FILE",
-                    help="resume an interrupted fleet run from its journal "
-                         "(cached shards re-verified byte-for-byte)")
     fl.set_defaults(fn=_cmd_fleet)
 
     te = sub.add_parser(
@@ -925,17 +889,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ch.add_argument("action", choices=["fleet-smoke"],
                     help="fleet-smoke: SIGKILL workers, simulate a harness "
-                         "crash, corrupt the cache, resume from the journal, "
+                         "crash, corrupt the cache, rerun on the same cache, "
                          "and require byte-identical fleet aggregates")
     ch.add_argument("file", help="matrix file with a [fleets.*] axis")
     ch.add_argument("--kills", type=int, default=1, metavar="N",
                     help="SIGKILL the workers executing N seeded-random cells")
     ch.add_argument("--abort-after", type=int, default=None, metavar="N",
                     help="simulate the harness dying after N settled cells "
-                         "(the resume path's reason to exist)")
+                         "(the rerun must then be served from the cache)")
     ch.add_argument("--corrupt", type=int, default=1, metavar="N",
                     help="corrupt a seeded-random cached entry between crash "
-                         "and resume (0 disables)")
+                         "and rerun (0 disables)")
     ch.add_argument("--chaos-seed", type=int, default=0,
                     help="seed for victim selection (same seed, same faults)")
     ch.set_defaults(fn=_cmd_chaos)

@@ -2,7 +2,7 @@
 
 :func:`run_fleets` is the one fleet path: it runs every host cell of a
 ``{fleet: [RunSpec]}`` mapping through the parallel engine (pool +
-cache, optionally journaled, resumed or chaos-injected) and folds each
+cache, optionally chaos-injected) and folds each
 fleet's per-host metrics into a
 :class:`~repro.fleet.aggregate.FleetAggregate`. :func:`run_fleet` is
 the one-line form for a single :class:`~repro.fleet.spec.FleetSpec`;
@@ -32,8 +32,6 @@ def run_fleets(
     groups: Mapping[str, Sequence[RunSpec]],
     *,
     telemetry=None,
-    journal=None,
-    resume=None,
     **grid_kwargs,
 ) -> tuple[Optional[dict[str, FleetAggregate]], GridResult]:
     """Run every host cell of ``groups`` in one grid and aggregate.
@@ -44,16 +42,13 @@ def run_fleets(
     aggregate over a partial rack would silently under-count.
 
     Every keyword passes through to
-    :func:`~repro.experiments.parallel.run_grid`; resuming without a
-    separate ``journal`` appends to the resumed file, and a resumed
-    fleet's aggregate is byte-identical to an uninterrupted run's.
+    :func:`~repro.experiments.parallel.run_grid`; a fleet rerun on the
+    cache of an interrupted one runs only the unfinished hosts, and its
+    aggregate is byte-identical to an uninterrupted run's.
     ``telemetry`` also gets the ``fleet.aggregate`` span.
     """
-    if resume is not None and journal is None:
-        journal = resume
     grid = run_grid([s for group in groups.values() for s in group],
-                    telemetry=telemetry, journal=journal, resume=resume,
-                    **grid_kwargs)
+                    telemetry=telemetry, **grid_kwargs)
     if grid.failed_specs:
         return None, grid
     hosts = sum(len(group) for group in groups.values())

@@ -15,7 +15,7 @@ content-addressed cache, fleet aggregation and the sanitizer. One
   relative to the ring's construction;
 * each finished grid hands over its
   :class:`~repro.resilience.policy.RunReport`, the one count of every
-  grid outcome (cache hits, resumes, retries, failures, rebuilds).
+  grid outcome (cache hits, quarantines, retries, failures, rebuilds).
 
 :meth:`HarnessTelemetry.write_outputs` writes ``spans.jsonl`` (the
 ring), ``metrics.json`` (``{"grids": [RunReport, ...]}``) and
@@ -39,6 +39,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
+from repro.errors import ReproError
 from repro.metrics.report import format_table
 from repro.obs.export import TraceBuilder, write_chrome_trace
 from repro.resilience.policy import RunReport
@@ -284,14 +285,25 @@ def instant_summary_rows(records: Iterable[dict]) -> list[tuple[str, str]]:
             for name in sorted(counts, key=lambda n: (-counts[n], n))]
 
 
+def _read_grid_reports(path: str) -> list[RunReport]:
+    """The :class:`RunReport` of every grid in a ``metrics.json``; a file
+    of any other shape is a :class:`~repro.errors.ReproError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            grids = json.load(fh).get("grids", [])
+        return [RunReport.from_json_dict(grid) for grid in grids]
+    except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ReproError(f"{path}: not a metrics file: {exc!r}") from None
+
+
 def report_lines(out_dir: str) -> Iterable[str]:
     """Full ``telemetry report`` output for one artifact directory: the
     span and instant tables, then one ``RunReport`` line per grid."""
     spans_path = os.path.join(out_dir, SPANS_FILE)
     metrics_path = os.path.join(out_dir, METRICS_JSON_FILE)
-    found = False
+    reports = (_read_grid_reports(metrics_path)
+               if os.path.exists(metrics_path) else None)
     if os.path.exists(spans_path):
-        found = True
         header, records = read_jsonl(spans_path)
         dropped = int(header.get("dropped", 0))
         note = f" ({dropped:,} dropped by ring overflow)" if dropped else ""
@@ -305,14 +317,10 @@ def report_lines(out_dir: str) -> Iterable[str]:
         if inst:
             yield ""
             yield format_table(("instant", "count"), inst, title="instant events")
-    if os.path.exists(metrics_path):
-        found = True
-        with open(metrics_path, "r", encoding="utf-8") as fh:
-            grids = json.load(fh).get("grids", [])
-        if grids:
-            yield ""
-            for i, grid in enumerate(grids, 1):
-                yield f"grid {i}: {RunReport.from_json_dict(grid).render()}"
-    if not found:
+    elif reports is None:
         yield (f"no telemetry artifacts in {out_dir} "
                f"(expected {SPANS_FILE} and/or {METRICS_JSON_FILE})")
+    if reports:
+        yield ""
+        for i, report in enumerate(reports, 1):
+            yield f"grid {i}: {report.render()}"

@@ -1,16 +1,17 @@
-"""Crash-safe grid execution: journal + resume, integrity, chaos, policy.
+"""Crash-safe grid execution: integrity, chaos, policy.
 
 The parallel engine (:mod:`repro.experiments.parallel`) promises that a
 grid's results are byte-identical however they were produced — serial,
-pooled, or cached. This package extends that promise across *failures*:
+pooled, or cached. This package extends that promise across *failures*.
+There is one recovery path for a harness that died mid-grid: run the
+same grid again against the same cache. Every finished cell was
+published with a checksum footer the moment it settled, so the rerun
+serves it as a verified hit and runs only the rest.
 
-* :mod:`repro.resilience.journal` — an append-only JSONL record of
-  every cell's lifecycle, durable per record, replayable after any
-  crash; ``--resume`` skips completed cells and **re-verifies** their
-  cached bytes against the journaled result hash;
 * :mod:`repro.resilience.integrity` — checksum footers on every cache
-  entry, one verifying reader, quarantine (never crash) for corrupt
-  files, and the ``cache verify|gc`` maintenance pass;
+  entry, fsynced and published by one atomic rename, one verifying
+  reader, quarantine (never crash) for corrupt files, and the
+  ``cache verify|gc`` maintenance pass;
 * :mod:`repro.resilience.chaos` — deterministic, seedable fault
   injection (worker SIGKILL, injected fsync/write failures, timeout
   delays, simulated harness crash) so every
@@ -21,7 +22,7 @@ pooled, or cached. This package extends that promise across *failures*:
   (completed / degraded / failed).
 
 House rule, inherited from the rest of the platform: every recovery
-path preserves byte identity — a resumed, degraded, or
+path preserves byte identity — a rerun, degraded, or
 quarantine-recovered run's aggregate bytes equal an uninterrupted
 run's, and the chaos battery asserts exactly that.
 """
@@ -37,15 +38,6 @@ from repro.resilience.integrity import (
     gc_cache,
     verify_cache,
 )
-from repro.resilience.journal import (
-    JournalError,
-    JournalState,
-    ResumeError,
-    RunJournal,
-    grid_digest,
-    replay_journal,
-    result_hash,
-)
 from repro.resilience.policy import CircuitBreaker, RunReport, classify_failure
 
 __all__ = [
@@ -57,15 +49,8 @@ __all__ = [
     "CircuitBreaker",
     "FaultyFS",
     "GcStats",
-    "JournalError",
-    "JournalState",
-    "ResumeError",
-    "RunJournal",
     "RunReport",
     "classify_failure",
     "gc_cache",
-    "grid_digest",
-    "replay_journal",
-    "result_hash",
     "verify_cache",
 ]

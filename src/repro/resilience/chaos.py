@@ -2,7 +2,8 @@
 
 Every recovery path the engine grew — pool rebuild after a SIGKILLed
 worker, cache-write failure demoting to no-cache, quarantine of corrupt
-entries, journal resume after a harness crash — must be *exercised*, not believed. This module injects those faults
+entries, a rerun on the same cache after a harness crash — must be
+*exercised*, not believed. This module injects those faults
 deterministically, from a seed, so a chaos test is as replayable as
 any other cell of the matrix:
 
@@ -13,15 +14,15 @@ any other cell of the matrix:
 * :func:`ChaosPolicy.plan` picks victims with a seeded RNG over the
   sorted spec keys — same seed, same grid, same casualties, always;
 * ``abort_after`` simulates the *harness* dying mid-grid: the engine
-  raises :class:`ChaosAbort` after N settled cells, leaving the journal
-  and cache exactly as a real crash would;
+  raises :class:`ChaosAbort` after N settled cells, leaving the cache
+  exactly as a real crash would;
 * :class:`FaultyFS` wraps the cache's filesystem shim and fails chosen
   write/replace operations (the fsync-failure and torn-write paths);
 * :func:`corrupt_cache_entry` damages a stored entry on disk the way a
   torn write would (truncation or byte garbling), for integrity tests.
 
 None of this perturbs simulated time: chaos acts on the *harness*, so
-a recovered or resumed run must still be byte-identical to a clean one
+a recovered or rerun grid must still be byte-identical to a clean one
 — which is exactly the property the chaos battery asserts.
 """
 
@@ -62,7 +63,7 @@ class ChaosPolicy:
     abort_after: Optional[int] = None
     #: Directory holding one *fuse file* per kill: created before the
     #: SIGKILL, so each victim dies exactly once and the retry lives.
-    #: None disables the fuse (every attempt dies — resume territory).
+    #: None disables the fuse (every attempt dies — rerun territory).
     fuse_dir: Optional[str] = None
     #: PID of the planning harness; kills only fire in *other*
     #: processes (a serial in-process grid must never shoot itself).

@@ -79,20 +79,14 @@ class RunReport:
     * ``"completed"`` — every cell has a result and no recovery
       machinery had to act;
     * ``"degraded"`` — every cell has a result, but the run leaned on
-      retries, pool rebuilds, degradation steps, quarantine, or resume
-      re-verification mismatches to get there;
+      retries, pool rebuilds, degradation steps, or quarantine to get
+      there;
     * ``"failed"`` — at least one cell is permanently failed.
     """
 
     cells: int = 0
     cache_hits: int = 0
     executed: int = 0
-    #: Cells served by ``--resume`` verification (subset of cache_hits).
-    resumed: int = 0
-    #: Cells whose cached bytes were re-verified against the journal.
-    reverified: int = 0
-    #: Resume verifications that failed (entry quarantined, cell re-run).
-    resume_mismatches: int = 0
     #: Cache files quarantined during this run (corrupt on read).
     quarantined: int = 0
     retries: Counter = field(default_factory=Counter)      # kind -> count
@@ -110,7 +104,7 @@ class RunReport:
         if self.failed:
             return "failed"
         if (self.retries or self.pool_rebuilds or self.degradation
-                or self.quarantined or self.resume_mismatches):
+                or self.quarantined):
             return "degraded"
         return "completed"
 
@@ -120,9 +114,6 @@ class RunReport:
             "cells": self.cells,
             "cache_hits": self.cache_hits,
             "executed": self.executed,
-            "resumed": self.resumed,
-            "reverified": self.reverified,
-            "resume_mismatches": self.resume_mismatches,
             "quarantined": self.quarantined,
             "retries": dict(self.retries),
             "failures": dict(self.failures),
@@ -142,12 +133,6 @@ class RunReport:
         """One operator-facing summary line."""
         parts = [f"outcome={self.outcome}", f"cells={self.cells}",
                  f"cached={self.cache_hits}", f"executed={self.executed}"]
-        if self.resumed:
-            parts.append(f"resumed={self.resumed}")
-        if self.reverified:
-            parts.append(f"reverified={self.reverified}")
-        if self.resume_mismatches:
-            parts.append(f"resume_mismatches={self.resume_mismatches}")
         if self.quarantined:
             parts.append(f"quarantined={self.quarantined}")
         if self.retries:

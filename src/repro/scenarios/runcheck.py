@@ -12,7 +12,7 @@ representation (hand-written matrices and fuzz expansions alike):
   onto the same event stream, then the reconcile battery.
 * :func:`run_cells` — throughput path: compile to specs and hand the
   grid to :func:`repro.experiments.parallel.run_grid` (cache, workers,
-  journal and resume).
+  retries).
 * :func:`identity_problems` — the determinism gate: the same cells run
   serially, pooled, and from a warm cache must produce **byte-identical**
   canonical metrics. :func:`_identity_runs` is the four-way run behind
@@ -123,10 +123,9 @@ def check_cells(
 def run_cells(cells: Iterable[Cell], **grid_kwargs: Any) -> GridResult:
     """Run cells through the parallel engine (cache, workers, retries).
 
-    ``grid_kwargs`` go to :func:`~repro.experiments.parallel.run_grid`,
-    including ``journal`` (a path that records every cell's lifecycle
-    durably) and ``resume`` (a previous journal to replay, skipping
-    completed cells after re-verifying their cached bytes).
+    ``grid_kwargs`` go to :func:`~repro.experiments.parallel.run_grid`.
+    Rerunning the same cells on the same cache resumes an interrupted
+    run: finished cells are served from the cache, the rest run.
     """
     return run_grid([c.spec for c in cells], **grid_kwargs)
 

@@ -1,16 +1,16 @@
 """Characterization of ``run_grid``'s cell lifecycle, consumer by consumer.
 
-Four consumers watch every grid cell move through its lifecycle: the
-run journal, the ``progress`` callback, the :class:`RunReport` (the one
-count of each outcome) and the harness telemetry (the timeline of spans
-and instants). These tests pin what each consumer sees on every
-lifecycle path — cold miss, cache hit, resume hit, resume mismatch,
-artifact-missing miss, retry, failure, timeout, worker crash, the
-pool-rebuild cap and the breaker ladder — at ``jobs=1`` and ``jobs=2``.
+Three consumers watch every grid cell move through its lifecycle: the
+``progress`` callback, the :class:`RunReport` (the one count of each
+outcome) and the harness telemetry (the timeline of spans and
+instants). These tests pin what each consumer sees on every lifecycle
+path — cold miss, cache hit, a rerun after a crash, artifact-missing
+miss, retry, failure, timeout, worker crash, the pool-rebuild cap and
+the breaker ladder — at ``jobs=1`` and ``jobs=2``.
 
 Serial grids settle in a fixed order, so their sequences are compared
 exactly. Pool completion order is not fixed, so pooled grids are
-compared per cell (the subsequence of one cell's records) and as
+compared per cell (the subsequence of one cell's events) and as
 multisets.
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import re
 import time
 from collections import Counter
 from pathlib import Path
@@ -32,14 +31,12 @@ from repro.experiments.parallel import (
     ResultCache,
     RunSpec,
     WorkloadSpec,
-    encode_result,
     register_workload,
     run_grid,
     spec_key,
 )
-from repro.resilience.chaos import ChaosPolicy
+from repro.resilience.chaos import ChaosAbort, ChaosPolicy
 from repro.resilience.integrity import attach_footer, split_verified
-from repro.resilience.journal import RunJournal, result_hash
 from repro.resilience.policy import CircuitBreaker
 from repro.obs.harness import HarnessTelemetry
 from repro.workloads.micro import PingPongWorkload
@@ -83,9 +80,8 @@ JOBS = pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pool"])
 
 COMPLETED = {
     "outcome": "completed", "cells": 0, "cache_hits": 0, "executed": 0,
-    "resumed": 0, "reverified": 0, "resume_mismatches": 0, "quarantined": 0,
-    "retries": {}, "failures": {}, "failed": 0, "pool_rebuilds": 0,
-    "degradation": [],
+    "quarantined": 0, "retries": {}, "failures": {}, "failed": 0,
+    "pool_rebuilds": 0, "degradation": [],
 }
 
 
@@ -108,13 +104,10 @@ def report(**fields) -> dict:
 
 
 class Observed:
-    """Everything the four consumers saw of one grid execution."""
+    """Everything the three consumers saw of one grid execution."""
 
-    def __init__(self, grid, names, journal_lines, events, tel):
+    def __init__(self, grid, names, events, tel):
         self.grid = grid
-        self.names = names
-        self.journal = [self._record(json.loads(line)) for line in journal_lines]
-        self.journal = [r for r in self.journal if r is not None]
         self.progress = [
             (e.status, names[spec_key(e.spec)], e.done, e.total, e.attempt,
              e.cache_hit, e.failure_kind)
@@ -127,50 +120,23 @@ class Observed:
         [grid_span] = [s for s in tel.spans() if s.name == "grid.run"]
         self.jobs = grid_span.attrs["jobs"]
 
-    def _record(self, obj: dict):
-        if obj.get("type") != "cell":
-            return None
-        name = self.names[obj["key"]]
-        extras = {k: v for k, v in obj.items() if k not in ("type", "event", "key")}
-        if "result_hash" in extras:
-            spec = next(s for s in self.grid.results if spec_key(s) == obj["key"])
-            expected = result_hash(encode_result(self.grid.results[spec]))
-            extras["result_hash"] = "ok" if extras["result_hash"] == expected else "BAD"
-        if "error" in extras:
-            extras["error"] = re.sub(r"BrokenProcessPool\(.*\)",
-                                     "BrokenProcessPool(...)", extras["error"])
-        return (obj["event"], name, extras)
-
-    def per_key(self, name: str) -> list:
-        return [(event, extras) for event, n, extras in self.journal if n == name]
-
     def progress_of(self, name: str) -> list:
         return [(status, attempt, hit, kind)
                 for status, n, _done, _total, attempt, hit, kind in self.progress
                 if n == name]
 
 
-def observe(specs, names: dict, journal_path: Path, **kwargs) -> Observed:
-    """Run ``specs`` with every consumer attached; keep only new journal lines."""
-    before = (journal_path.read_text().splitlines() if journal_path.exists() else [])
+def observe(specs, names: dict, **kwargs) -> Observed:
+    """Run ``specs`` with every consumer attached."""
     events: list = []
     tel = HarnessTelemetry()
-    kwargs.setdefault("journal", journal_path)
     grid = run_grid(specs, progress=events.append, telemetry=tel, **kwargs)
-    lines = journal_path.read_text().splitlines()[len(before):]
     key_names = {spec_key(spec): name for spec, name in names.items()}
-    return Observed(grid, key_names, lines, events, tel)
-
-
-def started(attempt: int = 1) -> tuple:
-    return ("started", {"attempt": attempt})
-
-
-DONE = ("done", {"result_hash": "ok"})
+    return Observed(grid, key_names, events, tel)
 
 
 # --------------------------------------------------------------------------
-# Cache and resume paths
+# Cache and rerun paths
 # --------------------------------------------------------------------------
 
 
@@ -181,16 +147,8 @@ class TestCachePaths:
         names = {a: "A", b: "B"}
         cache = tmp_path / "cache"
 
-        cold = observe([a, b], names, tmp_path / "cold.journal",
-                       jobs=jobs, cache_dir=cache)
-        assert cold.journal[:2] == [("scheduled", "A", {}), ("scheduled", "B", {})]
-        for name in "AB":
-            assert cold.per_key(name) == [("scheduled", {}), started(), DONE]
+        cold = observe([a, b], names, jobs=jobs, cache_dir=cache)
         if jobs == 1:
-            assert cold.journal[2:] == [
-                ("started", "A", {"attempt": 1}), ("done", "A", {"result_hash": "ok"}),
-                ("started", "B", {"attempt": 1}), ("done", "B", {"result_hash": "ok"}),
-            ]
             assert cold.progress == [("ran", "A", 1, 2, 1, False, None),
                                      ("ran", "B", 2, 2, 1, False, None)]
         assert sorted(p[2] for p in cold.progress) == [1, 2]
@@ -201,10 +159,7 @@ class TestCachePaths:
         assert cold.spans == {"grid.run": 1, "shard.execute": 2}
         assert cold.jobs == jobs
 
-        warm = observe([a, b], names, tmp_path / "warm.journal",
-                       jobs=jobs, cache_dir=cache)
-        assert warm.journal == [("cached", "A", {"result_hash": "ok"}),
-                                ("cached", "B", {"result_hash": "ok"})]
+        warm = observe([a, b], names, jobs=jobs, cache_dir=cache)
         assert warm.progress == [("cached", "A", 1, 2, 1, True, None),
                                  ("cached", "B", 2, 2, 1, True, None)]
         assert warm.report == report(cells=2, cache_hits=2)
@@ -213,56 +168,24 @@ class TestCachePaths:
 
     @JOBS
     def test_resume_hit(self, tmp_path, jobs):
-        a, b = cell(0), cell(1)
-        names = {a: "A", b: "B"}
-        journal = tmp_path / "run.journal"
-        run_grid([a, b], jobs=jobs, cache_dir=tmp_path / "cache", journal=journal)
+        """Rerunning a grid that crashed is its resume: the cell that
+        settled before the crash is a cache hit, the rest run."""
+        a, b, c = cell(0), cell(1), cell(2)
+        names = {a: "A", b: "B", c: "C"}
+        cache = tmp_path / "cache"
+        with pytest.raises(ChaosAbort):
+            run_grid([a, b, c], jobs=jobs, cache_dir=cache,
+                     chaos=ChaosPolicy(abort_after=1))
 
-        obs = observe([a, b], names, journal, jobs=jobs,
-                      cache_dir=tmp_path / "cache", resume=journal)
-        assert obs.journal == [("resumed", "A", {"result_hash": "ok"}),
-                               ("resumed", "B", {"result_hash": "ok"})]
-        assert obs.progress == [("resumed", "A", 1, 2, 1, True, None),
-                                ("resumed", "B", 2, 2, 1, True, None)]
-        assert obs.report == report(cells=2, cache_hits=2, resumed=2, reverified=2)
-        assert obs.instants == {"resume.hit": 2, "cache.hit": 2}
-        assert obs.spans == {"grid.run": 1}
-
-    @JOBS
-    def test_resume_mismatch_quarantines_and_reruns(self, tmp_path, jobs):
-        a, b = cell(0), cell(1)
-        names = {a: "A", b: "B"}
-        journal = tmp_path / "run.journal"
-        cache_dir = tmp_path / "cache"
-        run_grid([a, b], jobs=jobs, cache_dir=cache_dir, journal=journal)
-
-        # Give A's entry B's result under a valid footer: only the
-        # journaled result hash can tell.
-        cache = ResultCache(cache_dir)
-        path_a = cache.path_for(spec_key(a))
-        doc_a = json.loads(split_verified(path_a.read_text())[0])
-        doc_b = json.loads(split_verified(cache.path_for(spec_key(b)).read_text())[0])
-        doc_a["result"] = doc_b["result"]
-        path_a.write_text(attach_footer(json.dumps(doc_a, sort_keys=True)))
-
-        obs = observe([a, b], names, journal, jobs=jobs, cache_dir=cache_dir,
-                      resume=journal)
-        assert obs.journal == [
-            ("scheduled", "A", {}),
-            ("resumed", "B", {"result_hash": "ok"}),
-            ("started", "A", {"attempt": 1}),
-            ("done", "A", {"result_hash": "ok"}),
-        ]
-        assert obs.progress == [("resumed", "B", 1, 2, 1, True, None),
-                                ("ran", "A", 2, 2, 1, False, None)]
-        assert obs.report == report(
-            outcome="degraded", cells=2, cache_hits=1, executed=1, resumed=1,
-            reverified=1, resume_mismatches=1, quarantined=1)
-        assert obs.instants == {
-            "resume.mismatch": 1, "cache.quarantine": 1,
-            "resume.miss": 1, "cache.miss": 1, "resume.hit": 1, "cache.hit": 1,
-            "cache.write": 1,
-        }
+        obs = observe([a, b, c], names, jobs=jobs, cache_dir=cache)
+        if jobs == 1:
+            assert obs.progress == [("cached", "A", 1, 3, 1, True, None),
+                                    ("ran", "B", 2, 3, 1, False, None),
+                                    ("ran", "C", 3, 3, 1, False, None)]
+        assert sorted(p[0] for p in obs.progress) == ["cached", "ran", "ran"]
+        assert obs.report == report(cells=3, cache_hits=1, executed=2)
+        assert obs.instants == {"cache.hit": 1, "cache.miss": 2, "cache.write": 2}
+        assert obs.spans == {"grid.run": 1, "shard.execute": 2}
 
     @JOBS
     def test_result_without_artifacts_is_a_miss(self, tmp_path, jobs):
@@ -275,10 +198,7 @@ class TestCachePaths:
         del doc["series"]
         path.write_text(attach_footer(json.dumps(doc, sort_keys=True)))
 
-        obs = observe([p], names, tmp_path / "run.journal", jobs=jobs,
-                      cache_dir=cache_dir)
-        assert obs.journal == [("scheduled", "P", {}), ("started", "P", {"attempt": 1}),
-                               ("done", "P", {"result_hash": "ok"})]
+        obs = observe([p], names, jobs=jobs, cache_dir=cache_dir)
         assert obs.progress == [("ran", "P", 1, 1, 1, False, None)]
         assert obs.report == report(cells=1, executed=1)
         assert obs.instants == {"cache.miss": 1, "cache.write": 1}
@@ -295,11 +215,7 @@ class TestFailurePaths:
     def test_retry_then_ok(self, tmp_path, jobs):
         f = fault("lifecycle.flaky", fuse=str(tmp_path / "fuse"))
         names = {f: "F"}
-        obs = observe([f], names, tmp_path / "run.journal", jobs=jobs,
-                      use_cache=False, retries=1)
-        assert obs.journal == [("scheduled", "F", {}), ("started", "F", {"attempt": 1}),
-                               ("started", "F", {"attempt": 2}),
-                               ("done", "F", {"result_hash": "ok"})]
+        obs = observe([f], names, jobs=jobs, use_cache=False, retries=1)
         assert obs.progress == [("retry", "F", 0, 1, 1, False, "error"),
                                 ("ran", "F", 1, 1, 1, False, None)]
         assert obs.report == report(outcome="degraded", cells=1, executed=1,
@@ -310,14 +226,7 @@ class TestFailurePaths:
     def test_retry_then_ok_serial_order_with_a_second_cell(self, tmp_path):
         f = fault("lifecycle.flaky", fuse=str(tmp_path / "fuse"))
         a = cell(0)
-        obs = observe([f, a], {f: "F", a: "A"}, tmp_path / "run.journal",
-                      jobs=1, use_cache=False, retries=1)
-        assert obs.journal == [
-            ("scheduled", "F", {}), ("scheduled", "A", {}),
-            ("started", "F", {"attempt": 1}), ("started", "F", {"attempt": 2}),
-            ("done", "F", {"result_hash": "ok"}),
-            ("started", "A", {"attempt": 1}), ("done", "A", {"result_hash": "ok"}),
-        ]
+        obs = observe([f, a], {f: "F", a: "A"}, jobs=1, use_cache=False, retries=1)
         assert obs.progress == [("retry", "F", 0, 2, 1, False, "error"),
                                 ("ran", "F", 1, 2, 1, False, None),
                                 ("ran", "A", 2, 2, 1, False, None)]
@@ -325,16 +234,10 @@ class TestFailurePaths:
     @JOBS
     def test_retry_then_failed(self, tmp_path, jobs):
         b = fault("lifecycle.boom")
-        obs = observe([b], {b: "B"}, tmp_path / "run.journal", jobs=jobs,
-                      use_cache=False, retries=1)
-        error = "RuntimeError('lifecycle-boom')"
-        assert obs.journal == [
-            ("scheduled", "B", {}), ("started", "B", {"attempt": 1}),
-            ("started", "B", {"attempt": 2}),
-            ("failed", "B", {"error": error, "kind": "error", "attempts": 2}),
-        ]
+        obs = observe([b], {b: "B"}, jobs=jobs, use_cache=False, retries=1)
         assert obs.progress == [("retry", "B", 0, 1, 1, False, "error"),
                                 ("failed", "B", 1, 1, 2, False, "error")]
+        assert obs.grid.failed_specs[0].error == "RuntimeError('lifecycle-boom')"
         assert obs.report == report(outcome="failed", cells=1, retries={"error": 1},
                                     failures={"error": 1}, failed=1)
         assert obs.instants == {}
@@ -344,14 +247,10 @@ class TestFailurePaths:
     def test_timeout(self, tmp_path, jobs, monkeypatch):
         monkeypatch.setattr(parallel, "DEFAULT_TIMEOUT_S", 0.2)
         s = fault("lifecycle.sleep", seconds=30.0)
-        obs = observe([s], {s: "S"}, tmp_path / "run.journal", jobs=jobs,
-                      use_cache=False, retries=0)
-        error = "RunTimeout('run exceeded the per-run timeout of 0.2s')"
-        assert obs.journal == [
-            ("scheduled", "S", {}), ("started", "S", {"attempt": 1}),
-            ("failed", "S", {"error": error, "kind": "timeout", "attempts": 1}),
-        ]
+        obs = observe([s], {s: "S"}, jobs=jobs, use_cache=False, retries=0)
         assert obs.progress == [("failed", "S", 1, 1, 1, False, "timeout")]
+        assert obs.grid.failed_specs[0].error == (
+            "RunTimeout('run exceeded the per-run timeout of 0.2s')")
         assert obs.report == report(outcome="failed", cells=1,
                                     failures={"timeout": 1}, failed=1)
         assert obs.instants == {}
@@ -367,11 +266,7 @@ class TestPoolRecovery:
     def test_worker_crash_rebuilds_the_pool(self, tmp_path):
         a = cell(0)
         chaos = ChaosPolicy.plan([spec_key(a)], kills=1, fuse_dir=str(tmp_path / "fuse"))
-        obs = observe([a], {a: "A"}, tmp_path / "run.journal", jobs=2,
-                      use_cache=False, retries=1, chaos=chaos)
-        assert obs.journal == [("scheduled", "A", {}), ("started", "A", {"attempt": 1}),
-                               ("started", "A", {"attempt": 2}),
-                               ("done", "A", {"result_hash": "ok"})]
+        obs = observe([a], {a: "A"}, jobs=2, use_cache=False, retries=1, chaos=chaos)
         assert obs.progress == [("retry", "A", 0, 1, 1, False, "crash"),
                                 ("ran", "A", 1, 1, 1, False, None)]
         assert obs.report == report(outcome="degraded", cells=1, executed=1,
@@ -383,17 +278,14 @@ class TestPoolRecovery:
     def test_rebuild_cap_fails_the_cell(self, tmp_path, monkeypatch):
         monkeypatch.setattr(parallel, "DEFAULT_MAX_POOL_REBUILDS", 2)
         c = fault("lifecycle.crash")
-        obs = observe([c], {c: "C"}, tmp_path / "run.journal", jobs=2,
-                      use_cache=False, retries=10)
-        error = ("pool rebuild cap reached (2); last crash: BrokenProcessPool(...)")
-        assert obs.journal == [
-            ("scheduled", "C", {}), ("started", "C", {"attempt": 1}),
-            ("started", "C", {"attempt": 2}), ("started", "C", {"attempt": 3}),
-            ("failed", "C", {"error": error, "kind": "crash", "attempts": 3}),
-        ]
+        obs = observe([c], {c: "C"}, jobs=2, use_cache=False, retries=10)
         assert obs.progress == [("retry", "C", 0, 1, 1, False, "crash"),
                                 ("retry", "C", 0, 1, 2, False, "crash"),
                                 ("failed", "C", 1, 1, 3, False, "crash")]
+        [failure] = obs.grid.failed_specs
+        assert failure.error.startswith(
+            "pool rebuild cap reached (2); last crash: BrokenProcessPool(")
+        assert failure.attempts == 3
         assert obs.report == report(outcome="failed", cells=1, retries={"crash": 2},
                                     failures={"crash": 1}, failed=1, pool_rebuilds=2)
         # The third crash hits the cap: no rebuild, so none is counted.
@@ -405,18 +297,11 @@ class TestPoolRecovery:
             CircuitBreaker, threshold=0.5, min_events=2, window=4))
         specs = [fault("lifecycle.slowboom", seed=s) for s in range(8)]
         names = {s: f"S{i}" for i, s in enumerate(specs)}
-        obs = observe(specs, names, tmp_path / "run.journal", jobs=2,
-                      use_cache=False, retries=0)
-        error = "RuntimeError('lifecycle-slowboom')"
-        assert [e for e, _n, _x in obs.journal[:8]] == ["scheduled"] * 8
+        obs = observe(specs, names, jobs=2, use_cache=False, retries=0)
         for name in names.values():
-            records = obs.per_key(name)
-            assert records[0] == ("scheduled", {})
-            assert records[-1] == ("failed", {"error": error, "kind": "error",
-                                              "attempts": 1})
-            # A cell in flight when the breaker trips is resubmitted.
-            assert set(map(repr, records[1:-1])) == {repr(started(1))}
             assert obs.progress_of(name) == [("failed", 1, False, "error")]
+        assert {f.error for f in obs.grid.failed_specs} == {
+            "RuntimeError('lifecycle-slowboom')"}
         assert [p[2] for p in obs.progress] == list(range(1, 9))
         assert obs.report == report(
             outcome="failed", cells=8, failures={"error": 8}, failed=8,
@@ -428,25 +313,6 @@ class TestPoolRecovery:
 # --------------------------------------------------------------------------
 # Invariants
 # --------------------------------------------------------------------------
-
-
-class _PublishCheckingJournal(RunJournal):
-    """Fails a ``done`` record whose cache entry is not yet published."""
-
-    def __init__(self, path, cache: ResultCache, specs):
-        super().__init__(path)
-        self.cache = cache
-        self.by_key = {spec_key(s): s for s in specs}
-        self.done: list[str] = []
-
-    def record(self, event, key, **extra):
-        if event == "done":
-            spec = self.by_key[key]
-            result, series = self.cache.load(spec)
-            assert result is not None, "done before publish"
-            assert (series is not None) == spec.series
-            self.done.append(key)
-        super().record(event, key, **extra)
 
 
 class _SpyBreaker(CircuitBreaker):
@@ -465,15 +331,24 @@ class _SpyBreaker(CircuitBreaker):
 
 class TestInvariants:
     @JOBS
-    def test_done_is_journaled_only_after_the_entry_is_published(self, tmp_path, jobs):
+    def test_ran_is_reported_only_after_the_entry_is_published(self, tmp_path, jobs):
+        """A cell is on disk before anything sees it settle, so a harness
+        that dies at any later point finds it served on the rerun."""
         specs = [cell(0), cell(1, series=True)]
         cache_dir = tmp_path / "cache"
-        journal = _PublishCheckingJournal(tmp_path / "run.journal",
-                                          ResultCache(cache_dir), specs)
-        with journal:
-            grid = run_grid(specs, jobs=jobs, cache_dir=cache_dir, journal=journal)
+        cache = ResultCache(cache_dir)
+        published: list[str] = []
+
+        def progress(event):
+            assert event.status == "ran"
+            result, series = cache.load(event.spec)
+            assert result is not None, "ran before publish"
+            assert (series is not None) == event.spec.series
+            published.append(spec_key(event.spec))
+
+        grid = run_grid(specs, jobs=jobs, cache_dir=cache_dir, progress=progress)
         assert grid.complete
-        assert sorted(journal.done) == sorted(spec_key(s) for s in specs)
+        assert sorted(published) == sorted(spec_key(s) for s in specs)
 
     @pytest.mark.parametrize("jobs", [None, 0, 1])
     def test_serial_grids_never_consult_the_breaker(self, jobs, monkeypatch):

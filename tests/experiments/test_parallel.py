@@ -118,6 +118,8 @@ def test_spec_dict_round_trip():
         cost_overrides=(("pollution", 9000),),
         features=HostFeatures(halt_poll_ns=50_000),
         label="rt",
+        series=True,
+        arch="arm",
     )
     back = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
     assert back == spec
@@ -130,6 +132,7 @@ def test_spec_encoding_has_only_settable_fields():
         "workload", "tick_mode", "seed", "vcpus", "pinned_cpus", "machine",
         "features", "cost_overrides", "tick_hz", "noise", "cpuidle",
         "horizon_ns", "label", "keep_timer_on_idle_exit", "perturbations",
+        "series", "arch",
     }
 
 

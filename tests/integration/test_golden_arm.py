@@ -73,16 +73,16 @@ class TestArmEngineIdentity:
 
 
 class TestArchCacheKey:
-    def test_default_arch_not_serialized(self):
-        """An x86 spec encodes byte-identically to a pre-``arch`` spec,
-        so every pre-existing cache key and golden content address
-        survives the refactor."""
+    def test_default_arch_serialized_and_round_trips(self):
+        """The default arch rides the cache key like any other field."""
         spec = RunSpec(
             WorkloadSpec.make("micro.syncstorm", threads=2,
                               events_per_second=600.0, duration_cycles=15_000_000),
             tick_mode=TickMode.TICKLESS, seed=1,
         )
-        assert "arch" not in parallel.spec_to_dict(spec)
+        data = parallel.spec_to_dict(spec)
+        assert data["arch"] == "x86"
+        assert parallel.spec_from_dict(data) == spec
 
     def test_arm_arch_serialized_and_round_trips(self):
         spec = RunSpec(

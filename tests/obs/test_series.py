@@ -164,9 +164,8 @@ class TestRunReconciliation:
 
 
 class TestSpecAndCache:
-    def test_default_spec_dict_has_no_series_field(self):
-        # Cache-key stability: pre-series specs must keep their keys.
-        assert "series" not in spec_to_dict(series_spec(series=False))
+    def test_spec_dict_always_has_series_field(self):
+        assert spec_to_dict(series_spec(series=False))["series"] is False
         assert spec_to_dict(series_spec())["series"] is True
 
     def test_series_changes_the_cache_key(self):

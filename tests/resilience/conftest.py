@@ -1,7 +1,7 @@
 """Shared helpers for the resilience battery.
 
 Every test here runs tiny ping-pong cells — small enough that a full
-chaos round-trip (run, crash, corrupt, resume, compare) stays in the
+chaos round-trip (run, crash, corrupt, rerun, compare) stays in the
 tens of milliseconds, large enough that the results are real simulation
 output whose byte-identity is worth asserting.
 """

@@ -1,6 +1,6 @@
 """CLI + report surface of the resilience layer.
 
-``matrix run --journal/--resume``, ``cache verify|gc``, the chaos
+``matrix run`` reruns on a warm cache, ``cache verify|gc``, the chaos
 fleet smoke, and the ``telemetry report`` per-grid run reports — the same
 machinery the CI chaos job drives, exercised through ``main()``.
 """
@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.experiments.parallel import run_grid
 from repro.resilience.chaos import corrupt_cache_entry
 from repro.resilience.integrity import QUARANTINE_DIR
+from repro.resilience.policy import RunReport
 from repro.obs.harness import HarnessTelemetry, report_lines
 
 from .conftest import make_spec
@@ -56,43 +59,22 @@ burst_window_ms = 2
 """
 
 
-class TestMatrixJournalResume:
-    def test_journal_then_resume_round_trip(self, capsys, tmp_path):
+class TestMatrixRerun:
+    def test_rerun_on_the_same_cache_runs_nothing(self, capsys, tmp_path):
         matrix = tmp_path / "m.toml"
         matrix.write_text(MATRIX_TOML)
-        journal = tmp_path / "run.journal"
-        cache = tmp_path / "cache"
+        argv = ["--quiet-progress", "--cache-dir", str(tmp_path / "cache"),
+                "matrix", "run", str(matrix)]
 
-        rc = main(["--quiet-progress", "--cache-dir", str(cache),
-                   "matrix", "run", str(matrix), "--journal", str(journal)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert journal.exists()
-        assert "outcome=completed" in out
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert "2 cell(s), 0 cached, 2 executed" in cold
+        assert "outcome=completed" in cold
 
-        rc = main(["--quiet-progress", "--cache-dir", str(cache),
-                   "matrix", "run", str(matrix), "--resume", str(journal)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "resumed=2" in out and "reverified=2" in out
-
-    def test_resume_with_changed_matrix_fails_cleanly(self, capsys, tmp_path):
-        matrix = tmp_path / "m.toml"
-        matrix.write_text(MATRIX_TOML)
-        journal = tmp_path / "run.journal"
-        cache = tmp_path / "cache"
-        assert main(["--quiet-progress", "--cache-dir", str(cache),
-                     "matrix", "run", str(matrix),
-                     "--journal", str(journal)]) == 0
-        capsys.readouterr()
-
-        matrix.write_text(MATRIX_TOML.replace("seeds = [0, 1]", "seeds = [0, 2]"))
-        rc = main(["--quiet-progress", "--cache-dir", str(cache),
-                   "matrix", "run", str(matrix), "--resume", str(journal)])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert "resume failed" in captured.err
-        assert "matrix changed" in captured.err
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert "2 cell(s), 2 cached, 0 executed" in warm
+        assert "outcome=completed cells=2 cached=2 executed=0" in warm
 
 
 class TestCacheCommands:
@@ -157,26 +139,27 @@ class TestChaosFleetSmoke:
         assert rc == 0
         assert "chaos smoke ok" in out
         assert "byte-identical" in out
+        [line] = [ln for ln in out.splitlines() if ln.startswith("chaos smoke ok")]
+        assert "+ rerun (cached=" in line and "quarantined=1)" in line
+        assert "cached=0," not in line
 
 
 class TestTelemetryRecoverySection:
     def test_report_surfaces_resume_and_quarantine(self, tmp_path, specs):
         cache_dir = tmp_path / "cache"
-        journal = tmp_path / "run.journal"
-        run_grid(specs, jobs=None, cache_dir=cache_dir,
-                 journal=journal).raise_if_failed()
+        run_grid(specs, jobs=None, cache_dir=cache_dir).raise_if_failed()
         corrupt_cache_entry(cache_dir, seed=0, mode="garble")
 
         tel = HarnessTelemetry()
-        run_grid(specs, jobs=None, cache_dir=cache_dir, journal=journal,
-                 resume=journal, telemetry=tel).raise_if_failed()
+        run_grid(specs, jobs=None, cache_dir=cache_dir,
+                 telemetry=tel).raise_if_failed()
         out_dir = tmp_path / "tele"
         tel.write_outputs(str(out_dir))
 
         report = "\n".join(report_lines(str(out_dir)))
         [line] = [ln for ln in report.splitlines() if ln.startswith("grid 1:")]
         assert "outcome=degraded" in line
-        assert "resumed=" in line and "quarantined=1" in line
+        assert "cached=3" in line and "quarantined=1" in line
 
     def test_clean_run_has_no_recovery_section(self, tmp_path, specs):
         tel = HarnessTelemetry()
@@ -187,4 +170,22 @@ class TestTelemetryRecoverySection:
         report = "\n".join(report_lines(str(out_dir)))
         [line] = [ln for ln in report.splitlines() if ln.startswith("grid 1:")]
         assert line.startswith("grid 1: outcome=completed")
-        assert "resumed=" not in line and "quarantined=" not in line
+        assert "quarantined=" not in line
+
+    @pytest.mark.parametrize("metrics", [
+        # A report key this version does not know (an older run's
+        # "resumed" count, say).
+        json.dumps({"grids": [{**RunReport(cells=1, cache_hits=1).to_json_dict(),
+                               "resumed": 1}]}),
+        # A grid without its retries.
+        json.dumps({"grids": [{"cells": 1, "failures": {}}]}),
+        # Not JSON at all.
+        "not json {",
+    ], ids=["unknown-key", "missing-retries", "not-json"])
+    def test_malformed_metrics_is_a_usage_error(self, capsys, tmp_path, metrics):
+        (tmp_path / "metrics.json").write_text(metrics)
+        assert main(["telemetry", "report", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "metrics.json" in line
+        assert captured.out == ""

@@ -1,8 +1,8 @@
 """Engine-level resilience battery: the recovery paths, end to end.
 
-The contract under test is the issue's acceptance clause: **every
-recovery path preserves byte-identity** — a grid that was SIGKILLed,
-crashed, corrupted and resumed must hand back exactly the bytes an
+The contract under test: **every recovery path preserves
+byte-identity** — a grid that was SIGKILLed, crashed, corrupted and
+rerun on the same cache must hand back exactly the bytes an
 uninterrupted run produces, and corruption is demoted to a miss (plus
 quarantine forensics), never an exception.
 """
@@ -33,8 +33,12 @@ from repro.resilience.chaos import (
     FaultyFS,
     corrupt_cache_entry,
 )
-from repro.resilience.integrity import QUARANTINE_DIR, attach_footer, split_verified
-from repro.resilience.journal import ResumeError, replay_journal
+from repro.resilience.integrity import (
+    QUARANTINE_DIR,
+    attach_footer,
+    read_verified,
+    split_verified,
+)
 from repro.resilience.policy import CircuitBreaker
 from repro.scenarios.runcheck import canonical_result_bytes
 
@@ -75,6 +79,10 @@ def _fault_spec(kind: str, seed: int = 0) -> RunSpec:
 def _golden(specs) -> dict:
     clean = run_grid(specs, jobs=None, use_cache=False).raise_if_failed()
     return {s: canonical_result_bytes(clean[s]) for s in specs}
+
+
+def _run_on_cache(specs, tmp_path, **kw):
+    return run_grid(specs, jobs=None, cache_dir=tmp_path / "cache", **kw)
 
 
 def _assert_bytes_identical(grid, golden) -> None:
@@ -159,100 +167,82 @@ class TestChaosKill:
 
 
 class TestJournalResume:
-    def _run(self, specs, tmp_path, **kw):
-        return run_grid(specs, jobs=None, cache_dir=tmp_path / "cache",
-                        journal=tmp_path / "run.journal", **kw)
+    """Resume after a crash. There is no run journal: the rerun on the
+    same cache is the resume, and every cell it serves is re-verified
+    against its checksum footer on read."""
 
     def test_acceptance_abort_corrupt_resume_bytes_identical(self, tmp_path, specs):
-        """The issue's acceptance test: crash mid-grid, corrupt an
-        entry, ``--resume``, and the recovered grid is byte-identical."""
+        """Crash mid-grid, corrupt a finished entry, rerun the same grid:
+        the recovered grid is byte-identical to an uninterrupted one."""
         golden = _golden(specs)
-        journal = tmp_path / "run.journal"
 
         with pytest.raises(ChaosAbort, match="simulated harness crash"):
-            self._run(specs, tmp_path, chaos=ChaosPolicy(abort_after=2))
+            _run_on_cache(specs, tmp_path, chaos=ChaosPolicy(abort_after=2))
 
-        state = replay_journal(journal)
-        assert len(state.done) == 2  # two cells survived the "crash"
+        cache = ResultCache(tmp_path / "cache")
+        finished = [s for s in specs if cache.path_for(spec_key(s)).exists()]
+        assert len(finished) == 2  # two cells survived the "crash"
 
-        # Silent corruption of one completed entry (bad sector, torn
+        # Silent corruption of one finished entry (bad sector, torn
         # write): only the checksum footer can catch this.
-        victim_key = sorted(state.done)[0]
-        corrupt_cache_entry(tmp_path / "cache", key=victim_key, mode="garble")
+        corrupt_cache_entry(tmp_path / "cache", key=spec_key(finished[0]), mode="garble")
 
-        grid = self._run(specs, tmp_path, resume=journal).raise_if_failed()
+        grid = _run_on_cache(specs, tmp_path).raise_if_failed()
         report = grid.report
-        assert report.resumed == 1      # the intact journaled cell
-        assert report.reverified == 1
+        assert report.cache_hits == 1   # the intact finished cell
         assert report.quarantined == 1  # the corrupt one, caught on read
         assert report.executed == 3     # corrupt + the two never-run cells
         assert report.outcome == "degraded"
         _assert_bytes_identical(grid, golden)
         assert any((tmp_path / "cache" / QUARANTINE_DIR).iterdir())
+        # Every cell is on disk again: the next rerun runs nothing.
+        warm = _run_on_cache(specs, tmp_path).raise_if_failed()
+        assert warm.cache_hits == len(specs) and warm.executed == 0
 
-        # The journal now witnesses all four cells; the resumed cell's
-        # record duplicates its original hash (idempotent by design).
-        final = replay_journal(journal)
-        assert len(final.done) == len(specs)
-        assert final.duplicate_done >= 1
-        assert not final.conflicting
+    def test_clean_resume_reverifies_everything(self, tmp_path, specs, monkeypatch):
+        _run_on_cache(specs, tmp_path).raise_if_failed()
+        reads = []
 
-    def test_resume_mismatch_quarantines_and_reruns(self, tmp_path, specs):
-        golden = _golden(specs)
-        journal = tmp_path / "run.journal"
-        self._run(specs, tmp_path).raise_if_failed()
+        def counting_read_verified(path, fs=None):
+            payload, status = read_verified(path, fs)
+            reads.append(status)
+            return payload, status
 
-        # Swap two entries' result payloads: both files carry *valid*
-        # footers, so only the journal's result hash can catch it.
-        cache = ResultCache(tmp_path / "cache")
-        path_a = cache.path_for(spec_key(specs[0]))
-        path_b = cache.path_for(spec_key(specs[1]))
-        payload_a, _ = split_verified(path_a.read_text())
-        payload_b, _ = split_verified(path_b.read_text())
-        doc_a, doc_b = json.loads(payload_a), json.loads(payload_b)
-        doc_a["result"] = doc_b["result"]
-        path_a.write_text(attach_footer(json.dumps(doc_a, sort_keys=True)))
-
-        grid = self._run(specs, tmp_path, resume=journal).raise_if_failed()
+        monkeypatch.setattr(parallel, "read_verified", counting_read_verified)
+        grid = _run_on_cache(specs, tmp_path).raise_if_failed()
         report = grid.report
-        assert report.resume_mismatches == 1
-        assert report.quarantined >= 1
-        assert report.resumed == 3 and report.executed == 1
-        assert report.outcome == "degraded"
-        _assert_bytes_identical(grid, golden)
+        assert reads == ["ok"] * len(specs)  # one verified read per cell
+        assert report.cache_hits == len(specs)
+        assert report.executed == 0 and report.quarantined == 0
+        assert report.outcome == "completed"
 
-    def test_resume_with_evicted_entry_reruns_that_cell(self, tmp_path, specs):
+
+class TestRerunIsResume:
+    """A grid that died part-way resumes by running again on its cache."""
+
+    def test_rerun_with_evicted_entry_reruns_that_cell(self, tmp_path, specs):
         golden = _golden(specs)
-        journal = tmp_path / "run.journal"
-        self._run(specs, tmp_path).raise_if_failed()
+        _run_on_cache(specs, tmp_path).raise_if_failed()
 
         evicted = ResultCache(tmp_path / "cache").path_for(spec_key(specs[2]))
         evicted.unlink()
 
-        grid = self._run(specs, tmp_path, resume=journal).raise_if_failed()
+        grid = _run_on_cache(specs, tmp_path).raise_if_failed()
         report = grid.report
-        assert report.resumed == 3 and report.executed == 1
-        assert report.resume_mismatches == 0 and report.quarantined == 0
+        assert report.cache_hits == 3 and report.executed == 1
+        assert report.quarantined == 0
         # An eviction is not degradation: the cache is allowed to forget.
         assert report.outcome == "completed"
         _assert_bytes_identical(grid, golden)
 
-    def test_clean_resume_reverifies_everything(self, tmp_path, specs):
-        journal = tmp_path / "run.journal"
-        self._run(specs, tmp_path).raise_if_failed()
-        grid = self._run(specs, tmp_path, resume=journal).raise_if_failed()
-        report = grid.report
-        assert report.resumed == len(specs)
-        assert report.reverified == len(specs)
-        assert report.executed == 0
-        assert report.outcome == "completed"
-
-    def test_resume_against_changed_matrix_is_hard_error(self, tmp_path, specs):
-        journal = tmp_path / "run.journal"
-        self._run(specs, tmp_path).raise_if_failed()
+    def test_changed_grid_runs_only_its_changed_cells(self, tmp_path, specs):
+        _run_on_cache(specs, tmp_path).raise_if_failed()
         changed = specs[:3] + [make_spec(seed=99)]
-        with pytest.raises(ResumeError, match="matrix changed"):
-            self._run(changed, tmp_path, resume=journal)
+        golden = _golden(changed)
+        grid = _run_on_cache(changed, tmp_path).raise_if_failed()
+        assert grid.report.cache_hits == 3 and grid.report.executed == 1
+        assert grid.report.outcome == "completed"
+        _assert_bytes_identical(grid, golden)
 
 
 class TestAtomicMultiFileEntries:

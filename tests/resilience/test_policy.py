@@ -61,7 +61,6 @@ class TestRunReport:
 
     def test_recovery_machinery_means_degraded(self):
         for field, value in (("pool_rebuilds", 1), ("quarantined", 1),
-                             ("resume_mismatches", 1),
                              ("degradation", ["pool shrunk to 2"])):
             report = RunReport(cells=1, executed=1)
             setattr(report, field, value)
@@ -79,12 +78,14 @@ class TestRunReport:
         rendered = report.render()
         assert "failed=timeout:1" in rendered and "retries=timeout:2" in rendered
 
-    def test_resume_fields_round_trip_to_json(self):
-        report = RunReport(cells=3, cache_hits=3, resumed=2, reverified=2)
+    def test_fields_round_trip_to_json(self):
+        report = RunReport(cells=3, cache_hits=2, executed=1, quarantined=1)
+        report.retries["crash"] += 1
         as_json = report.to_json_dict()
-        assert as_json["outcome"] == "completed"  # clean resume is clean
-        assert as_json["resumed"] == 2 and as_json["reverified"] == 2
-        assert "resumed=2" in report.render()
+        assert as_json["outcome"] == "degraded"
+        assert as_json["cache_hits"] == 2 and as_json["quarantined"] == 1
+        assert RunReport.from_json_dict(as_json) == report
+        assert "cached=2" in report.render() and "quarantined=1" in report.render()
 
 
 class TestClassifyFailure:
