@@ -7,6 +7,8 @@ Usage::
     python -m repro --jobs 4 table3 --size medium
     python -m repro table4            # Fig. 6 + Table 4 (fio)
     python -m repro run streamcluster --threads 16 --mode paratick
+    python -m repro run swaptions --perf          # where the cycles went
+    python -m repro run dedup --check             # under the tick sanitizer
     python -m repro --jobs 4 ablations
 
 The heavy sweeps accept ``--quick`` to shrink the work budget (same
@@ -14,7 +16,10 @@ relative results, less wall-clock). ``--jobs N`` fans independent grid
 cells out over N worker processes; results are cached on disk
 (``.repro-cache/`` by default) so a repeated sweep only executes cells
 whose spec changed — ``--no-cache`` forces re-execution and
-``--cache-dir`` relocates the store.
+``--cache-dir`` relocates the store. ``run`` is the one single-cell
+command: it builds its cell as the grid's ``RunSpec`` and prints the
+summary, its RunMetrics (``--json``), the virtual perf report
+(``--perf``) or the tick sanitizer's verdict (``--check``).
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import sys
 
 from repro.config import TickMode
 from repro.errors import ReproError
-from repro.experiments import runner
 from repro.experiments.scenarios import VM_SIZES
 from repro.metrics.report import format_table
 from repro.workloads import parsec
@@ -202,24 +206,6 @@ def _cmd_list(args) -> int:
           f"{', '.join(str(b // 1024) + 'k' for b in BLOCK_SIZES)}")
     print("micro (repro.workloads.micro): idle, syncstorm, pingpong, idleperiod")
     print("netserve (repro.workloads.netserve): RPC service, 10G/100G links")
-    return 0
-
-
-def _cmd_check(args) -> int:
-    """Run one PARSEC model under the tick sanitizer; exit 1 on violation."""
-    from repro.experiments.parallel import RunSpec
-    from repro.scenarios.runcheck import sanitized_run
-
-    ws = _parsec_spec(args)
-    _, sanitizer, problems = sanitized_run(
-        RunSpec(ws, tick_mode=TickMode(args.mode), seed=args.seed))
-    print(f"{ws.build().name}/{args.mode}: {sanitizer.summary()}")
-    for p in problems:
-        print(f"  VIOLATION: {p}")
-    if problems:
-        print(f"sanitizer: {len(problems)} problem(s)")
-        return 1
-    print("sanitizer: clean")
     return 0
 
 
@@ -588,15 +574,63 @@ def _cmd_chaos(args) -> int:
     return 0
 
 
-def _make_obs(args):
-    """Observability bundle for ``run``/``perf``-style commands."""
-    from repro.obs import ObsConfig, Observability
-    from repro.sim.timebase import USEC
+def _parsec_cell(args):
+    """The one PARSEC cell ``run`` names, as the grid's :class:`RunSpec`;
+    ``--overcommit`` squeezes its vCPUs onto one fewer pCPU."""
+    from repro.experiments.parallel import RunSpec, WorkloadSpec
 
-    return Observability(ObsConfig(
-        sample_period_ns=getattr(args, "sample_us", 10) * USEC,
-        trace_export=args.trace_out is not None,
-    ))
+    ws = WorkloadSpec.make("parsec", name=args.benchmark, threads=args.threads,
+                           target_cycles=args.target_mcycles * 1_000_000)
+    spec = RunSpec(ws, tick_mode=TickMode(args.mode), seed=args.seed)
+    if args.overcommit:
+        from repro.analysis.fuzz import OVERCOMMIT, placement_for
+
+        machine, pinned = placement_for(ws.build().default_vcpus(), OVERCOMMIT)
+        spec = spec.with_(machine=machine, pinned_cpus=pinned)
+    return spec
+
+
+def _check_cell(spec) -> int:
+    """Run one cell under the tick sanitizer; exit 1 on violation."""
+    from repro.scenarios.runcheck import sanitized_run
+
+    _, sanitizer, problems = sanitized_run(spec)
+    print(f"{spec.workload.build().name}/{spec.tick_mode.value}: {sanitizer.summary()}")
+    for p in problems:
+        print(f"  VIOLATION: {p}")
+    if problems:
+        print(f"sanitizer: {len(problems)} problem(s)")
+        return 1
+    print("sanitizer: clean")
+    return 0
+
+
+def _print_profile(obs, top: int) -> None:
+    print(f"\nprofile ({obs.profiler.total_samples:,} samples, "
+          f"{obs.profiler.period_ns // 1000} us busy-time period):")
+    for line in obs.profiler.collapsed()[:top]:
+        print(f"  {line}")
+
+
+def _print_perf(m, obs, steal: dict, top: int) -> None:
+    """Virtual perf: where the cycles went, the latency distributions
+    and the per-vCPU steal — the simulator's answer to `perf stat` +
+    `perf sched` on the host."""
+    from repro.metrics.report import format_overhead_breakdown
+
+    print(format_overhead_breakdown([m], title="Overhead breakdown"))
+    _print_profile(obs, top)
+    if len(obs.latency.registry):
+        print()
+        print(format_table(
+            ("histogram", "count", "p50", "p95", "p99", "max"),
+            obs.latency.registry.summary_rows(),
+            title="Latency histograms",
+        ))
+    print("\nsteal time (per vCPU):")
+    for src, row in sorted(steal.items()):
+        print(f"  {src}: {row['steal_ns'] / 1e6:.3f} ms "
+              f"over {row['episodes']} episodes")
 
 
 def _write_obs_outputs(obs, args) -> None:
@@ -611,117 +645,66 @@ def _write_obs_outputs(obs, args) -> None:
             raise SystemExit(str(exc)) from None
         print(f"wrote Perfetto-loadable trace: {args.trace_out} "
               f"({len(doc['traceEvents'])} events)", file=sys.stderr)
-    if getattr(args, "collapsed_out", None) is not None:
+    if args.collapsed_out is not None:
         with open(args.collapsed_out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(obs.profiler.collapsed()) + "\n")
         print(f"wrote collapsed-stack profile: {args.collapsed_out}", file=sys.stderr)
 
 
-def _parsec_spec(args):
-    """The PARSEC workload that the per-benchmark commands (run, report,
-    perf, check) name by ``benchmark``/``--threads``/``--target-mcycles``."""
-    from repro.experiments.parallel import WorkloadSpec
-
-    return WorkloadSpec.make("parsec", name=args.benchmark, threads=args.threads,
-                             target_cycles=args.target_mcycles * 1_000_000)
-
-
-def _parsec_workload(args) -> tuple:
-    """The :func:`_parsec_spec` workload, built, and the ``run_workload``
-    keywords that run, report and perf describe."""
-    wl = _parsec_spec(args).build()
-    kwargs = {"tick_mode": TickMode(args.mode), "seed": args.seed}
-    if getattr(args, "overcommit", False):
-        from repro.analysis.fuzz import OVERCOMMIT, placement_for
-
-        mspec, pinned = placement_for(wl.default_vcpus(), OVERCOMMIT)
-        kwargs.update(machine_spec=mspec, pinned_cpus=pinned)
-    return wl, kwargs
-
-
-def _run_parsec(args, obs=None, inspect=None):
-    wl, kwargs = _parsec_workload(args)
-    return runner.run_workload(wl, obs=obs, inspect=inspect, **kwargs)
-
-
 def _cmd_run(args) -> int:
-    obs = _make_obs(args) if (args.profile or args.trace_out) else None
-    m = _run_parsec(args, obs=obs)
-    print(f"{m.label}: exec={m.exec_time_ns / 1e6:.2f} ms, exits={m.total_exits:,} "
-          f"(timer {m.timer_exits:,}), cycles={m.total_cycles / 1e6:.0f} M, "
-          f"overhead={m.overhead_ratio:.1%}")
-    for key, count in sorted(m.exits.tag_breakdown().items(), key=lambda kv: -kv[1]):
-        print(f"  {key.value:<18} {count:,}")
-    if obs is not None:
-        print(f"\nprofile ({obs.profiler.total_samples:,} samples, "
-              f"{obs.profiler.period_ns // 1000} us busy-time period):")
-        for line in obs.profiler.collapsed()[:10]:
-            print(f"  {line}")
-        _write_obs_outputs(obs, args)
-    return 0
-
-
-def _cmd_perf(args) -> int:
-    """Virtual perf: run one workload with the full observability stack
-    and print where the cycles went, the latency distributions, and the
-    per-vCPU steal — the simulator's answer to `perf stat` + `perf
-    sched` on the host."""
+    """Run one PARSEC cell and print one view of it: the summary (top
+    stacks with ``--profile``), its RunMetrics (``--json``), the virtual
+    perf report (``--perf``, JSON with ``--json``) or the tick
+    sanitizer's verdict (``--check``, exit 1 on a violation)."""
     import json
 
-    from repro.metrics.report import format_overhead_breakdown
-    from repro.obs.steal import runtime_steal_summary
+    from repro.experiments.parallel import execute_spec_full
 
-    obs = _make_obs(args)
+    spec = _parsec_cell(args)
+    observed = args.profile or args.trace_out or args.collapsed_out
+    if args.check:
+        if args.json or observed:
+            raise ReproError("--check prints only the sanitizer verdict; it takes "
+                             "none of --json, --profile, --trace-out, --collapsed-out")
+        return _check_cell(spec)
+
+    obs = None
+    if args.perf or observed:
+        from repro.obs import ObsConfig, Observability
+        from repro.sim.timebase import USEC
+
+        obs = Observability(ObsConfig(sample_period_ns=args.sample_us * USEC,
+                                      trace_export=args.trace_out is not None))
     internals: dict = {}
 
     def inspect(sim, machine, hv, vm) -> None:
         internals["hv"] = hv
 
-    m = _run_parsec(args, obs=obs, inspect=inspect)
-    steal = runtime_steal_summary(internals["hv"])
+    m = execute_spec_full(spec, inspect=inspect, obs=obs)[0]
+    if args.perf:
+        from repro.obs.steal import runtime_steal_summary
 
-    if args.json:
-        print(json.dumps({
-            "metrics": m.to_json_dict(),
-            "obs": obs.to_json_dict(),
-            "steal_runtime": steal,
-        }, indent=2, sort_keys=True))
-    else:
-        print(format_overhead_breakdown([m], title="Overhead breakdown"))
-        print(f"\nprofile ({obs.profiler.total_samples:,} samples, "
-              f"{obs.profiler.period_ns // 1000} us busy-time period):")
-        for line in obs.profiler.collapsed()[: args.top]:
-            print(f"  {line}")
-        if len(obs.latency.registry):
-            from repro.metrics.report import format_table
-
-            print()
-            print(format_table(
-                ("histogram", "count", "p50", "p95", "p99", "max"),
-                obs.latency.registry.summary_rows(),
-                title="Latency histograms",
-            ))
-        print("\nsteal time (per vCPU):")
-        for src, row in sorted(steal.items()):
-            print(f"  {src}: {row['steal_ns'] / 1e6:.3f} ms "
-                  f"over {row['episodes']} episodes")
-    _write_obs_outputs(obs, args)
-    return 0
-
-
-def _cmd_report(args) -> int:
-    """Run one PARSEC model and emit its RunMetrics (JSON on stdout with
-    --json, an overhead-breakdown table otherwise) — the scriptable end
-    of the CLI."""
-    import json
-
-    m = _run_parsec(args)
-    if args.json:
+        steal = runtime_steal_summary(internals["hv"])
+        if args.json:
+            print(json.dumps({
+                "metrics": m.to_json_dict(),
+                "obs": obs.to_json_dict(),
+                "steal_runtime": steal,
+            }, indent=2, sort_keys=True))
+        else:
+            _print_perf(m, obs, steal, args.top)
+    elif args.json:
         print(json.dumps(m.to_json_dict(), indent=2, sort_keys=True))
     else:
-        from repro.metrics.report import format_overhead_breakdown
-
-        print(format_overhead_breakdown([m]))
+        print(f"{m.label}: exec={m.exec_time_ns / 1e6:.2f} ms, exits={m.total_exits:,} "
+              f"(timer {m.timer_exits:,}), cycles={m.total_cycles / 1e6:.0f} M, "
+              f"overhead={m.overhead_ratio:.1%}")
+        for key, count in sorted(m.exits.tag_breakdown().items(), key=lambda kv: -kv[1]):
+            print(f"  {key.value:<18} {count:,}")
+        if obs is not None:
+            _print_profile(obs, args.top)
+    if obs is not None:
+        _write_obs_outputs(obs, args)
     return 0
 
 
@@ -798,13 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write observability artifacts (Perfetto trace, "
                          "collapsed profile) from the battery to DIR")
     va.set_defaults(fn=_cmd_validate)
-
-    ck = sub.add_parser("check", help="run one PARSEC model under the tick sanitizer")
-    ck.add_argument("benchmark", choices=list(parsec.BENCHMARK_NAMES))
-    ck.add_argument("--threads", type=int, default=1)
-    ck.add_argument("--mode", choices=[m.value for m in TickMode], default="tickless")
-    ck.add_argument("--target-mcycles", type=int, default=100)
-    ck.set_defaults(fn=_cmd_check)
 
     fz = sub.add_parser(
         "fuzz", help="differential fuzz: 3 tick modes x {solo, overcommit} per seed"
@@ -904,46 +880,35 @@ def build_parser() -> argparse.ArgumentParser:
                     help="seed for victim selection (same seed, same faults)")
     ch.set_defaults(fn=_cmd_chaos)
 
-    run = sub.add_parser("run", help="run one PARSEC model and print its profile")
+    run = sub.add_parser(
+        "run", help="run one PARSEC cell: summary, --json, --perf or --check"
+    )
     run.add_argument("benchmark", choices=list(parsec.BENCHMARK_NAMES))
     run.add_argument("--threads", type=int, default=1)
     run.add_argument("--mode", choices=[m.value for m in TickMode], default="paratick")
     run.add_argument("--target-mcycles", type=int, default=300)
+    view = run.add_mutually_exclusive_group()
+    view.add_argument("--perf", action="store_true",
+                      help="virtual perf: overhead breakdown, cycle profile, "
+                           "latency histograms, steal time")
+    view.add_argument("--check", action="store_true",
+                      help="run under the tick sanitizer; exit 1 on a violation")
+    run.add_argument("--json", action="store_true",
+                     help="RunMetrics (with --perf: metrics + profile + "
+                          "histograms + steal) as JSON on stdout")
     run.add_argument("--profile", action="store_true",
                      help="attach the virtual-perf profiler and print top stacks")
+    run.add_argument("--top", type=_positive_int, default=10,
+                     help="collapsed stacks to print (most samples first)")
+    run.add_argument("--sample-us", type=_positive_int, default=10,
+                     help="busy-time sampling period in microseconds")
+    run.add_argument("--overcommit", action="store_true",
+                     help="squeeze vCPUs onto fewer pCPUs (exercises steal)")
     run.add_argument("--trace-out", default=None, metavar="FILE",
                      help="export the run as a Perfetto-loadable Chrome trace")
-    run.set_defaults(fn=_cmd_run, sample_us=10)
-
-    pf = sub.add_parser(
-        "perf", help="virtual perf: cycle profile, latency histograms, steal time"
-    )
-    pf.add_argument("benchmark", choices=list(parsec.BENCHMARK_NAMES))
-    pf.add_argument("--threads", type=int, default=2)
-    pf.add_argument("--mode", choices=[m.value for m in TickMode], default="tickless")
-    pf.add_argument("--target-mcycles", type=int, default=300)
-    pf.add_argument("--sample-us", type=_positive_int, default=10,
-                    help="busy-time sampling period in microseconds")
-    pf.add_argument("--top", type=int, default=15,
-                    help="collapsed stacks to print (most samples first)")
-    pf.add_argument("--overcommit", action="store_true",
-                    help="squeeze vCPUs onto fewer pCPUs (exercises steal)")
-    pf.add_argument("--json", action="store_true",
-                    help="emit metrics + profile + histograms as JSON on stdout")
-    pf.add_argument("--trace-out", default=None, metavar="FILE",
-                    help="export the run as a Perfetto-loadable Chrome trace")
-    pf.add_argument("--collapsed-out", default=None, metavar="FILE",
-                    help="write the collapsed-stack profile (flamegraph.pl input)")
-    pf.set_defaults(fn=_cmd_perf)
-
-    rp = sub.add_parser("report", help="run one PARSEC model and report RunMetrics")
-    rp.add_argument("benchmark", choices=list(parsec.BENCHMARK_NAMES))
-    rp.add_argument("--threads", type=int, default=1)
-    rp.add_argument("--mode", choices=[m.value for m in TickMode], default="paratick")
-    rp.add_argument("--target-mcycles", type=int, default=300)
-    rp.add_argument("--json", action="store_true",
-                    help="RunMetrics as JSON on stdout (machine-readable)")
-    rp.set_defaults(fn=_cmd_report, profile=False, trace_out=None)
+    run.add_argument("--collapsed-out", default=None, metavar="FILE",
+                     help="write the collapsed-stack profile (flamegraph.pl input)")
+    run.set_defaults(fn=_cmd_run)
     return p
 
 

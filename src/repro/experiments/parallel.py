@@ -313,7 +313,7 @@ def _obs_for(spec: RunSpec):
 
 
 def execute_spec_full(
-    spec: RunSpec, *, tracer=None, inspect=None
+    spec: RunSpec, *, tracer=None, inspect=None, obs=None
 ) -> tuple[Any, Optional[dict]]:
     """Run one spec, returning ``(result, series_json)``.
 
@@ -324,14 +324,18 @@ def execute_spec_full(
     them (``vcpus``, ``pinned_cpus``, ``machine``, ``horizon_ns``,
     ``noise=False``) is set.
 
-    ``tracer`` and ``inspect`` are forwarded verbatim to the kind's
-    runner, and from there to :func:`~repro.experiments.runner.simulate`.
-    They are live objects, so only in-process callers (the sanitizer
-    and the golden batteries) pass them; the worker pool never does.
+    ``tracer``, ``inspect`` and ``obs`` are forwarded verbatim to the
+    kind's runner, and from there to
+    :func:`~repro.experiments.runner.simulate`. They are live objects,
+    so only in-process callers (the sanitizer, the golden batteries and
+    ``repro run``) pass them; the worker pool never does. An ``obs``
+    bundle replaces the series-only one, so it must record the series
+    itself when ``spec.series`` is set.
     """
     from repro.host.costs import DEFAULT_COSTS
 
-    obs = _obs_for(spec)
+    if obs is None:
+        obs = _obs_for(spec)
     costs = DEFAULT_COSTS
     if spec.cost_overrides:
         costs = costs.with_overrides(**dict(spec.cost_overrides))
@@ -382,7 +386,7 @@ def execute_spec_full(
                 label=spec.label,
                 **common,
             )
-    return result, obs.series_json() if obs is not None else None
+    return result, obs.series_json() if spec.series else None
 
 
 def encode_result(obj: Any) -> dict:

@@ -231,11 +231,16 @@ def read_jsonl(path: str) -> tuple[dict, list[dict]]:
     """Load a spans JSONL file: ``(header, records)``.
 
     Tolerates a missing header and skips corrupt lines rather than
-    failing — a reader must cope with a file truncated by a crash.
+    failing — a reader must cope with a file truncated by a crash. A
+    path that cannot be read at all is a :class:`ReproError`.
     """
     header: dict = {}
     records: list[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ReproError(f"{path}: cannot read spans file: {exc.strerror}") from None
+    with fh:
         for line in fh:
             try:
                 obj = json.loads(line)

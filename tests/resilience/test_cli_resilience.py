@@ -189,3 +189,11 @@ class TestTelemetryRecoverySection:
         [line] = captured.err.splitlines()
         assert line.startswith("error: ") and "metrics.json" in line
         assert captured.out == ""
+
+    def test_unreadable_spans_is_a_usage_error(self, capsys, tmp_path):
+        (tmp_path / "spans.jsonl").mkdir()
+        assert main(["telemetry", "report", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "spans.jsonl" in line
+        assert captured.out == ""

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
+import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,12 @@ class TestParser:
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "doom"])
+
+    def test_run_is_the_one_single_cell_command(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert len(sub.choices) == 16
+        assert not {"report", "perf", "check"} & set(sub.choices)
 
 
 class TestCommands:
@@ -54,7 +64,7 @@ class TestCommands:
     def test_report_json_round_trips(self, capsys):
         from repro.metrics.perf import RunMetrics
 
-        assert main(["report", "dedup", "--json", "--target-mcycles", "20"]) == 0
+        assert main(["run", "dedup", "--json", "--target-mcycles", "20"]) == 0
         data = json.loads(capsys.readouterr().out)
         m = RunMetrics.from_json_dict(data)
         assert m.label == "parsec.dedup/paratick"
@@ -63,7 +73,7 @@ class TestCommands:
         assert m.to_json_dict() == data
 
     def test_report_table(self, capsys):
-        assert main(["report", "dedup", "--target-mcycles", "20"]) == 0
+        assert main(["run", "dedup", "--perf", "--target-mcycles", "20"]) == 0
         out = capsys.readouterr().out
         assert "parsec.dedup/paratick" in out and "overhead%" in out
 
@@ -71,7 +81,8 @@ class TestCommands:
         from repro.obs.export import validate_chrome_trace
 
         trace, collapsed = tmp_path / "run.trace.json", tmp_path / "run.collapsed"
-        assert main(["perf", "swaptions", "--target-mcycles", "20",
+        assert main(["run", "swaptions", "--perf", "--threads", "2", "--mode", "tickless",
+                     "--target-mcycles", "20",
                      "--trace-out", str(trace), "--collapsed-out", str(collapsed)]) == 0
         assert validate_chrome_trace(json.loads(trace.read_text())) == []
         assert collapsed.read_text().strip()
@@ -132,9 +143,26 @@ class TestBadInput:
 
     def test_zero_sample_period_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["perf", "swaptions", "--sample-us", "0"])
+            main(["run", "swaptions", "--perf", "--sample-us", "0"])
         assert exc.value.code == 2
         assert "argument --sample-us: must be at least 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_rejected(self, capsys, top):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "swaptions", "--perf", "--top", top])
+        assert exc.value.code == 2
+        assert f"argument --top: must be at least 1, got {top}" in capsys.readouterr().err
+
+    def test_check_takes_no_output_flags(self, capsys):
+        assert main(["run", "dedup", "--check", "--json"]) == 2
+        assert capsys.readouterr().err.startswith("error: --check prints only")
+
+    def test_perf_and_check_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "dedup", "--perf", "--check"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_zero_threads_is_a_typed_error(self, capsys):
         assert main(["run", "dedup", "--threads", "0"]) == 2
@@ -213,6 +241,79 @@ def test_run_stdout_pinned(capsys, bench, mode):
     assert capsys.readouterr().out == PINNED_RUN_STDOUT[bench, mode]
 
 
+#: Exact stdout of ``run``'s other views (long ones as sha256 digests),
+#: each the same bytes its cell printed as a separate subcommand
+#: (``report --json``, ``perf``, ``perf --json``, ``check``).
+PINNED_VIEW_STDOUT = {
+    ("dedup", "--json"): "ea734e675ddf827d8cff660d07600a60d70ede7b6813737c464a23bb55d07f25",
+    ("swaptions", "--perf", "--threads", "2", "--mode", "tickless", "--top", "15"):
+        "6145b71ad407370d7254a916d3e73e0fd920ab4dca39c1dbea8615b13febc0fb",
+    ("swaptions", "--perf", "--json", "--threads", "2", "--mode", "tickless"):
+        "2cb7092bdea224716a2c16eb9f6cf436987193569c22116c148b21a50075188b",
+    ("dedup", "--check", "--mode", "tickless"): (
+        "parsec.dedup/tickless: 167 events | schema: 167 seen, 0 bad; "
+        "vcpu-state: 54 seen, 0 bad; preemption-timer: 41 seen, 0 bad; "
+        "lapic: 0 seen, 0 bad; guest-deadline: 19 seen, 0 bad; cntv: 0 seen, 0 bad; "
+        "tick-sched: 16 seen, 0 bad; inject: 5 seen, 0 bad; "
+        "suspend-span: 0 seen, 0 bad; restore-rearm: 0 seen, 0 bad; "
+        "hotplug: 0 seen, 0 bad\n"
+        "sanitizer: clean\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_VIEW_STDOUT), ids=" ".join)
+def test_run_view_stdout_pinned(capsys, argv):
+    assert main(["run", *argv, "--target-mcycles", "20"]) == 0
+    out = capsys.readouterr().out
+    pinned = PINNED_VIEW_STDOUT[argv]
+    if "\n" not in pinned:
+        out = hashlib.sha256(out.encode()).hexdigest()
+    assert out == pinned
+
+
+REPO = Path(__file__).resolve().parents[1]
+DOCUMENTED = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md")),
+              REPO / ".claude" / "skills" / "verify" / "SKILL.md"]
+
+
+def documented_commands():
+    """Every ``python -m repro …`` line inside a fenced code block of the
+    user docs, as ``(where, argv)``; shell comments, redirections and
+    pipes are cut, backslash continuations joined."""
+    for path in DOCUMENTED:
+        fenced, held = False, ""
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if line.lstrip().startswith("```"):
+                fenced = not fenced
+                continue
+            if not fenced:
+                continue
+            if line.endswith("\\"):
+                held += line[:-1]
+                continue
+            line, held = held + line, ""
+            _, sep, tail = line.partition("python -m repro ")
+            if not sep:
+                continue
+            argv = []
+            for token in shlex.split(tail, comments=True):
+                if token[:1] in ("|", ">", "&", ";") or token.startswith("2>"):
+                    break
+                argv.append(token)
+            yield f"{path.relative_to(REPO)}:{lineno}", argv
+
+
+@pytest.mark.parametrize("argv", [pytest.param(argv, id=where)
+                                  for where, argv in documented_commands()])
+def test_documented_command_parses(argv):
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:
+        pytest.fail(f"`python -m repro {shlex.join(argv)}` does not parse "
+                    f"(exit {exc.code})")
+
+
 class TestTelemetryCommands:
     def test_telemetry_report_on_empty_dir(self, capsys, tmp_path):
         assert main(["telemetry", "report", str(tmp_path)]) == 0
@@ -275,13 +376,14 @@ class TestTelemetryCommands:
 
 class TestSanitizerCommands:
     def test_check_clean_run(self, capsys):
-        assert main(["check", "dedup", "--target-mcycles", "30"]) == 0
+        assert main(["run", "dedup", "--check", "--mode", "tickless",
+                     "--target-mcycles", "30"]) == 0
         out = capsys.readouterr().out
         assert "sanitizer: clean" in out
         assert "events" in out
 
     def test_check_mode_flag(self, capsys):
-        assert main(["check", "dedup", "--mode", "paratick",
+        assert main(["run", "dedup", "--check", "--mode", "paratick",
                      "--target-mcycles", "30"]) == 0
         assert "sanitizer: clean" in capsys.readouterr().out
 
