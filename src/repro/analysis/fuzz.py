@@ -71,7 +71,7 @@ def scenario_for_seed(seed: int) -> FuzzScenario:
     rng = RngStreams(seed).stream("fuzz.scenario")
 
     def pick(lo: int, hi: int) -> int:
-        return int(rng.integers(lo, hi + 1))
+        return rng.integers(lo, hi + 1)
 
     kind = ("pingpong", "syncstorm", "idleperiod", "idle")[pick(0, 3)]
     if kind == "pingpong":
@@ -118,7 +118,7 @@ def perturbations_for_seed(seed: int, horizon_ns: int) -> tuple[Perturbation, ..
     rng = RngStreams(seed).stream("fuzz.perturb")
 
     def pick(lo: int, hi: int) -> int:
-        return int(rng.integers(lo, hi + 1))
+        return rng.integers(lo, hi + 1)
 
     out: list[Perturbation] = []
     for _ in range(pick(1, 3)):

@@ -25,6 +25,7 @@ summary, its RunMetrics (``--json``), the virtual perf report
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.config import TickMode
@@ -633,16 +634,29 @@ def _print_perf(m, obs, steal: dict, top: int) -> None:
               f"over {row['episodes']} episodes")
 
 
+def _check_obs_outputs(args) -> None:
+    """Refuse an unwritable --trace-out / --collapsed-out path up front,
+    so a bad path fails before the run rather than after it."""
+    for flag, path in (("--trace-out", args.trace_out), ("--collapsed-out", args.collapsed_out)):
+        if path is None:
+            continue
+        parent = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            raise ReproError(f"{flag} {path}: is a directory")
+        if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+            raise ReproError(f"{flag} {path}: {parent} is not a writable directory")
+
+
 def _write_obs_outputs(obs, args) -> None:
     """Write --trace-out / --collapsed-out files, reporting each path."""
     if args.trace_out is not None:
         from repro.obs.export import write_chrome_trace
 
-        doc = obs.chrome_trace()
         try:
+            doc = obs.chrome_trace()
             write_chrome_trace(doc, args.trace_out)
         except ValueError as exc:
-            raise SystemExit(str(exc)) from None
+            raise ReproError(f"--trace-out {args.trace_out}: {exc}") from None
         print(f"wrote Perfetto-loadable trace: {args.trace_out} "
               f"({len(doc['traceEvents'])} events)", file=sys.stderr)
     if args.collapsed_out is not None:
@@ -668,6 +682,7 @@ def _cmd_run(args) -> int:
                              "none of --json, --profile, --trace-out, --collapsed-out")
         return _check_cell(spec)
 
+    _check_obs_outputs(args)
     obs = None
     if args.perf or observed:
         from repro.obs import ObsConfig, Observability

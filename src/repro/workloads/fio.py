@@ -94,7 +94,7 @@ class FioWorkload(Workload):
         if not self.job.is_random:
             return None
         slots = SPAN_BYTES // self.job.block_size
-        slot = int(kernel.sim.rng.stream(f"{self.name}.offs").integers(0, slots))
+        slot = kernel.sim.rng.stream(f"{self.name}.offs").integers(0, slots)
         return slot * self.job.block_size
 
     def _user_cycles(self, nbytes: int) -> int:

@@ -309,9 +309,9 @@ class TestDeterminism:
     def test_streams_are_independent_of_creation_order(self):
         a, b = Simulator(seed=7), Simulator(seed=7)
         # Touch streams in different orders; each named stream must be equal.
-        a1 = a.rng.stream("one").integers(0, 1000, size=10).tolist()
-        a2 = a.rng.stream("two").integers(0, 1000, size=10).tolist()
-        b2 = b.rng.stream("two").integers(0, 1000, size=10).tolist()
-        b1 = b.rng.stream("one").integers(0, 1000, size=10).tolist()
+        a1 = [a.rng.stream("one").integers(0, 1000) for _ in range(10)]
+        a2 = [a.rng.stream("two").integers(0, 1000) for _ in range(10)]
+        b2 = [b.rng.stream("two").integers(0, 1000) for _ in range(10)]
+        b1 = [b.rng.stream("one").integers(0, 1000) for _ in range(10)]
         assert a1 == b1
         assert a2 == b2

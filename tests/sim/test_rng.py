@@ -16,9 +16,11 @@ class TestStreams:
     def test_different_names_independent(self):
         r1, r2 = RngStreams(5), RngStreams(5)
         # Drawing heavily from "x" must not perturb "y".
-        r1.stream("x").random(10_000)
-        a = r1.stream("y").integers(0, 10**9, 100).tolist()
-        b = r2.stream("y").integers(0, 10**9, 100).tolist()
+        x = r1.stream("x")
+        for _ in range(10_000):
+            x.normal(0.0, 1.0)
+        a = [r1.stream("y").integers(0, 10**9) for _ in range(100)]
+        b = [r2.stream("y").integers(0, 10**9) for _ in range(100)]
         assert a == b
 
     def test_seed_type_checked(self):

@@ -168,6 +168,30 @@ class TestBadInput:
         assert main(["run", "dedup", "--threads", "0"]) == 2
         assert capsys.readouterr().err == "error: threads must be positive\n"
 
+    @pytest.mark.parametrize("flag", ["--trace-out", "--collapsed-out"])
+    def test_unwritable_output_path_refused_before_the_run(self, capsys, monkeypatch,
+                                                           tmp_path, flag):
+        from repro.experiments import parallel
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the cell ran")
+
+        monkeypatch.setattr(parallel, "execute_spec_full", no_run)
+        out = tmp_path / "missing" / "x.out"
+        assert main(["run", "dedup", "--target-mcycles", "20", flag, str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} {out}: {out.parent} is not a writable directory\n"
+        assert captured.out == ""
+
+    def test_ring_overflow_is_a_typed_error(self, capsys, monkeypatch, tmp_path):
+        import repro.obs
+
+        monkeypatch.setattr(repro.obs, "RING_CAPACITY", 5)
+        out = tmp_path / "t.json"
+        assert main(["run", "dedup", "--target-mcycles", "20", "--trace-out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --trace-out {out}: ring dropped ")
+        assert not out.exists()
+
     def test_programming_errors_still_propagate(self, monkeypatch):
         from repro import cli
 
